@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from math import ceil
 from pathlib import Path
@@ -69,6 +69,10 @@ def generate_instance(
     (rows are redrawn until nonempty); the available products get distinct
     scores from a uniformly random permutation.
     """
+    if num_products < 1 or num_customers < 1:
+        raise InvalidRange(
+            f"need at least one product and one customer, got I={num_products} K={num_customers}"
+        )
     lo, hi = budget_range
     if not 1 <= lo <= hi:
         raise InvalidRange(f"budget range must satisfy 1 <= lo <= hi, got [{lo}, {hi}]")
@@ -367,6 +371,9 @@ def run_experiment(
 def params_from_dict(raw: dict) -> SearchParams:
     """SearchParams from a JSON-style dict; ``stop`` is {kind, limit}."""
     data = dict(raw)
+    unknown = sorted(set(data) - {f.name for f in fields(SearchParams)})
+    if unknown:
+        raise RankPriceError(f"unknown search parameters: {', '.join(unknown)}")
     stop = data.pop("stop", None)
     if stop is not None:
         data["stop"] = StopRule(kind=stop["kind"], limit=stop["limit"])

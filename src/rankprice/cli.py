@@ -19,8 +19,7 @@ from .exact import DEFAULT_ENUMERATION_CAP, brute_force, write_lp
 from .model import build_grid, load_instance, save_instance
 from .search import SearchParams, StopRule
 
-DEFAULT_POINT_BUDGET = 24000
-DEFAULT_Q = {"naive": 100, "vns": 100, "genetic": 1000}
+_GENETIC_Q = 1000
 
 
 def _add_solve_parser(sub):
@@ -31,10 +30,10 @@ def _add_solve_parser(sub):
     p.add_argument("--local-search", default="", metavar="LETTERS",
                    help="pipeline letters: s=slack f=fill r=reassignment "
                         "c=conditional reassignment o=optimization-based")
-    p.add_argument("--l0", type=int, default=1000)
+    p.add_argument("--l0", type=int, default=None)
     p.add_argument("--q", type=int, default=None,
                    help="elite set size (default 100, or 1000 for genetic)")
-    p.add_argument("--t", type=int, default=500)
+    p.add_argument("--t", type=int, default=None)
     stop = p.add_mutually_exclusive_group()
     stop.add_argument("--max-points", type=int, default=None)
     stop.add_argument("--time-limit", type=float, default=None)
@@ -50,23 +49,28 @@ def _add_solve_parser(sub):
                    help="allow the genetic method to pick the same parent twice")
 
 
-def _stop_rule(args) -> StopRule:
+def _stop_rule(args) -> StopRule | None:
     if args.max_points is not None:
         return StopRule.point_budget(args.max_points)
     if args.time_limit is not None:
         return StopRule.time_limit(args.time_limit)
     if args.iterations is not None:
         return StopRule.iterations(args.iterations)
-    return StopRule.point_budget(DEFAULT_POINT_BUDGET)
+    return None
 
 
 def _cmd_solve(args) -> int:
-    q = args.q if args.q is not None else min(DEFAULT_Q[args.method], args.l0)
+    # Only flags the user set reach SearchParams; the rest keep its defaults.
+    given = {
+        name: value
+        for name, value in (("l0", args.l0), ("t", args.t), ("stop", _stop_rule(args)))
+        if value is not None
+    }
+    default_q = _GENETIC_Q if args.method == "genetic" else SearchParams.q
+    q = args.q if args.q is not None else min(default_q, given.get("l0", SearchParams.l0))
     params = SearchParams(
-        l0=args.l0,
+        **given,
         q=q,
-        t=args.t,
-        stop=_stop_rule(args),
         init=args.init,
         seed=args.seed,
         dedup=args.dedup,
@@ -96,8 +100,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise RankPriceError(f"cannot read config {args.config}: {exc}") from exc
     config = config_from_dict(
         raw, instance_path=args.instance, runs=args.runs, out_dir=args.out
     )
@@ -150,7 +157,12 @@ def _cmd_export_lp(args) -> int:
 def _cmd_eval(args) -> int:
     inst = load_instance(args.instance)
     grid = build_grid(inst)
-    prices = tuple(int(part) for part in args.prices.split(","))
+    try:
+        prices = tuple(int(part) for part in args.prices.split(","))
+    except ValueError:
+        raise RankPriceError(
+            f"prices must be comma-separated integers, got {args.prices!r}"
+        ) from None
     if len(prices) != inst.num_products:
         raise RankPriceError(
             f"expected {inst.num_products} prices, got {len(prices)}"

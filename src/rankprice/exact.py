@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Mapping, Sequence
 
-from .errors import SearchSpaceTooLarge
+from .errors import OutputWriteError, SearchSpaceTooLarge
 from .evaluate import assign
 from .model import Assignment, BudgetGrid, Instance, PriceIndices
 
@@ -246,5 +246,9 @@ def export_single_level(inst: Instance, grid: BudgetGrid) -> str:
 
 
 def write_lp(inst: Instance, grid: BudgetGrid, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(export_single_level(inst, grid))
+    text = export_single_level(inst, grid)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputWriteError(f"cannot write {path}: {exc}") from exc

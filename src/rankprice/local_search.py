@@ -52,7 +52,7 @@ class LocalSearchStats:
         return sum(self.reverted.values())
 
 
-def parse_pipeline(letters: str) -> tuple[str, ...]:
+def parse_pipeline(letters: Sequence[str]) -> tuple[str, ...]:
     """Validate a pipeline spelling such as ``"sfrc"`` into step codes."""
     steps = tuple(letters)
     for step in steps:
@@ -63,13 +63,41 @@ def parse_pipeline(letters: str) -> tuple[str, ...]:
     return steps
 
 
-def _buyer_budgets(inst: Instance, assignment: Assignment) -> list[list[int]]:
-    """Budgets of each product's buyers, in customer order."""
-    per_product: list[list[int]] = [[] for _ in range(inst.num_products)]
-    for k, i in enumerate(assignment.chosen):
-        if i is not None:
-            per_product[i].append(inst.budgets[k])
-    return per_product
+def _buyers_by_product(inst: Instance, assignment: Assignment) -> list[list[int]]:
+    """Customers buying each product, in customer order."""
+    buyers: list[list[int]] = [[] for _ in range(inst.num_products)]
+    for k, choice in enumerate(assignment.chosen):
+        if choice is not None:
+            buyers[choice].append(k)
+    return buyers
+
+
+def _try_price(
+    inst: Instance,
+    grid: BudgetGrid,
+    cur: list[int],
+    cur_a: Assignment,
+    product: int,
+    m: int,
+    step: str,
+    stats: LocalSearchStats,
+) -> tuple[list[int], Assignment]:
+    """Price ``product`` at grid index ``m``; keep the move iff revenue strictly improves.
+
+    A move to the price already held is skipped without evaluation. Callers
+    tell a kept move by the returned assignment not being ``cur_a``.
+    """
+    if m == cur[product]:
+        return cur, cur_a
+    trial = list(cur)
+    trial[product] = m
+    trial_a = assign(inst, grid, trial)
+    stats.assign_calls += 1
+    if trial_a.revenue > cur_a.revenue:
+        stats.count_kept(step)
+        return trial, trial_a
+    stats.count_reverted(step)
+    return cur, cur_a
 
 
 def slack(
@@ -82,9 +110,9 @@ def slack(
     only grow. Idempotent.
     """
     new = list(indices)
-    for i, budgets in enumerate(_buyer_budgets(inst, assignment)):
-        if budgets:
-            new[i] = grid.index_of(min(budgets))
+    for i, buyers in enumerate(_buyers_by_product(inst, assignment)):
+        if buyers:
+            new[i] = grid.index_of(min(inst.budgets[k] for k in buyers))
     revenue = sum(grid.values[new[i]] for i in assignment.chosen if i is not None)
     return tuple(new), Assignment(chosen=assignment.chosen, revenue=revenue)
 
@@ -104,8 +132,8 @@ def fill(
     re-evaluated revenue strictly improves. Products handled in ascending
     index order, each seeing the effects of earlier kept moves.
     """
-    cur = list(indices)
-    cur_a = assignment
+    stats = stats or LocalSearchStats()
+    cur, cur_a = list(indices), assignment
     sold = {choice for choice in cur_a.chosen if choice is not None}
     unassigned = [k for k, choice in enumerate(cur_a.chosen) if choice is None]
     for i in range(inst.num_products):
@@ -114,62 +142,54 @@ def fill(
         interested = [k for k in unassigned if inst.preferences[k][i] is not None]
         if not interested:
             continue
-        price = min(inst.budgets[k] for k in interested)
-        m = grid.index_of(price)
-        if m == cur[i]:
-            continue
-        trial = list(cur)
-        trial[i] = m
-        trial_a = assign(inst, grid, trial)
-        if stats is not None:
-            stats.assign_calls += 1
-        if trial_a.revenue > cur_a.revenue:
-            cur, cur_a = trial, trial_a
+        m = grid.index_of(min(inst.budgets[k] for k in interested))
+        cur, moved_a = _try_price(inst, grid, cur, cur_a, i, m, "f", stats)
+        if moved_a is not cur_a:
+            cur_a = moved_a
             sold = {choice for choice in cur_a.chosen if choice is not None}
             unassigned = [k for k, choice in enumerate(cur_a.chosen) if choice is None]
-            if stats is not None:
-                stats.count_kept("f")
-        elif stats is not None:
-            stats.count_reverted("f")
     return tuple(cur), cur_a
 
 
-def _buyers_by_product(inst: Instance, assignment: Assignment) -> list[list[int]]:
-    """Customers buying each product, in customer order."""
-    buyers: list[list[int]] = [[] for _ in range(inst.num_products)]
-    for k, choice in enumerate(assignment.chosen):
-        if choice is not None:
-            buyers[choice].append(k)
-    return buyers
-
-
-def _second_cheapest_move(
+def _reassign(
     inst: Instance,
     grid: BudgetGrid,
-    cur: list[int],
-    cur_a: Assignment,
-    product: int,
-    buyers: list[int],
-    step: str,
-    stats: LocalSearchStats | None,
-) -> tuple[list[int], Assignment]:
-    """Try pricing ``product`` at its second-cheapest buyer budget; keep iff better."""
-    second = sorted(inst.budgets[k] for k in buyers)[1]
-    m = grid.index_of(second)
-    if m == cur[product]:
-        return cur, cur_a
-    trial = list(cur)
-    trial[product] = m
-    trial_a = assign(inst, grid, trial)
-    if stats is not None:
-        stats.assign_calls += 1
-    if trial_a.revenue > cur_a.revenue:
-        if stats is not None:
-            stats.count_kept(step)
-        return trial, trial_a
-    if stats is not None:
-        stats.count_reverted(step)
-    return cur, cur_a
+    indices: PriceIndices,
+    assignment: Assignment,
+    conditional: bool,
+    stats: LocalSearchStats,
+) -> tuple[PriceIndices, Assignment]:
+    """Walk products in index order, trying each at its second-cheapest buyer budget.
+
+    With ``conditional`` a product is tried only when its poorest buyer pays
+    exactly the current price and wants another product priced at that
+    budget too.
+    """
+    step = "c" if conditional else "r"
+    cur, cur_a = list(indices), assignment
+    buyers_table = _buyers_by_product(inst, cur_a)
+    for i in range(inst.num_products):
+        buyers = buyers_table[i]
+        if len(buyers) < 2:
+            continue
+        if conditional:
+            poorest = min(buyers, key=lambda k: (inst.budgets[k], k))
+            budget = inst.budgets[poorest]
+            if budget != grid.values[cur[i]]:
+                continue
+            if not any(
+                j != i
+                and grid.values[cur[j]] == budget
+                and inst.preferences[poorest][j] is not None
+                for j in range(inst.num_products)
+            ):
+                continue
+        second = sorted(inst.budgets[k] for k in buyers)[1]
+        cur, moved_a = _try_price(inst, grid, cur, cur_a, i, grid.index_of(second), step, stats)
+        if moved_a is not cur_a:
+            cur_a = moved_a
+            buyers_table = _buyers_by_product(inst, cur_a)
+    return tuple(cur), cur_a
 
 
 def reassignment(
@@ -185,18 +205,7 @@ def reassignment(
     re-evaluated revenue strictly improves. Expects slack-free prices (run
     :func:`slack` first). Products handled in ascending index order.
     """
-    cur = list(indices)
-    cur_a = assignment
-    buyers_table = _buyers_by_product(inst, cur_a)
-    for i in range(inst.num_products):
-        buyers = buyers_table[i]
-        if len(buyers) < 2:
-            continue
-        cur, moved_a = _second_cheapest_move(inst, grid, cur, cur_a, i, buyers, "r", stats)
-        if moved_a is not cur_a:
-            cur_a = moved_a
-            buyers_table = _buyers_by_product(inst, cur_a)
-    return tuple(cur), cur_a
+    return _reassign(inst, grid, indices, assignment, False, stats or LocalSearchStats())
 
 
 def conditional_reassignment(
@@ -215,30 +224,7 @@ def conditional_reassignment(
     product, so the move is guarded by re-evaluation like reassignment.
     Expects slack-free prices.
     """
-    cur = list(indices)
-    cur_a = assignment
-    buyers_table = _buyers_by_product(inst, cur_a)
-    for i in range(inst.num_products):
-        buyers = buyers_table[i]
-        if len(buyers) < 2:
-            continue
-        price = grid.values[cur[i]]
-        poorest = min(buyers, key=lambda k: (inst.budgets[k], k))
-        if inst.budgets[poorest] != price:
-            continue
-        fallback = any(
-            j != i
-            and grid.values[cur[j]] == inst.budgets[poorest]
-            and inst.preferences[poorest][j] is not None
-            for j in range(inst.num_products)
-        )
-        if not fallback:
-            continue
-        cur, moved_a = _second_cheapest_move(inst, grid, cur, cur_a, i, buyers, "c", stats)
-        if moved_a is not cur_a:
-            cur_a = moved_a
-            buyers_table = _buyers_by_product(inst, cur_a)
-    return tuple(cur), cur_a
+    return _reassign(inst, grid, indices, assignment, True, stats or LocalSearchStats())
 
 
 def scan_product(
@@ -255,20 +241,10 @@ def scan_product(
     held; a strictly better vector is kept immediately and the scan continues
     from it.
     """
-    cur = list(indices)
-    cur_a = assignment
+    stats = stats or LocalSearchStats()
+    cur, cur_a = list(indices), assignment
     for m in range(grid.size):
-        if m == cur[product]:
-            continue
-        trial = list(cur)
-        trial[product] = m
-        trial_a = assign(inst, grid, trial)
-        if stats is not None:
-            stats.assign_calls += 1
-        if trial_a.revenue > cur_a.revenue:
-            cur, cur_a = trial, trial_a
-            if stats is not None:
-                stats.count_kept("o")
+        cur, cur_a = _try_price(inst, grid, cur, cur_a, product, m, "o", stats)
     return tuple(cur), cur_a
 
 
@@ -305,21 +281,19 @@ def run_pipeline(
 ) -> list[tuple[PriceIndices, Assignment]]:
     """Apply the pipeline steps in order to every batch element.
 
-    Reassignment steps need slack-free prices; when the pipeline itself does
-    not contain a slack step, one is applied on the fly before the first of
-    them.
+    Reassignment steps need slack-free prices; when the pipeline itself has
+    no slack step, slack is applied on the fly before every ``r`` and every
+    ``c`` step (so ``"rc"`` runs slack twice per element).
     """
-    steps = parse_pipeline(pipeline) if isinstance(pipeline, str) else tuple(pipeline)
+    steps = parse_pipeline(pipeline)
     needs_slack = "s" not in steps
     out: list[tuple[PriceIndices, Assignment]] = []
     for indices, assignment in batch:
         cur = (tuple(indices), assignment)
         for step in steps:
-            if step in ("r", "c") and needs_slack:
+            if step == "s" or (needs_slack and step in ("r", "c")):
                 cur = slack(inst, grid, *cur)
-            if step == "s":
-                cur = slack(inst, grid, *cur)
-            elif step == "f":
+            if step == "f":
                 cur = fill(inst, grid, *cur, stats=stats)
             elif step == "r":
                 cur = reassignment(inst, grid, *cur, stats=stats)

@@ -19,6 +19,7 @@ from .errors import (
     EmptyPreferenceRow,
     InstanceReadError,
     NonPositiveBudget,
+    OutputWriteError,
     TiedPreferences,
 )
 
@@ -180,6 +181,9 @@ def load_instance(path) -> Instance:
 
 
 def save_instance(inst: Instance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(inst.to_dict(), fh, indent=1)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(inst.to_dict(), fh, indent=1)
+            fh.write("\n")
+    except OSError as exc:
+        raise OutputWriteError(f"cannot write {path}: {exc}") from exc

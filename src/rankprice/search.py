@@ -124,7 +124,6 @@ class SearchState:
     radius: int = 1
     evals: int = 0
     trace: list[TraceEntry] = field(default_factory=list)
-    elites: list[int] = field(default_factory=list)
     seen: set[PriceIndices] | None = None
 
 
@@ -254,12 +253,7 @@ class _Run:
         self.grid = grid
         self.params = params
         self.rng = rng if rng is not None else random.Random(params.seed)
-        if pipeline is None:
-            self.pipeline: tuple[str, ...] = ()
-        elif isinstance(pipeline, str):
-            self.pipeline = parse_pipeline(pipeline)
-        else:
-            self.pipeline = tuple(pipeline)
+        self.pipeline = parse_pipeline(pipeline or "")
         self.clock: Callable[[], float] = clock if clock is not None else time.perf_counter
         self.t0 = self.clock()
         self.state = SearchState(seen=set() if params.dedup else None)
@@ -282,6 +276,7 @@ class _Run:
         return self.iterations >= int(stop.limit)
 
     def batch_quota(self, size: int) -> int:
+        """Vectors the next batch may add; at least 1 until the stop rule fires."""
         stop = self.params.stop
         if stop.kind == StopRule.POINTS:
             return min(size, int(stop.limit) - self.state.evals)
@@ -303,6 +298,9 @@ class _Run:
         st.evals += 1
         return len(st.population) - 1, a
 
+    def random_candidate(self) -> PriceIndices:
+        return random_price(self.grid, self.inst.num_products, self.rng)
+
     def fill_batch(self, quota: int, make_candidate) -> list[tuple[int, Assignment]]:
         """Insert ``quota`` new vectors produced by ``make_candidate``."""
         batch: list[tuple[int, Assignment]] = []
@@ -310,10 +308,7 @@ class _Run:
         max_draws = quota * _DEDUP_DRAWS_PER_SLOT
         st = self.state
         while len(batch) < quota:
-            if st.seen is not None and len(st.seen) >= self.grid_points:
-                self.exhausted = True
-                break
-            if draws >= max_draws and st.seen is not None:
+            if st.seen is not None and (len(st.seen) >= self.grid_points or draws >= max_draws):
                 self.exhausted = True
                 break
             draws += 1
@@ -322,17 +317,8 @@ class _Run:
                 batch.append(inserted)
         return batch
 
-    def select_elites(self) -> list[int]:
-        elites = select_elites(self.state.population, self.params.q)
-        self.state.elites = elites
-        return elites
-
     def finish_batch(self, batch: list[tuple[int, Assignment]]) -> bool:
-        """Run the pipeline over the batch, fold results back, update the best.
-
-        Returns True when some (possibly improved) batch member strictly beats
-        the incumbent.
-        """
+        """Run the pipeline over the batch, fold results back, update the best."""
         st = self.state
         if self.pipeline and batch:
             pairs = [(st.population[slot][0], a) for slot, a in batch]
@@ -344,6 +330,11 @@ class _Run:
                 if st.seen is not None:
                     st.seen.add(indices)
             batch = [(slot, a) for (slot, _), (_, a) in zip(batch, improved)]
+        return self.update_best(batch)
+
+    def update_best(self, batch: list[tuple[int, Assignment]]) -> bool:
+        """Fold a batch into the incumbent; True when some member strictly beats it."""
+        st = self.state
         better = False
         for slot, a in batch:
             if a.revenue > st.best_value:
@@ -358,25 +349,34 @@ class _Run:
 
     def init_population(self) -> None:
         quota = self.batch_quota(self.params.l0)
-        first_greedy = self.params.init == GREEDY
         batch: list[tuple[int, Assignment]] = []
-        if first_greedy and quota > 0:
-            inserted = self.try_insert(greedy_init(self.inst, self.grid))
-            if inserted is not None:
-                batch.append(inserted)
+        if self.params.init == GREEDY:
+            # The population is still empty, so even dedup mode inserts it.
+            batch.append(self.try_insert(greedy_init(self.inst, self.grid)))
             quota -= 1
-        batch.extend(
-            self.fill_batch(
-                quota, lambda: random_price(self.grid, self.inst.num_products, self.rng)
-            )
-        )
+        batch.extend(self.fill_batch(quota, self.random_candidate))
         # Initial members are evaluated as-is: the pipeline only refines the
         # vectors proposed inside the loop.
-        for slot, a in batch:
-            if a.revenue > self.state.best_value:
-                self.state.best_value = a.revenue
-                self.state.best_indices = self.state.population[slot][0]
+        self.update_best(batch)
         self.snapshot()
+
+    def loop(self, propose, after_batch=None) -> SearchResult:
+        """Grow the population batch by batch until the stop rule fires.
+
+        ``propose()`` runs once per batch and returns the candidate maker for
+        that batch; ``after_batch(improved)`` then learns whether the refined
+        batch beat the incumbent.
+        """
+        while not self.stop_reached():
+            batch = self.fill_batch(self.batch_quota(self.params.t), propose())
+            improved = self.finish_batch(batch)
+            if after_batch is not None:
+                after_batch(improved)
+            self.snapshot()
+            self.iterations += 1
+            if not batch:
+                break
+        return self.result()
 
     def result(self) -> SearchResult:
         st = self.state
@@ -410,19 +410,7 @@ def naive_search(
     the other methods.
     """
     run = _Run(inst, grid, params, rng, pipeline, clock)
-    while not run.stop_reached():
-        quota = run.batch_quota(params.t)
-        if quota <= 0:
-            break
-        batch = run.fill_batch(
-            quota, lambda: random_price(grid, inst.num_products, run.rng)
-        )
-        run.finish_batch(batch)
-        run.snapshot()
-        run.iterations += 1
-        if not batch:
-            break
-    return run.result()
+    return run.loop(lambda: run.random_candidate)
 
 
 def vns_search(
@@ -444,31 +432,25 @@ def vns_search(
     run = _Run(inst, grid, params, rng, pipeline, clock)
     run.init_population()
     radius_cap = max(1, grid.size - 1)
-    radius = 1
-    while not run.stop_reached():
-        quota = run.batch_quota(params.t)
-        if quota <= 0:
-            break
-        elites = run.select_elites()
-        pop = run.state.population
+    st = run.state
+
+    def propose():
+        pop, radius = st.population, st.radius
+        elites = select_elites(pop, params.q)
 
         def candidate():
             center = pop[run.rng.choice(elites)][0]
             return neighborhood(grid, center, radius).sample(run.rng)
 
-        batch = run.fill_batch(quota, candidate)
-        improved = run.finish_batch(batch)
-        if improved:
-            if params.vns_reset_radius:
-                radius = 1
-        else:
-            radius = min(radius + 1, radius_cap)
-        run.state.radius = radius
-        run.snapshot()
-        run.iterations += 1
-        if not batch:
-            break
-    return run.result()
+        return candidate
+
+    def after_batch(improved):
+        if not improved:
+            st.radius = min(st.radius + 1, radius_cap)
+        elif params.vns_reset_radius:
+            st.radius = 1
+
+    return run.loop(propose, after_batch)
 
 
 def genetic_search(
@@ -488,12 +470,10 @@ def genetic_search(
         raise RankPriceError("genetic search needs q >= 2 to pick two distinct parents")
     run = _Run(inst, grid, params, rng, pipeline, clock)
     run.init_population()
-    while not run.stop_reached():
-        quota = run.batch_quota(params.t)
-        if quota <= 0:
-            break
-        elites = run.select_elites()
+
+    def propose():
         pop = run.state.population
+        elites = select_elites(pop, params.q)
 
         def candidate():
             if params.parents_with_replacement:
@@ -504,10 +484,6 @@ def genetic_search(
             child = crossover(pop[s1][0], pop[s2][0], run.rng)
             return mutate(grid, child, run.rng)
 
-        batch = run.fill_batch(quota, candidate)
-        run.finish_batch(batch)
-        run.snapshot()
-        run.iterations += 1
-        if not batch:
-            break
-    return run.result()
+        return candidate
+
+    return run.loop(propose)

@@ -68,6 +68,13 @@ def test_generate_instance_rejects_bad_ranges():
         generate_instance(2, 4, (5, 10), 1.5, seed=0)
 
 
+@pytest.mark.parametrize("num_products, num_customers", [(0, 4), (2, 0), (0, 0)])
+def test_generate_instance_rejects_empty_dimensions(num_products, num_customers):
+    # an empty product set used to redraw empty preference rows forever
+    with pytest.raises(InvalidRange):
+        generate_instance(num_products, num_customers, (5, 10), 1.0, seed=0)
+
+
 # ------------------------------------------------------------ percentiles
 
 

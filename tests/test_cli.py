@@ -134,3 +134,29 @@ def test_missing_instance_fails_cleanly(capsys):
     code = main(["exact", "--instance", "/nonexistent/foo.json"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _config_with_unknown_param(tmp_path, instance_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"instance_path": instance_path, "method": "vns",
+                                "runs": 1, "params": {"l0": 20, "bogus": 1}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["unknown-param", "missing-config", "non-integer-prices",
+                                  "unwritable-lp", "unwritable-instance"])
+def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys):
+    missing_dir = tmp_path / "no-such-dir"
+    argv = {
+        "unknown-param": lambda: ["bench", "--config",
+                                  _config_with_unknown_param(tmp_path, table1_path)],
+        "missing-config": lambda: ["bench", "--config", str(tmp_path / "missing.json")],
+        "non-integer-prices": lambda: ["eval", "--instance", table1_path, "--prices", "a,b"],
+        "unwritable-lp": lambda: ["export-lp", "--instance", table1_path,
+                                  "--out", str(missing_dir / "out.lp")],
+        "unwritable-instance": lambda: ["gen", "--products", "2", "--customers", "4",
+                                        "--budget-lo", "1", "--budget-hi", "9",
+                                        "--out", str(missing_dir / "gen.json")],
+    }[case]()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -173,6 +173,20 @@ def test_all_steps_keep_revenue_and_consistency():
     assert reverts_seen > 0  # the guards do fire on random inputs
 
 
+def test_every_trial_is_counted_kept_or_reverted():
+    rng = random.Random(31)
+    ops = (fill, reassignment, conditional_reassignment,
+           lambda *state, stats: opt_based(*state, rng=rng, stats=stats))
+    for _ in range(100):
+        inst, grid, indices, a = random_state(rng.randrange(10**6), rng)
+        state = slack(inst, grid, indices, a)
+        for op in ops:
+            stats = LocalSearchStats()
+            op(inst, grid, *state, stats=stats)
+            counted = sum(stats.kept.values()) + stats.total_reverted
+            assert counted == stats.assign_calls
+
+
 def test_scan_product_reaches_single_swap_optimum():
     rng = random.Random(4242)
     for _ in range(200):

@@ -20,8 +20,9 @@ from __future__ import annotations
 import csv
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from datetime import datetime, timezone
+from itertools import repeat
 from math import ceil
 from pathlib import Path
 from typing import Sequence
@@ -52,7 +53,6 @@ SUMMARY_COLUMNS = (
     "best_prices",
 )
 TRACE_COLUMNS = ("run_id", "evals", "elapsed_ms", "best_value")
-PERCENTILE_COLUMNS = ("checkpoint", "evals", "elapsed_ms", "p5", "p50", "p95")
 
 
 def generate_instance(
@@ -114,6 +114,9 @@ class ExperimentConfig:
     out_dir: str | None
 
     def __post_init__(self):
+        # JSON configs may spell the counts as 2.0 or "3"; store them as ints.
+        object.__setattr__(self, "runs", int(self.runs))
+        object.__setattr__(self, "base_seed", int(self.base_seed))
         if self.method not in METHODS:
             raise RankPriceError(f"unknown method {self.method!r}")
         if self.runs < 1:
@@ -186,11 +189,6 @@ def _run_one(
     return summary, result.trace
 
 
-def _worker(args):
-    inst, config, run_id = args
-    return _run_one(inst, config, run_id)
-
-
 def evolution_stats(traces: Sequence[Sequence[TraceEntry]]) -> EvolutionStats:
     """P5/P50/P95 of best-so-far across runs at every batch checkpoint.
 
@@ -245,26 +243,21 @@ def summarize(
     values = [s.best_value for s in summaries]
     n = len(values)
     mean = sum(values) / n
-    report = {
-        "count": n,
-        "minimum": min(values),
-        "q1": percentile(values, 25),
-        "median": percentile(values, 50),
-        "q3": percentile(values, 75),
-        "maximum": max(values),
-        "variance": sum((v - mean) ** 2 for v in values) / n,
-    }
-    if reference is not None:
-        ratios = sorted(v / reference for v in values)
-        report.update(
-            hit_rate=sum(1 for v in values if v >= reference) / n,
-            ratio_min=ratios[0],
-            ratio_median=percentile(ratios, 50),
-            ratio_max=ratios[-1],
-        )
-    else:
-        report.update(hit_rate=None, ratio_min=None, ratio_median=None, ratio_max=None)
-    return DistributionReport(**report)
+    compared = reference is not None
+    ratios = sorted(v / reference for v in values) if compared else []
+    return DistributionReport(
+        count=n,
+        minimum=min(values),
+        q1=percentile(values, 25),
+        median=percentile(values, 50),
+        q3=percentile(values, 75),
+        maximum=max(values),
+        variance=sum((v - mean) ** 2 for v in values) / n,
+        hit_rate=sum(1 for v in values if v >= reference) / n if compared else None,
+        ratio_min=ratios[0] if compared else None,
+        ratio_median=percentile(ratios, 50) if compared else None,
+        ratio_max=ratios[-1] if compared else None,
+    )
 
 
 def _meta_line(config: ExperimentConfig) -> str:
@@ -305,17 +298,8 @@ def write_outputs(
         meta,
         SUMMARY_COLUMNS,
         [
-            (
-                s.run_id,
-                s.seed,
-                s.method,
-                s.init,
-                s.pipeline,
-                s.evaluations,
-                s.elapsed_ms,
-                s.best_value,
-                ",".join(map(str, s.best_prices)),
-            )
+            (s.run_id, s.seed, s.method, s.init, s.pipeline, s.evaluations, s.elapsed_ms,
+             s.best_value, ",".join(map(str, s.best_prices)))
             for s in summaries
         ],
     )
@@ -332,11 +316,8 @@ def write_outputs(
     _write_csv(
         out / "percentiles.csv",
         meta,
-        PERCENTILE_COLUMNS,
-        [
-            (c.checkpoint, c.evals, c.elapsed_ms, c.p5, c.p50, c.p95)
-            for c in stats.checkpoints
-        ],
+        [f.name for f in fields(CheckpointStats)],
+        map(astuple, stats.checkpoints),
     )
 
 
@@ -351,15 +332,12 @@ def run_experiment(
     if workers > 1 and clock is not None:
         raise RankPriceError("clock injection requires workers=1")
     inst = load_instance(config.instance_path)
-    results: list[tuple[RunSummary, tuple[TraceEntry, ...]]] = []
+    run_ids = range(config.runs)
     if workers > 1:
-        jobs = [(inst, config, run_id) for run_id in range(config.runs)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_worker, jobs))
+            results = list(pool.map(_run_one, repeat(inst), repeat(config), run_ids))
     else:
-        for run_id in range(config.runs):
-            results.append(_run_one(inst, config, run_id, clock=clock))
-    results.sort(key=lambda pair: pair[0].run_id)
+        results = [_run_one(inst, config, run_id, clock=clock) for run_id in run_ids]
     summaries = [s for s, _ in results]
     traces = [t for _, t in results]
     stats = evolution_stats(traces)
@@ -368,37 +346,39 @@ def run_experiment(
     return summaries, stats
 
 
-def params_from_dict(raw: dict) -> SearchParams:
-    """SearchParams from a JSON-style dict; ``stop`` is {kind, limit}."""
-    data = dict(raw)
-    unknown = sorted(set(data) - {f.name for f in fields(SearchParams)})
+def _from_json(cls, raw, prepare=dict):
+    """``cls(**prepare(raw))`` for a JSON object ``raw`` whose keys all name fields of ``cls``.
+
+    Every malformed input, a missing or ill-typed value too, raises RankPriceError.
+    """
+    if not isinstance(raw, dict):
+        raise RankPriceError(f"{cls.__name__} must be a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
-        raise RankPriceError(f"unknown search parameters: {', '.join(unknown)}")
-    stop = data.pop("stop", None)
-    if stop is not None:
-        data["stop"] = StopRule(kind=stop["kind"], limit=stop["limit"])
-    return SearchParams(**data)
+        raise RankPriceError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    try:
+        return cls(**prepare(raw))
+    except (TypeError, ValueError) as exc:
+        raise RankPriceError(f"invalid {cls.__name__}: {exc}") from None
+
+
+def params_from_dict(raw: dict) -> SearchParams:
+    """SearchParams from a JSON object; ``stop`` is a {kind, limit} object or null."""
+
+    def prepare(data):
+        stop = data.get("stop")
+        return {**data, "stop": SearchParams.stop if stop is None else _from_json(StopRule, stop)}
+
+    return _from_json(SearchParams, raw, prepare)
 
 
 def config_from_dict(raw: dict, **overrides) -> ExperimentConfig:
-    """ExperimentConfig from a JSON-style dict, with keyword overrides."""
-    data = dict(raw)
-    data.update({k: v for k, v in overrides.items() if v is not None})
-    params = data.get("params", SearchParams())
-    if isinstance(params, dict):
-        params = params_from_dict(params)
-    data["params"] = params
-    data.setdefault("init", data["params"].init)
-    data.setdefault("pipeline", "")
-    data.setdefault("base_seed", 0)
-    data.setdefault("out_dir", None)
-    return ExperimentConfig(
-        instance_path=data["instance_path"],
-        method=data["method"],
-        init=data["init"],
-        pipeline=data["pipeline"],
-        params=data["params"],
-        runs=int(data["runs"]),
-        base_seed=int(data["base_seed"]),
-        out_dir=data["out_dir"],
-    )
+    """ExperimentConfig from a JSON object; overrides that are not None win over its keys."""
+
+    def prepare(data):
+        data = {**data, **{k: v for k, v in overrides.items() if v is not None}}
+        params = params_from_dict(data.get("params", {}))
+        defaults = {"init": params.init, "pipeline": "", "base_seed": 0, "out_dir": None}
+        return {**defaults, **data, "params": params}
+
+    return _from_json(ExperimentConfig, raw, prepare)

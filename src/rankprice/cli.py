@@ -47,6 +47,7 @@ def _add_solve_parser(sub):
                    help="reset the VNS radius to 1 after an improvement")
     p.add_argument("--parents-with-replacement", action="store_true",
                    help="allow the genetic method to pick the same parent twice")
+    p.set_defaults(run=_cmd_solve)
 
 
 def _stop_rule(args) -> StopRule | None:
@@ -61,6 +62,7 @@ def _stop_rule(args) -> StopRule | None:
 
 def _cmd_solve(args) -> int:
     # Only flags the user set reach SearchParams; the rest keep its defaults.
+    # The run itself sets init and seed from the config.
     given = {
         name: value
         for name, value in (("l0", args.l0), ("t", args.t), ("stop", _stop_rule(args)))
@@ -71,8 +73,6 @@ def _cmd_solve(args) -> int:
     params = SearchParams(
         **given,
         q=q,
-        init=args.init,
-        seed=args.seed,
         dedup=args.dedup,
         vns_reset_radius=args.vns_reset_radius,
         parents_with_replacement=args.parents_with_replacement,
@@ -197,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="override the config's output directory")
     p.add_argument("--reference", type=int, default=None,
                    help="reference value for hit rates and ratios")
+    p.set_defaults(run=_cmd_bench)
 
     p = sub.add_parser("gen", help="generate a random instance file")
     p.add_argument("--products", type=int, required=True)
@@ -206,36 +207,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--avail", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_gen)
 
     p = sub.add_parser("exact", help="brute-force the optimum over the budget grid")
     p.add_argument("--instance", required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    p.set_defaults(run=_cmd_exact)
 
     p = sub.add_parser("export-lp", help="write the single-level model in LP format")
     p.add_argument("--instance", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_export_lp)
 
     p = sub.add_parser("eval", help="evaluate one price vector on an instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--prices", required=True, metavar="V1,V2,...")
+    p.set_defaults(run=_cmd_eval)
 
     return parser
-
-
-COMMANDS = {
-    "solve": _cmd_solve,
-    "bench": _cmd_bench,
-    "gen": _cmd_gen,
-    "exact": _cmd_exact,
-    "export-lp": _cmd_export_lp,
-    "eval": _cmd_eval,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except RankPriceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

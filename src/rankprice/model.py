@@ -119,7 +119,7 @@ def validate_instance(raw: Mapping) -> Instance:
         num_customers = int(raw["num_customers"])
         budgets = list(raw["budgets"])
         preferences = [list(row) for row in raw["preferences"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"instance data is missing or malformed: {exc}") from exc
     name = str(raw.get("name", ""))
 

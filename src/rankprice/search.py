@@ -19,6 +19,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from heapq import nsmallest
+from itertools import product
 from typing import Callable, Sequence
 
 from .errors import LengthMismatch, RankPriceError
@@ -197,15 +198,7 @@ class Neighborhood:
         return tuple(rng.randint(lo, hi) for lo, hi in zip(self.lo, self.hi))
 
     def __iter__(self):
-        def expand(prefix, dims):
-            if not dims:
-                yield tuple(prefix)
-                return
-            lo, hi = dims[0]
-            for m in range(lo, hi + 1):
-                yield from expand(prefix + [m], dims[1:])
-
-        return expand([], list(zip(self.lo, self.hi)))
+        return product(*(range(lo, hi + 1) for lo, hi in zip(self.lo, self.hi)))
 
 
 def neighborhood(grid: BudgetGrid, indices: Sequence[int], radius: int) -> Neighborhood:
@@ -248,11 +241,11 @@ def mutate(grid: BudgetGrid, indices: PriceIndices, rng: random.Random) -> Price
 class _Run:
     """Shared bookkeeping of one search run: population, best, trace, stats."""
 
-    def __init__(self, inst, grid, params, rng, pipeline, clock):
+    def __init__(self, inst, grid, params, pipeline, clock):
         self.inst = inst
         self.grid = grid
         self.params = params
-        self.rng = rng if rng is not None else random.Random(params.seed)
+        self.rng = random.Random(params.seed)
         self.pipeline = parse_pipeline(pipeline or "")
         self.clock: Callable[[], float] = clock if clock is not None else time.perf_counter
         self.t0 = self.clock()
@@ -265,15 +258,20 @@ class _Run:
     def elapsed(self) -> float:
         return self.clock() - self.t0
 
+    def past_deadline(self) -> bool:
+        """True once a time rule's limit has passed; other rules never read the clock."""
+        stop = self.params.stop
+        return stop.kind == StopRule.TIME and self.elapsed() >= stop.limit
+
     def stop_reached(self) -> bool:
         if self.exhausted:
             return True
         stop = self.params.stop
         if stop.kind == StopRule.POINTS:
             return self.state.evals >= int(stop.limit)
-        if stop.kind == StopRule.TIME:
-            return self.elapsed() >= stop.limit
-        return self.iterations >= int(stop.limit)
+        if stop.kind == StopRule.ITERATIONS:
+            return self.iterations >= int(stop.limit)
+        return self.past_deadline()
 
     def batch_quota(self, size: int) -> int:
         """Vectors the next batch may add; at least 1 until the stop rule fires."""
@@ -302,7 +300,11 @@ class _Run:
         return random_price(self.grid, self.inst.num_products, self.rng)
 
     def fill_batch(self, quota: int, make_candidate) -> list[tuple[int, Assignment]]:
-        """Insert ``quota`` new vectors produced by ``make_candidate``."""
+        """Insert ``quota`` new vectors produced by ``make_candidate``.
+
+        Under a time rule the batch ends early, after the draw that crosses
+        the deadline.
+        """
         batch: list[tuple[int, Assignment]] = []
         draws = 0
         max_draws = quota * _DEDUP_DRAWS_PER_SLOT
@@ -315,21 +317,29 @@ class _Run:
             inserted = self.try_insert(make_candidate())
             if inserted is not None:
                 batch.append(inserted)
+            if self.past_deadline():
+                break
         return batch
 
     def finish_batch(self, batch: list[tuple[int, Assignment]]) -> bool:
-        """Run the pipeline over the batch, fold results back, update the best."""
+        """Refine the batch member by member, fold results back, update the best.
+
+        Under a time rule refinement stops at the deadline; the remaining
+        members stay as evaluated.
+        """
         st = self.state
-        if self.pipeline and batch:
-            pairs = [(st.population[slot][0], a) for slot, a in batch]
-            improved = run_pipeline(
-                self.inst, self.grid, self.pipeline, pairs, self.rng, self.stats
-            )
-            for (slot, _), (indices, a) in zip(batch, improved):
+        if self.pipeline:
+            for j, (slot, a) in enumerate(batch):
+                if self.past_deadline():
+                    break
+                [(indices, a)] = run_pipeline(
+                    self.inst, self.grid, self.pipeline, [(st.population[slot][0], a)],
+                    self.rng, self.stats,
+                )
                 st.population[slot] = (indices, a.revenue)
                 if st.seen is not None:
                     st.seen.add(indices)
-            batch = [(slot, a) for (slot, _), (_, a) in zip(batch, improved)]
+                batch[j] = (slot, a)
         return self.update_best(batch)
 
     def update_best(self, batch: list[tuple[int, Assignment]]) -> bool:
@@ -399,7 +409,6 @@ def naive_search(
     inst: Instance,
     grid: BudgetGrid,
     params: SearchParams,
-    rng: random.Random | None = None,
     pipeline=None,
     clock=None,
 ) -> SearchResult:
@@ -409,7 +418,7 @@ def naive_search(
     drawn in batches of ``params.t`` so traces have the same granularity as
     the other methods.
     """
-    run = _Run(inst, grid, params, rng, pipeline, clock)
+    run = _Run(inst, grid, params, pipeline, clock)
     return run.loop(lambda: run.random_candidate)
 
 
@@ -417,7 +426,6 @@ def vns_search(
     inst: Instance,
     grid: BudgetGrid,
     params: SearchParams,
-    rng: random.Random | None = None,
     pipeline=None,
     clock=None,
 ) -> SearchResult:
@@ -429,7 +437,7 @@ def vns_search(
     where the box already covers the whole grid; on improvement it stays put
     (or resets to 1 with ``vns_reset_radius``).
     """
-    run = _Run(inst, grid, params, rng, pipeline, clock)
+    run = _Run(inst, grid, params, pipeline, clock)
     run.init_population()
     radius_cap = max(1, grid.size - 1)
     st = run.state
@@ -457,7 +465,6 @@ def genetic_search(
     inst: Instance,
     grid: BudgetGrid,
     params: SearchParams,
-    rng: random.Random | None = None,
     pipeline=None,
     clock=None,
 ) -> SearchResult:
@@ -468,7 +475,7 @@ def genetic_search(
     """
     if not params.parents_with_replacement and params.q < 2:
         raise RankPriceError("genetic search needs q >= 2 to pick two distinct parents")
-    run = _Run(inst, grid, params, rng, pipeline, clock)
+    run = _Run(inst, grid, params, pipeline, clock)
     run.init_population()
 
     def propose():

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,6 +269,9 @@ def test_config_round_trip(table1_path):
     assert config.params.stop == StopRule.point_budget(200)
     overridden = config_from_dict(raw, runs=9)
     assert overridden.runs == 9
+    # Counts pass through int(), as JSON may spell them 2.0 or "3".
+    assert config_from_dict(dict(raw, runs=2.0)).runs == 2
+    assert config_from_dict(dict(raw, runs="3", base_seed="4")) == replace(config, base_seed=4)
 
 
 def test_params_from_dict_defaults():

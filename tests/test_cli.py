@@ -4,6 +4,7 @@ import pytest
 
 from rankprice import load_instance, save_instance
 from rankprice.cli import main
+from helpers import TABLE1
 
 
 @pytest.fixture
@@ -143,20 +144,52 @@ def _config_with_unknown_param(tmp_path, instance_path):
     return str(path)
 
 
+# Each maps a valid bench config to a malformed one.
+BAD_CONFIGS = {
+    "no-method": lambda good: {k: v for k, v in good.items() if k != "method"},
+    "misspelt-key": lambda good: dict(good, pipline="sfrc"),
+    "stop-without-limit": lambda good: dict(good, params={"stop": {"kind": "points"}}),
+    "runs-not-a-number": lambda good: dict(good, runs="two"),
+    "ill-typed-param": lambda good: dict(good, params={"l0": "x"}),
+    "not-an-object": lambda good: [1, 2],
+}
+
+
+def _bad_config(tmp_path, instance_path, case):
+    good = {"instance_path": instance_path, "method": "vns", "runs": 1,
+            "params": {"l0": 20, "q": 5, "t": 10, "stop": {"kind": "points", "limit": 40}}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(BAD_CONFIGS[case](good)))
+    return ["bench", "--config", str(path), "--out", str(tmp_path / "out")]
+
+
+def _bad_instance(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(TABLE1, num_products="abc")))
+    return ["eval", "--instance", str(path), "--prices", "50,34"]
+
+
 @pytest.mark.parametrize("case", ["unknown-param", "missing-config", "non-integer-prices",
-                                  "unwritable-lp", "unwritable-instance"])
+                                  "unwritable-lp", "unwritable-instance", "bad-instance",
+                                  *BAD_CONFIGS])
 def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys):
     missing_dir = tmp_path / "no-such-dir"
-    argv = {
-        "unknown-param": lambda: ["bench", "--config",
-                                  _config_with_unknown_param(tmp_path, table1_path)],
-        "missing-config": lambda: ["bench", "--config", str(tmp_path / "missing.json")],
-        "non-integer-prices": lambda: ["eval", "--instance", table1_path, "--prices", "a,b"],
-        "unwritable-lp": lambda: ["export-lp", "--instance", table1_path,
-                                  "--out", str(missing_dir / "out.lp")],
-        "unwritable-instance": lambda: ["gen", "--products", "2", "--customers", "4",
-                                        "--budget-lo", "1", "--budget-hi", "9",
-                                        "--out", str(missing_dir / "gen.json")],
-    }[case]()
+    if case in BAD_CONFIGS:
+        argv = _bad_config(tmp_path, table1_path, case)
+    else:
+        argv = {
+            "unknown-param": lambda: ["bench", "--config",
+                                      _config_with_unknown_param(tmp_path, table1_path)],
+            "missing-config": lambda: ["bench", "--config", str(tmp_path / "missing.json")],
+            "bad-instance": lambda: _bad_instance(tmp_path),
+            "non-integer-prices": lambda: ["eval", "--instance", table1_path,
+                                           "--prices", "a,b"],
+            "unwritable-lp": lambda: ["export-lp", "--instance", table1_path,
+                                      "--out", str(missing_dir / "out.lp")],
+            "unwritable-instance": lambda: ["gen", "--products", "2", "--customers", "4",
+                                            "--budget-lo", "1", "--budget-hi", "9",
+                                            "--out", str(missing_dir / "gen.json")],
+        }[case]()
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()

@@ -51,6 +51,8 @@ def test_dimension_mismatches_rejected():
         validate_instance(dict(helpers.TABLE1, preferences=[[1, 2, 3]] * 8))
     with pytest.raises(DimensionMismatch):
         validate_instance({"num_products": 2})
+    with pytest.raises(DimensionMismatch):
+        validate_instance(dict(helpers.TABLE1, num_products="abc"))
 
 
 def test_nonpositive_score_rejected():

@@ -4,6 +4,8 @@ from collections import Counter
 import pytest
 
 import helpers
+import rankprice.local_search
+import rankprice.search
 from rankprice import (
     LengthMismatch,
     RankPriceError,
@@ -301,6 +303,29 @@ def test_vns_time_limit_stops():
     res = vns_search(inst, grid, p, clock=clock)
     assert res.evaluations >= 10
     assert res.elapsed >= 5.0
+
+
+def test_vns_time_limit_overrun_is_one_refined_vector(monkeypatch):
+    # The clock ticks once per full evaluation, in the search and in the
+    # local search alike, so refining a whole batch past the deadline would
+    # overrun by hundreds of ticks.
+    ticks = [0]
+
+    def counted(assign):
+        def wrapped(*args):
+            ticks[0] += 1
+            return assign(*args)
+
+        return wrapped
+
+    for module in (rankprice.search, rankprice.local_search):
+        monkeypatch.setattr(module, "assign", counted(module.assign))
+    inst = helpers.table1()
+    grid = build_grid(inst)
+    p = params(t=50, stop=StopRule.time_limit(100), seed=1)
+    res = vns_search(inst, grid, p, pipeline="o", clock=lambda: ticks[0])
+    one_scan = inst.num_products * grid.size
+    assert 100 <= res.elapsed <= 100 + one_scan
 
 
 # ----------------------------------------------------------------- genetic

@@ -44,7 +44,6 @@ from .exact import (
     write_lp,
 )
 from .local_search import (
-    DEFAULT_PIPELINE,
     LocalSearchStats,
     conditional_reassignment,
     fill,

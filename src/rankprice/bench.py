@@ -240,6 +240,8 @@ def summarize(
     """
     if not summaries:
         raise EmptyInput("summarize needs at least one run")
+    if reference is not None and reference <= 0:
+        raise InvalidRange(f"reference must be positive, got {reference}")
     values = [s.best_value for s in summaries]
     n = len(values)
     mean = sum(values) / n
@@ -358,7 +360,7 @@ def _from_json(cls, raw, prepare=dict):
         raise RankPriceError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
     try:
         return cls(**prepare(raw))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise RankPriceError(f"invalid {cls.__name__}: {exc}") from None
 
 
@@ -377,7 +379,13 @@ def config_from_dict(raw: dict, **overrides) -> ExperimentConfig:
 
     def prepare(data):
         data = {**data, **{k: v for k, v in overrides.items() if v is not None}}
-        params = params_from_dict(data.get("params", {}))
+        raw_params = data.get("params", {})
+        params = params_from_dict(raw_params)
+        # Each run sets its own seed and init, so these params keys would be ignored.
+        if "seed" in raw_params:
+            raise RankPriceError("params.seed is unused (run j uses base_seed + j); set base_seed")
+        if "init" in raw_params and "init" in data:
+            raise RankPriceError("init is set twice; keep the top-level init, drop params.init")
         defaults = {"init": params.init, "pipeline": "", "base_seed": 0, "out_dir": None}
         return {**defaults, **data, "params": params}
 

@@ -13,7 +13,7 @@ from .bench import (
     run_experiment,
     summarize,
 )
-from .errors import RankPriceError
+from .errors import InvalidRange, RankPriceError
 from .evaluate import assign_prices
 from .exact import DEFAULT_ENUMERATION_CAP, brute_force, write_lp
 from .model import build_grid, load_instance, save_instance
@@ -100,6 +100,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.reference is not None and args.reference <= 0:
+        raise InvalidRange(f"reference must be positive, got {args.reference}")
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             raw = json.load(fh)

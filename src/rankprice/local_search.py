@@ -17,6 +17,7 @@ nondecreasing by construction.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -25,9 +26,8 @@ from .evaluate import assign
 from .model import Assignment, BudgetGrid, Instance, PriceIndices
 
 # Pipeline letters: slack, fill, reassignment, conditional reassignment,
-# optimization-based. The paper-style default order is "sfrc".
+# optimization-based. The paper-style order is "sfrc".
 STEP_LETTERS = "sfrco"
-DEFAULT_PIPELINE = "sfrc"
 
 
 @dataclass
@@ -35,17 +35,8 @@ class LocalSearchStats:
     """Bookkeeping for one run: extra evaluations and kept/reverted moves."""
 
     assign_calls: int = 0
-    kept: dict[str, int] = field(default_factory=dict)
-    reverted: dict[str, int] = field(default_factory=dict)
-
-    def _bump(self, table: dict[str, int], step: str) -> None:
-        table[step] = table.get(step, 0) + 1
-
-    def count_kept(self, step: str) -> None:
-        self._bump(self.kept, step)
-
-    def count_reverted(self, step: str) -> None:
-        self._bump(self.reverted, step)
+    kept: Counter[str] = field(default_factory=Counter)
+    reverted: Counter[str] = field(default_factory=Counter)
 
     @property
     def total_reverted(self) -> int:
@@ -63,15 +54,6 @@ def parse_pipeline(letters: Sequence[str]) -> tuple[str, ...]:
     return steps
 
 
-def _buyers_by_product(inst: Instance, assignment: Assignment) -> list[list[int]]:
-    """Customers buying each product, in customer order."""
-    buyers: list[list[int]] = [[] for _ in range(inst.num_products)]
-    for k, choice in enumerate(assignment.chosen):
-        if choice is not None:
-            buyers[choice].append(k)
-    return buyers
-
-
 def _try_price(
     inst: Instance,
     grid: BudgetGrid,
@@ -84,8 +66,7 @@ def _try_price(
 ) -> tuple[list[int], Assignment]:
     """Price ``product`` at grid index ``m``; keep the move iff revenue strictly improves.
 
-    A move to the price already held is skipped without evaluation. Callers
-    tell a kept move by the returned assignment not being ``cur_a``.
+    A move to the price already held is skipped without evaluation.
     """
     if m == cur[product]:
         return cur, cur_a
@@ -94,9 +75,9 @@ def _try_price(
     trial_a = assign(inst, grid, trial)
     stats.assign_calls += 1
     if trial_a.revenue > cur_a.revenue:
-        stats.count_kept(step)
+        stats.kept[step] += 1
         return trial, trial_a
-    stats.count_reverted(step)
+    stats.reverted[step] += 1
     return cur, cur_a
 
 
@@ -110,8 +91,8 @@ def slack(
     only grow. Idempotent.
     """
     new = list(indices)
-    for i, buyers in enumerate(_buyers_by_product(inst, assignment)):
-        if buyers:
+    for i, buyers in assignment.buyers.items():
+        if i is not None:
             new[i] = grid.index_of(min(inst.budgets[k] for k in buyers))
     revenue = sum(grid.values[new[i]] for i in assignment.chosen if i is not None)
     return tuple(new), Assignment(chosen=assignment.chosen, revenue=revenue)
@@ -134,20 +115,14 @@ def fill(
     """
     stats = stats or LocalSearchStats()
     cur, cur_a = list(indices), assignment
-    sold = {choice for choice in cur_a.chosen if choice is not None}
-    unassigned = [k for k, choice in enumerate(cur_a.chosen) if choice is None]
     for i in range(inst.num_products):
-        if i in sold:
+        if i in cur_a.buyers:
             continue
-        interested = [k for k in unassigned if inst.preferences[k][i] is not None]
+        interested = [k for k in cur_a.buyers.get(None, ()) if inst.preferences[k][i] is not None]
         if not interested:
             continue
         m = grid.index_of(min(inst.budgets[k] for k in interested))
-        cur, moved_a = _try_price(inst, grid, cur, cur_a, i, m, "f", stats)
-        if moved_a is not cur_a:
-            cur_a = moved_a
-            sold = {choice for choice in cur_a.chosen if choice is not None}
-            unassigned = [k for k, choice in enumerate(cur_a.chosen) if choice is None]
+        cur, cur_a = _try_price(inst, grid, cur, cur_a, i, m, "f", stats)
     return tuple(cur), cur_a
 
 
@@ -167,9 +142,8 @@ def _reassign(
     """
     step = "c" if conditional else "r"
     cur, cur_a = list(indices), assignment
-    buyers_table = _buyers_by_product(inst, cur_a)
     for i in range(inst.num_products):
-        buyers = buyers_table[i]
+        buyers = cur_a.buyers.get(i, ())
         if len(buyers) < 2:
             continue
         if conditional:
@@ -178,17 +152,11 @@ def _reassign(
             if budget != grid.values[cur[i]]:
                 continue
             if not any(
-                j != i
-                and grid.values[cur[j]] == budget
-                and inst.preferences[poorest][j] is not None
-                for j in range(inst.num_products)
+                j != i and grid.values[cur[j]] == budget for j in inst.preference_order[poorest]
             ):
                 continue
         second = sorted(inst.budgets[k] for k in buyers)[1]
-        cur, moved_a = _try_price(inst, grid, cur, cur_a, i, grid.index_of(second), step, stats)
-        if moved_a is not cur_a:
-            cur_a = moved_a
-            buyers_table = _buyers_by_product(inst, cur_a)
+        cur, cur_a = _try_price(inst, grid, cur, cur_a, i, grid.index_of(second), step, stats)
     return tuple(cur), cur_a
 
 
@@ -254,17 +222,11 @@ def opt_based(
     indices: PriceIndices,
     assignment: Assignment,
     rng: random.Random,
-    order: Sequence[int] | None = None,
     stats: LocalSearchStats | None = None,
 ) -> tuple[PriceIndices, Assignment]:
-    """Benchmark scan: products in random order, every alternative price tried.
-
-    ``order`` overrides the shuffled product order (used by tests to pin a
-    specific walk).
-    """
-    if order is None:
-        order = list(range(inst.num_products))
-        rng.shuffle(order)
+    """Benchmark scan: products in random order, every alternative price tried."""
+    order = list(range(inst.num_products))
+    rng.shuffle(order)
     cur, cur_a = tuple(indices), assignment
     for i in order:
         cur, cur_a = scan_product(inst, grid, cur, cur_a, i, stats)

@@ -103,8 +103,19 @@ class Assignment:
     chosen: tuple[int | None, ...]
     revenue: int
 
+    @cached_property
+    def buyers(self) -> dict[int | None, list[int]]:
+        """Customers of each product bought, in customer order; ``None`` keys those buying nothing.
+
+        Built once, on first read, and shared by every reader: do not mutate.
+        """
+        table: dict[int | None, list[int]] = {}
+        for k, i in enumerate(self.chosen):
+            table.setdefault(i, []).append(k)
+        return table
+
     def buyers_of(self, product: int) -> tuple[int, ...]:
-        return tuple(k for k, i in enumerate(self.chosen) if i == product)
+        return tuple(self.buyers.get(product, ()))
 
 
 def validate_instance(raw: Mapping) -> Instance:

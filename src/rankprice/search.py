@@ -15,6 +15,7 @@ and results bit for bit. The wall clock only enters through an injectable
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -47,6 +48,8 @@ class StopRule:
     ITERATIONS = "iterations"
 
     def __post_init__(self):
+        if isinstance(self.limit, float) and not math.isfinite(self.limit):
+            raise RankPriceError(f"stop limit must be finite, got {self.limit}")
         if self.kind == self.POINTS:
             if int(self.limit) < 1:
                 raise RankPriceError("point budget must be at least 1")
@@ -96,6 +99,12 @@ class SearchParams:
     parents_with_replacement: bool = False
 
     def __post_init__(self):
+        for name in ("l0", "q", "t", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise RankPriceError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("dedup", "vns_reset_radius", "parents_with_replacement"):
+            if type(getattr(self, name)) is not bool:
+                raise RankPriceError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.l0 < 1:
             raise RankPriceError("l0 must be at least 1")
         if not 1 <= self.q <= self.l0:

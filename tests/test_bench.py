@@ -137,6 +137,12 @@ def test_summarize_empty_raises():
         summarize([])
 
 
+@pytest.mark.parametrize("reference", [0, -5])
+def test_summarize_rejects_non_positive_reference(reference):
+    with pytest.raises(InvalidRange):
+        summarize([_summary(807)], reference=reference)
+
+
 def test_evolution_stats_orders_and_pads():
     t1 = [TraceEntry(10, 0.1, 5), TraceEntry(20, 0.2, 8), TraceEntry(30, 0.3, 9)]
     t2 = [TraceEntry(10, 0.1, 7)]  # stopped early; padded with its last entry

@@ -152,14 +152,24 @@ BAD_CONFIGS = {
     "runs-not-a-number": lambda good: dict(good, runs="two"),
     "ill-typed-param": lambda good: dict(good, params={"l0": "x"}),
     "not-an-object": lambda good: [1, 2],
+    "params-seed": lambda good: dict(good, params=dict(good["params"], seed=5)),
+    "init-twice": lambda good: dict(good, init="greedy",
+                                    params=dict(good["params"], init="random")),
+    "infinite-points": lambda good: dict(
+        good, params=dict(good["params"], stop={"kind": "points", "limit": float("inf")})),
+    "nan-time-limit": lambda good: dict(
+        good, params=dict(good["params"], stop={"kind": "time", "limit": float("nan")})),
+    "infinite-runs": lambda good: dict(good, runs=float("inf")),
+    "string-flag": lambda good: dict(good, params=dict(good["params"], dedup="false")),
+    "float-size": lambda good: dict(good, params=dict(good["params"], t=2.5)),
 }
 
 
-def _bad_config(tmp_path, instance_path, case):
+def _bench_argv(tmp_path, instance_path, edit=dict):
     good = {"instance_path": instance_path, "method": "vns", "runs": 1,
             "params": {"l0": 20, "q": 5, "t": 10, "stop": {"kind": "points", "limit": 40}}}
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(BAD_CONFIGS[case](good)))
+    path.write_text(json.dumps(edit(good)))
     return ["bench", "--config", str(path), "--out", str(tmp_path / "out")]
 
 
@@ -171,17 +181,21 @@ def _bad_instance(tmp_path):
 
 @pytest.mark.parametrize("case", ["unknown-param", "missing-config", "non-integer-prices",
                                   "unwritable-lp", "unwritable-instance", "bad-instance",
-                                  *BAD_CONFIGS])
+                                  "reference-zero", "nan-time-limit-flag", *BAD_CONFIGS])
 def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys):
     missing_dir = tmp_path / "no-such-dir"
     if case in BAD_CONFIGS:
-        argv = _bad_config(tmp_path, table1_path, case)
+        argv = _bench_argv(tmp_path, table1_path, BAD_CONFIGS[case])
     else:
         argv = {
             "unknown-param": lambda: ["bench", "--config",
                                       _config_with_unknown_param(tmp_path, table1_path)],
             "missing-config": lambda: ["bench", "--config", str(tmp_path / "missing.json")],
             "bad-instance": lambda: _bad_instance(tmp_path),
+            "reference-zero": lambda: [*_bench_argv(tmp_path, table1_path), "--reference", "0"],
+            "nan-time-limit-flag": lambda: ["solve", "--instance", table1_path,
+                                            "--method", "vns", "--time-limit", "nan",
+                                            "--out", str(tmp_path / "out")],
             "non-integer-prices": lambda: ["eval", "--instance", table1_path,
                                            "--prices", "a,b"],
             "unwritable-lp": lambda: ["export-lp", "--instance", table1_path,

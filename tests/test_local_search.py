@@ -134,8 +134,11 @@ def test_opt_based_worked_walk(table1, table1_grid):
     mid, mid_a = scan_product(table1, table1_grid, indices, a, 1)
     assert table1_grid.prices_of(mid) == (42, 27)
     assert mid_a.revenue == 234
-    # the full walk with order [product 2, product 1] then lifts product 1
-    out, out_a = opt_based(table1, table1_grid, indices, a, random.Random(0), order=[1, 0])
+    # seed 1 shuffles the walk to [product 2, product 1], which then lifts product 1
+    order = [0, 1]
+    random.Random(1).shuffle(order)
+    assert order == [1, 0]
+    out, out_a = opt_based(table1, table1_grid, indices, a, random.Random(1))
     assert table1_grid.prices_of(out) == (50, 27)
     assert out_a.revenue == 235
 

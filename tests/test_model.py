@@ -11,6 +11,7 @@ from rankprice import (
     InstanceReadError,
     NonPositiveBudget,
     TiedPreferences,
+    assign,
     build_grid,
     load_instance,
     save_instance,
@@ -115,3 +116,19 @@ def test_preference_order(table1, table1_mod):
     assert table1.preference_order[0] == (0, 1)
     assert table1.preference_order[2] == (1, 0)
     assert table1_mod.preference_order[4] == (0,)
+
+
+def test_buyers_partition_customers_in_order():
+    rng = random.Random(5)
+    for seed in range(200):
+        inst = helpers.random_instance(seed)
+        grid = build_grid(inst)
+        a = assign(inst, grid, helpers.random_indices(grid, inst.num_products, rng))
+        assert set(a.buyers) == set(a.chosen)
+        grouped = sorted(k for customers in a.buyers.values() for k in customers)
+        assert grouped == list(range(inst.num_customers))
+        for i, customers in a.buyers.items():
+            assert customers == sorted(customers)
+            assert all(a.chosen[k] == i for k in customers)
+        for i in range(inst.num_products):
+            assert a.buyers_of(i) == tuple(k for k, c in enumerate(a.chosen) if c == i)

@@ -40,6 +40,24 @@ def params(**kw):
     return SearchParams(**kw)
 
 
+# -------------------------------------------------------------- parameters
+
+
+@pytest.mark.parametrize("limit", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("kind", [StopRule.POINTS, StopRule.TIME, StopRule.ITERATIONS])
+def test_stop_rule_rejects_non_finite_limit(kind, limit):
+    with pytest.raises(RankPriceError, match="finite"):
+        StopRule(kind, limit)
+
+
+@pytest.mark.parametrize("name, value", [("t", 2.5), ("l0", 10.7), ("seed", 1.0), ("q", True),
+                                         ("dedup", "false"), ("vns_reset_radius", 1),
+                                         ("parents_with_replacement", None)])
+def test_search_params_reject_ill_typed_values(name, value):
+    with pytest.raises(RankPriceError, match=name):
+        params(**{name: value})
+
+
 # ---------------------------------------------------------------- sampling
 
 

@@ -24,10 +24,12 @@ from dataclasses import astuple, dataclass, fields, replace
 from datetime import datetime, timezone
 from itertools import repeat
 from math import ceil
+from os import PathLike
 from pathlib import Path
 from typing import Sequence
 
 from .errors import EmptyInput, InvalidRange, OutputWriteError, RankPriceError
+from .local_search import parse_pipeline
 from .model import Instance, build_grid, load_instance
 from .search import (
     SearchParams,
@@ -115,8 +117,18 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # JSON configs may spell the counts as 2.0 or "3"; store them as ints.
-        object.__setattr__(self, "runs", int(self.runs))
-        object.__setattr__(self, "base_seed", int(self.base_seed))
+        for name in ("runs", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise RankPriceError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not isinstance(self.instance_path, (str, PathLike)):
+            raise RankPriceError(f"instance_path must be a string, got {self.instance_path!r}")
+        if not isinstance(self.out_dir, (str, PathLike, type(None))):
+            raise RankPriceError(f"out_dir must be a string or null, got {self.out_dir!r}")
+        if not isinstance(self.pipeline, str):
+            raise RankPriceError(f"pipeline must be a string, got {self.pipeline!r}")
+        parse_pipeline(self.pipeline)
         if self.method not in METHODS:
             raise RankPriceError(f"unknown method {self.method!r}")
         if self.runs < 1:

@@ -10,6 +10,7 @@ that model itself.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Mapping, Sequence
@@ -96,91 +97,59 @@ class MilpModel:
         return bad
 
 
+def _v_name(i: int, m: int) -> str:
+    return f"v_{i + 1}_{m + 1}"
+
+
+def _x_name(i: int, k: int) -> str:
+    return f"x_{i + 1}_{k + 1}"
+
+
 def build_single_level(inst: Instance, grid: BudgetGrid) -> MilpModel:
     """Assemble the single-level model for an instance.
 
     Purchases a customer can never make are fixed to zero instead of being
     constrained: their x variable gets a zero bound, their pref row and their
     objective terms are omitted. Everything else is emitted in full, so the
-    link family always has K*I rows.
+    link family always has K*I rows. One pass over the customers emits each
+    customer's objective terms, onec, link and pref rows; every variable name
+    is formatted once, in the tables ``v[i][m]`` and ``x[i][k]``.
     """
-    num_i, num_k, num_m = inst.num_products, inst.num_customers, grid.size
-    v_name = lambda i, m: f"v_{i + 1}_{m + 1}"
-    x_name = lambda i, k: f"x_{i + 1}_{k + 1}"
+    num_i, num_k = inst.num_products, inst.num_customers
+    v = [[_v_name(i, m) for m in range(grid.size)] for i in range(num_i)]
+    x = [[_x_name(i, k) for k in range(num_k)] for i in range(num_i)]
 
-    v_names = tuple(v_name(i, m) for i in range(num_i) for m in range(num_m))
-    x_names = tuple(x_name(i, k) for i in range(num_i) for k in range(num_k))
-
-    objective = tuple(
-        (grid.values[m], v_name(i, m), x_name(i, k))
-        for k in range(num_k)
-        for i in range(num_i)
-        if inst.preferences[k][i] is not None
-        for m in range(num_m)
-    )
-
-    rows: list[ConstraintRow] = []
-    for i in range(num_i):
-        rows.append(
-            ConstraintRow(
-                name=f"onep_{i + 1}",
-                terms=tuple((1, v_name(i, m)) for m in range(num_m)),
-                sense="<=",
-                rhs=1,
-            )
+    objective, onec, link, pref = [], [], [], []
+    for k, scores in enumerate(inst.preferences):
+        available = [i for i in range(num_i) if scores[i] is not None]
+        # The grid ascends, so the levels within k's budget are a prefix of it.
+        levels = range(bisect_right(grid.values, inst.budgets[k]))
+        objective.extend(
+            (value, v[i][m], x[i][k]) for i in available for m, value in enumerate(grid.values)
         )
-    for k in range(num_k):
-        rows.append(
-            ConstraintRow(
-                name=f"onec_{k + 1}",
-                terms=tuple((1, x_name(i, k)) for i in range(num_i)),
-                sense="<=",
-                rhs=1,
-            )
+        onec.append(ConstraintRow(f"onec_{k + 1}", tuple((1, x[i][k]) for i in range(num_i)),
+                                  "<=", 1))
+        link.extend(
+            ConstraintRow(f"link_{k + 1}_{i + 1}",
+                          ((1, x[i][k]), *((-1, v[i][m]) for m in levels)), "<=", 0)
+            for i in range(num_i)
         )
-    def affordable_levels(k):
-        return [m for m in range(num_m) if grid.values[m] <= inst.budgets[k]]
+        lhs = tuple((scores[j], x[j][k]) for j in available)
+        pref.extend(
+            ConstraintRow(f"pref_{k + 1}_{i + 1}",
+                          lhs + tuple((-scores[i], v[i][m]) for m in levels), ">=", 0)
+            for i in available
+        )
 
-    for k in range(num_k):
-        levels = affordable_levels(k)
-        for i in range(num_i):
-            terms = [(1, x_name(i, k))]
-            terms.extend((-1, v_name(i, m)) for m in levels)
-            rows.append(
-                ConstraintRow(
-                    name=f"link_{k + 1}_{i + 1}", terms=tuple(terms), sense="<=", rhs=0
-                )
-            )
-    for k in range(num_k):
-        levels = affordable_levels(k)
-        for i in range(num_i):
-            score_i = inst.preferences[k][i]
-            if score_i is None:
-                continue
-            terms = [
-                (inst.preferences[k][j], x_name(j, k))
-                for j in range(num_i)
-                if inst.preferences[k][j] is not None
-            ]
-            terms.extend((-score_i, v_name(i, m)) for m in levels)
-            rows.append(
-                ConstraintRow(
-                    name=f"pref_{k + 1}_{i + 1}", terms=tuple(terms), sense=">=", rhs=0
-                )
-            )
-
-    fixed_zero = tuple(
-        x_name(i, k)
-        for i in range(num_i)
-        for k in range(num_k)
-        if inst.preferences[k][i] is None
-    )
+    onep = [ConstraintRow(f"onep_{i + 1}", tuple((1, name) for name in v[i]), "<=", 1)
+            for i in range(num_i)]
     return MilpModel(
-        v_names=v_names,
-        x_names=x_names,
-        objective=objective,
-        rows=tuple(rows),
-        fixed_zero=fixed_zero,
+        v_names=tuple(name for row in v for name in row),
+        x_names=tuple(name for row in x for name in row),
+        objective=tuple(objective),
+        rows=(*onep, *onec, *link, *pref),
+        fixed_zero=tuple(x[i][k] for i in range(num_i) for k in range(num_k)
+                         if inst.preferences[k][i] is None),
     )
 
 
@@ -188,25 +157,16 @@ def variable_values(
     inst: Instance, grid: BudgetGrid, indices: Sequence[int], assignment: Assignment
 ) -> dict[str, int]:
     """0/1 values of every model variable encoding the given prices/purchases."""
-    values = {}
-    for i, m in enumerate(indices):
-        values[f"v_{i + 1}_{m + 1}"] = 1
-    for k, i in enumerate(assignment.chosen):
-        if i is not None:
-            values[f"x_{i + 1}_{k + 1}"] = 1
+    values = {_v_name(i, m): 1 for i, m in enumerate(indices)}
+    values.update(
+        (_x_name(i, k), 1) for k, i in enumerate(assignment.chosen) if i is not None
+    )
     return values
 
 
 def _render_terms(terms: Sequence[tuple[int, str]]) -> str:
-    parts = []
-    for coef, name in terms:
-        if not parts:
-            parts.append(f"{coef} {name}" if coef >= 0 else f"- {-coef} {name}")
-        elif coef >= 0:
-            parts.append(f"+ {coef} {name}")
-        else:
-            parts.append(f"- {-coef} {name}")
-    return " ".join(parts)
+    text = " ".join(f"{'-' if coef < 0 else '+'} {abs(coef)} {name}" for coef, name in terms)
+    return text.removeprefix("+ ")
 
 
 def export_single_level(inst: Instance, grid: BudgetGrid) -> str:
@@ -228,19 +188,15 @@ def export_single_level(inst: Instance, grid: BudgetGrid) -> str:
         "Maximize",
         " obj: [",
     ]
-    for budget, v, x in model.objective:
-        lines.append(f"   + {2 * budget} {v} * {x}")
-    lines.append("   ] / 2")
-    lines.append("Subject To")
-    for row in model.rows:
-        lines.append(f" {row.name}: {_render_terms(row.terms)} {row.sense} {row.rhs}")
+    lines.extend(f"   + {2 * budget} {v} * {x}" for budget, v, x in model.objective)
+    lines += ["   ] / 2", "Subject To"]
+    lines.extend(f" {row.name}: {_render_terms(row.terms)} {row.sense} {row.rhs}"
+                 for row in model.rows)
     if model.fixed_zero:
         lines.append("Bounds")
-        for name in model.fixed_zero:
-            lines.append(f" {name} = 0")
+        lines.extend(f" {name} = 0" for name in model.fixed_zero)
     lines.append("Binaries")
-    for name in model.v_names + model.x_names:
-        lines.append(f" {name}")
+    lines.extend(f" {name}" for name in model.v_names + model.x_names)
     lines.append("End")
     return "\n".join(lines) + "\n"
 

@@ -38,10 +38,14 @@ _DEDUP_DRAWS_PER_SLOT = 1000
 
 @dataclass(frozen=True)
 class StopRule:
-    """When a search run ends: population size, wall-clock, or iterations."""
+    """When a search run ends: population size, wall-clock, or iterations.
+
+    A points or iterations limit is an int and is used as given (50.9 and
+    "50" are errors, not 50 points); a time limit is an int or float.
+    """
 
     kind: str
-    limit: float
+    limit: int | float
 
     POINTS = "points"
     TIME = "time"
@@ -50,29 +54,31 @@ class StopRule:
     def __post_init__(self):
         if isinstance(self.limit, float) and not math.isfinite(self.limit):
             raise RankPriceError(f"stop limit must be finite, got {self.limit}")
-        if self.kind == self.POINTS:
-            if int(self.limit) < 1:
-                raise RankPriceError("point budget must be at least 1")
-        elif self.kind == self.TIME:
+        if self.kind == self.TIME:
+            if type(self.limit) not in (int, float):
+                raise RankPriceError(f"time limit must be a number, got {self.limit!r}")
             if self.limit <= 0:
                 raise RankPriceError("time limit must be positive")
-        elif self.kind == self.ITERATIONS:
-            if int(self.limit) < 0:
-                raise RankPriceError("iteration limit must be nonnegative")
-        else:
+        elif self.kind not in (self.POINTS, self.ITERATIONS):
             raise RankPriceError(f"unknown stop rule {self.kind!r}")
+        elif type(self.limit) is not int:
+            raise RankPriceError(f"{self.kind} limit must be an integer, got {self.limit!r}")
+        elif self.kind == self.POINTS and self.limit < 1:
+            raise RankPriceError("point budget must be at least 1")
+        elif self.kind == self.ITERATIONS and self.limit < 0:
+            raise RankPriceError("iteration limit must be nonnegative")
 
     @classmethod
     def point_budget(cls, n: int) -> "StopRule":
-        return cls(cls.POINTS, int(n))
+        return cls(cls.POINTS, n)
 
     @classmethod
     def time_limit(cls, seconds: float) -> "StopRule":
-        return cls(cls.TIME, float(seconds))
+        return cls(cls.TIME, seconds)
 
     @classmethod
     def iterations(cls, n: int) -> "StopRule":
-        return cls(cls.ITERATIONS, int(n))
+        return cls(cls.ITERATIONS, n)
 
 
 @dataclass(frozen=True)
@@ -277,16 +283,16 @@ class _Run:
             return True
         stop = self.params.stop
         if stop.kind == StopRule.POINTS:
-            return self.state.evals >= int(stop.limit)
+            return self.state.evals >= stop.limit
         if stop.kind == StopRule.ITERATIONS:
-            return self.iterations >= int(stop.limit)
+            return self.iterations >= stop.limit
         return self.past_deadline()
 
     def batch_quota(self, size: int) -> int:
         """Vectors the next batch may add; at least 1 until the stop rule fires."""
         stop = self.params.stop
         if stop.kind == StopRule.POINTS:
-            return min(size, int(stop.limit) - self.state.evals)
+            return min(size, stop.limit - self.state.evals)
         return size
 
     def try_insert(self, indices: PriceIndices):

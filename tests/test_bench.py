@@ -10,6 +10,7 @@ from rankprice import (
     EmptyInput,
     ExperimentConfig,
     InvalidRange,
+    RankPriceError,
     SearchParams,
     StopRule,
     TraceEntry,
@@ -278,6 +279,17 @@ def test_config_round_trip(table1_path):
     # Counts pass through int(), as JSON may spell them 2.0 or "3".
     assert config_from_dict(dict(raw, runs=2.0)).runs == 2
     assert config_from_dict(dict(raw, runs="3", base_seed="4")) == replace(config, base_seed=4)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("out_dir", 5, "out_dir"), ("instance_path", 5, "instance_path"), ("pipeline", 5, "pipeline"),
+    ("pipeline", "sfx", "local-search step"), ("runs", True, "runs"), ("runs", 2.7, "runs"),
+    ("base_seed", 1.5, "base_seed"),
+])
+def test_config_rejects_ill_typed_fields(table1_path, key, value, message):
+    raw = {"instance_path": str(table1_path), "method": "vns", "runs": 1}
+    with pytest.raises(RankPriceError, match=message):
+        config_from_dict(dict(raw, **{key: value}))
 
 
 def test_params_from_dict_defaults():

@@ -162,6 +162,16 @@ BAD_CONFIGS = {
     "infinite-runs": lambda good: dict(good, runs=float("inf")),
     "string-flag": lambda good: dict(good, params=dict(good["params"], dedup="false")),
     "float-size": lambda good: dict(good, params=dict(good["params"], t=2.5)),
+    "pipeline-not-a-string": lambda good: dict(good, pipeline=5),
+    "unknown-pipeline-letter": lambda good: dict(good, pipeline="sfx"),
+    "instance-path-not-a-string": lambda good: dict(good, instance_path=5),
+    "bool-runs": lambda good: dict(good, runs=True),
+    "fractional-runs": lambda good: dict(good, runs=2.7),
+    "bool-base-seed": lambda good: dict(good, base_seed=False),
+    "string-points-limit": lambda good: dict(
+        good, params=dict(good["params"], stop={"kind": "points", "limit": "50"})),
+    "fractional-points-limit": lambda good: dict(
+        good, params=dict(good["params"], stop={"kind": "points", "limit": 50.9})),
 }
 
 
@@ -181,7 +191,8 @@ def _bad_instance(tmp_path):
 
 @pytest.mark.parametrize("case", ["unknown-param", "missing-config", "non-integer-prices",
                                   "unwritable-lp", "unwritable-instance", "bad-instance",
-                                  "reference-zero", "nan-time-limit-flag", *BAD_CONFIGS])
+                                  "reference-zero", "nan-time-limit-flag",
+                                  "out-dir-not-a-string", *BAD_CONFIGS])
 def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys):
     missing_dir = tmp_path / "no-such-dir"
     if case in BAD_CONFIGS:
@@ -193,6 +204,9 @@ def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys):
             "missing-config": lambda: ["bench", "--config", str(tmp_path / "missing.json")],
             "bad-instance": lambda: _bad_instance(tmp_path),
             "reference-zero": lambda: [*_bench_argv(tmp_path, table1_path), "--reference", "0"],
+            # --out would override the config's out_dir, so this run goes without it.
+            "out-dir-not-a-string": lambda: _bench_argv(
+                tmp_path, table1_path, lambda good: dict(good, out_dir=5))[:-2],
             "nan-time-limit-flag": lambda: ["solve", "--instance", table1_path,
                                             "--method", "vns", "--time-limit", "nan",
                                             "--out", str(tmp_path / "out")],

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -186,6 +187,27 @@ def test_export_is_byte_stable(table1, table1_grid, tmp_path):
     write_lp(table1, table1_grid, path_a)
     write_lp(table1, table1_grid, path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
+
+
+# SHA-256 of the LP text of each instance, recorded before build_single_level
+# was rewritten as one pass per customer: the export must not change.
+EXPORT_DIGESTS = {
+    "table1": "fc913e19b0b41e734853f772c33543f8d0bb99b613b33c7982e1578f2477bdc8",
+    "table1-mod": "f1552a78ac790b3826fa5bc07b4a4e54d038d7badc8ef05e27726193dbd6293f",
+    "gen-I4-K9-seed11": "ce71141507f2a6bbc5de8372871ecb6276cfaad757c1aa2aaf019c0cbd70a6a6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_DIGESTS))
+def test_export_bytes_are_pinned(name):
+    inst = {
+        "table1": helpers.table1,
+        "table1-mod": helpers.table1_mod,
+        "gen-I4-K9-seed11": lambda: generate_instance(4, 9, (5, 30), 0.5, seed=11),
+    }[name]()
+    assert inst.name == name
+    text = export_single_level(inst, build_grid(inst))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == EXPORT_DIGESTS[name]
 
 
 def _parse_lp(text):

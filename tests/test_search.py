@@ -50,6 +50,16 @@ def test_stop_rule_rejects_non_finite_limit(kind, limit):
         StopRule(kind, limit)
 
 
+@pytest.mark.parametrize("kind, limit", [
+    (StopRule.POINTS, "30"), (StopRule.POINTS, 50.9), (StopRule.POINTS, 30.0),
+    (StopRule.POINTS, True), (StopRule.ITERATIONS, 2.5), (StopRule.ITERATIONS, "3"),
+    (StopRule.TIME, True), (StopRule.TIME, "5"),
+])
+def test_stop_rule_rejects_ill_typed_limit(kind, limit):
+    with pytest.raises(RankPriceError, match="limit must be"):
+        StopRule(kind, limit)
+
+
 @pytest.mark.parametrize("name, value", [("t", 2.5), ("l0", 10.7), ("seed", 1.0), ("q", True),
                                          ("dedup", "false"), ("vns_reset_radius", 1),
                                          ("parents_with_replacement", None)])

@@ -10,7 +10,6 @@ in LP format, and orchestrates reproducible seeded benchmarks.
 
 from .bench import (
     DistributionReport,
-    EvolutionStats,
     ExperimentConfig,
     RunSummary,
     evolution_stats,
@@ -68,7 +67,6 @@ from .search import (
     Neighborhood,
     SearchParams,
     SearchResult,
-    SearchState,
     StopRule,
     TraceEntry,
     crossover,

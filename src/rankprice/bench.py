@@ -56,6 +56,10 @@ SUMMARY_COLUMNS = (
 )
 TRACE_COLUMNS = ("run_id", "evals", "elapsed_ms", "best_value")
 
+# An empty preference row is redrawn; past this many draws for one row the
+# availability is too low to give every customer a product.
+_ROW_DRAWS = 10_000
+
 
 def generate_instance(
     num_products: int,
@@ -68,8 +72,9 @@ def generate_instance(
     """Random instance: uniform integer budgets, random per-customer rankings.
 
     Each product is available to a customer with ``availability_prob``
-    (rows are redrawn until nonempty); the available products get distinct
-    scores from a uniformly random permutation.
+    (rows are redrawn until nonempty, at most ``_ROW_DRAWS`` times); the
+    available products get distinct scores from a uniformly random
+    permutation.
     """
     if num_products < 1 or num_customers < 1:
         raise InvalidRange(
@@ -84,10 +89,15 @@ def generate_instance(
     budgets = tuple(rng.randint(lo, hi) for _ in range(num_customers))
     preferences = []
     for _ in range(num_customers):
-        while True:
+        for _ in range(_ROW_DRAWS):
             available = [i for i in range(num_products) if rng.random() < availability_prob]
             if available:
                 break
+        else:
+            raise InvalidRange(
+                f"availability {availability_prob} left a customer with no product"
+                f" in {_ROW_DRAWS} draws"
+            )
         rng.shuffle(available)
         row: list[int | None] = [None] * num_products
         for rank, i in enumerate(available):
@@ -159,11 +169,6 @@ class CheckpointStats:
     p95: int
 
 
-@dataclass(frozen=True)
-class EvolutionStats:
-    checkpoints: tuple[CheckpointStats, ...]
-
-
 def percentile(values: Sequence[float], q: float):
     """Nearest-rank percentile of a nonempty sample (q in (0, 100])."""
     if not values:
@@ -201,7 +206,7 @@ def _run_one(
     return summary, result.trace
 
 
-def evolution_stats(traces: Sequence[Sequence[TraceEntry]]) -> EvolutionStats:
+def evolution_stats(traces: Sequence[Sequence[TraceEntry]]) -> tuple[CheckpointStats, ...]:
     """P5/P50/P95 of best-so-far across runs at every batch checkpoint.
 
     Traces ending early (time-limited runs) are padded with their final
@@ -224,7 +229,7 @@ def evolution_stats(traces: Sequence[Sequence[TraceEntry]]) -> EvolutionStats:
                 p95=percentile(values, 95),
             )
         )
-    return EvolutionStats(checkpoints=tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -299,7 +304,7 @@ def write_outputs(
     config: ExperimentConfig,
     summaries: Sequence[RunSummary],
     traces: Sequence[Sequence[TraceEntry]],
-    stats: EvolutionStats,
+    checkpoints: Sequence[CheckpointStats],
 ) -> None:
     out = Path(out_dir)
     try:
@@ -331,33 +336,36 @@ def write_outputs(
         out / "percentiles.csv",
         meta,
         [f.name for f in fields(CheckpointStats)],
-        map(astuple, stats.checkpoints),
+        map(astuple, checkpoints),
     )
 
 
 def run_experiment(
     config: ExperimentConfig, workers: int = 1, clock=None
-) -> tuple[list[RunSummary], EvolutionStats]:
+) -> tuple[list[RunSummary], tuple[CheckpointStats, ...]]:
     """Execute all runs of a configuration and write the CSV outputs.
 
-    ``workers`` > 1 spreads runs over processes; a custom ``clock`` is only
-    meaningful in-process and therefore requires workers=1.
+    ``workers`` > 1 spreads runs over at most that many processes, one per
+    run at most; a custom ``clock`` is only meaningful in-process and
+    therefore requires workers=1.
     """
+    if workers < 1:
+        raise InvalidRange(f"workers must be at least 1, got {workers}")
     if workers > 1 and clock is not None:
         raise RankPriceError("clock injection requires workers=1")
     inst = load_instance(config.instance_path)
     run_ids = range(config.runs)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, config.runs)) as pool:
             results = list(pool.map(_run_one, repeat(inst), repeat(config), run_ids))
     else:
         results = [_run_one(inst, config, run_id, clock=clock) for run_id in run_ids]
     summaries = [s for s, _ in results]
     traces = [t for _, t in results]
-    stats = evolution_stats(traces)
+    checkpoints = evolution_stats(traces)
     if config.out_dir is not None:
-        write_outputs(config.out_dir, config, summaries, traces, stats)
-    return summaries, stats
+        write_outputs(config.out_dir, config, summaries, traces, checkpoints)
+    return summaries, checkpoints
 
 
 def _from_json(cls, raw, prepare=dict):

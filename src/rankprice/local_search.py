@@ -237,31 +237,29 @@ def run_pipeline(
     inst: Instance,
     grid: BudgetGrid,
     pipeline: Sequence[str],
-    batch: Sequence[tuple[PriceIndices, Assignment]],
+    indices: PriceIndices,
+    assignment: Assignment,
     rng: random.Random,
     stats: LocalSearchStats | None = None,
-) -> list[tuple[PriceIndices, Assignment]]:
-    """Apply the pipeline steps in order to every batch element.
+) -> tuple[PriceIndices, Assignment]:
+    """Apply the pipeline steps in order to one evaluated vector.
 
     Reassignment steps need slack-free prices; when the pipeline itself has
     no slack step, slack is applied on the fly before every ``r`` and every
-    ``c`` step (so ``"rc"`` runs slack twice per element).
+    ``c`` step (so ``"rc"`` runs slack twice).
     """
     steps = parse_pipeline(pipeline)
     needs_slack = "s" not in steps
-    out: list[tuple[PriceIndices, Assignment]] = []
-    for indices, assignment in batch:
-        cur = (tuple(indices), assignment)
-        for step in steps:
-            if step == "s" or (needs_slack and step in ("r", "c")):
-                cur = slack(inst, grid, *cur)
-            if step == "f":
-                cur = fill(inst, grid, *cur, stats=stats)
-            elif step == "r":
-                cur = reassignment(inst, grid, *cur, stats=stats)
-            elif step == "c":
-                cur = conditional_reassignment(inst, grid, *cur, stats=stats)
-            elif step == "o":
-                cur = opt_based(inst, grid, *cur, rng=rng, stats=stats)
-        out.append(cur)
-    return out
+    cur = (tuple(indices), assignment)
+    for step in steps:
+        if step == "s" or (needs_slack and step in ("r", "c")):
+            cur = slack(inst, grid, *cur)
+        if step == "f":
+            cur = fill(inst, grid, *cur, stats=stats)
+        elif step == "r":
+            cur = reassignment(inst, grid, *cur, stats=stats)
+        elif step == "c":
+            cur = conditional_reassignment(inst, grid, *cur, stats=stats)
+        elif step == "o":
+            cur = opt_based(inst, grid, *cur, rng=rng, stats=stats)
+    return cur

@@ -114,9 +114,6 @@ class Assignment:
             table.setdefault(i, []).append(k)
         return table
 
-    def buyers_of(self, product: int) -> tuple[int, ...]:
-        return tuple(self.buyers.get(product, ()))
-
 
 def validate_instance(raw: Mapping) -> Instance:
     """Check raw instance data and build an :class:`Instance`.
@@ -126,14 +123,17 @@ def validate_instance(raw: Mapping) -> Instance:
     ``null``/``None`` meaning the customer cannot buy that product).
     """
     try:
-        num_products = int(raw["num_products"])
-        num_customers = int(raw["num_customers"])
+        num_products = raw["num_products"]
+        num_customers = raw["num_customers"]
         budgets = list(raw["budgets"])
         preferences = [list(row) for row in raw["preferences"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DimensionMismatch(f"instance data is missing or malformed: {exc}") from exc
     name = str(raw.get("name", ""))
 
+    for key, value in (("num_products", num_products), ("num_customers", num_customers)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DimensionMismatch(f"{key} must be an integer, got {value!r}")
     if num_products < 1 or num_customers < 1:
         raise DimensionMismatch(
             f"need at least one product and one customer, got I={num_products}, K={num_customers}"

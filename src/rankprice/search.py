@@ -18,9 +18,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import nsmallest
-from itertools import product
 from typing import Callable, Sequence
 
 from .errors import LengthMismatch, RankPriceError
@@ -130,19 +129,6 @@ class TraceEntry:
     best: int
 
 
-@dataclass
-class SearchState:
-    """Mutable state of one run; owned by a single run, never shared."""
-
-    population: list[tuple[PriceIndices, int]] = field(default_factory=list)
-    best_indices: PriceIndices | None = None
-    best_value: int = -1
-    radius: int = 1
-    evals: int = 0
-    trace: list[TraceEntry] = field(default_factory=list)
-    seen: set[PriceIndices] | None = None
-
-
 @dataclass(frozen=True)
 class SearchResult:
     best_indices: PriceIndices
@@ -153,12 +139,11 @@ class SearchResult:
     elapsed: float
     iterations: int
     ls_stats: LocalSearchStats
-    state: SearchState
+    population: list[tuple[PriceIndices, int]]
 
 
 def select_elites(population: Sequence[tuple[PriceIndices, int]], q: int) -> list[int]:
     """Slots of the q highest-revenue members; ties go to earlier insertion."""
-    q = min(q, len(population))
     return nsmallest(q, range(len(population)), key=lambda slot: (-population[slot][1], slot))
 
 
@@ -198,22 +183,9 @@ class Neighborhood:
     lo: tuple[int, ...]
     hi: tuple[int, ...]
 
-    def __contains__(self, indices: Sequence[int]) -> bool:
-        return len(indices) == len(self.lo) and all(
-            lo <= m <= hi for lo, m, hi in zip(self.lo, indices, self.hi)
-        )
-
-    def size(self) -> int:
-        n = 1
-        for lo, hi in zip(self.lo, self.hi):
-            n *= hi - lo + 1
-        return n
-
     def sample(self, rng: random.Random) -> PriceIndices:
-        return tuple(rng.randint(lo, hi) for lo, hi in zip(self.lo, self.hi))
-
-    def __iter__(self):
-        return product(*(range(lo, hi + 1) for lo, hi in zip(self.lo, self.hi)))
+        """One vector uniform over the box, drawn as ``rng.randint(lo, hi)`` per axis would."""
+        return tuple(rng.randrange(lo, hi + 1) for lo, hi in zip(self.lo, self.hi))
 
 
 def neighborhood(grid: BudgetGrid, indices: Sequence[int], radius: int) -> Neighborhood:
@@ -254,7 +226,11 @@ def mutate(grid: BudgetGrid, indices: PriceIndices, rng: random.Random) -> Price
 
 
 class _Run:
-    """Shared bookkeeping of one search run: population, best, trace, stats."""
+    """One search run: its population, incumbent, trace and local-search stats.
+
+    In dedup mode ``seen`` holds every vector drawn or refined so far;
+    otherwise it is None.
+    """
 
     def __init__(self, inst, grid, params, pipeline, clock):
         self.inst = inst
@@ -264,7 +240,12 @@ class _Run:
         self.pipeline = parse_pipeline(pipeline or "")
         self.clock: Callable[[], float] = clock if clock is not None else time.perf_counter
         self.t0 = self.clock()
-        self.state = SearchState(seen=set() if params.dedup else None)
+        self.population: list[tuple[PriceIndices, int]] = []
+        self.best_indices: PriceIndices | None = None
+        self.best_value = -1
+        self.evals = 0
+        self.trace: list[TraceEntry] = []
+        self.seen: set[PriceIndices] | None = set() if params.dedup else None
         self.stats = LocalSearchStats()
         self.exhausted = False
         self.iterations = 0
@@ -283,7 +264,7 @@ class _Run:
             return True
         stop = self.params.stop
         if stop.kind == StopRule.POINTS:
-            return self.state.evals >= stop.limit
+            return self.evals >= stop.limit
         if stop.kind == StopRule.ITERATIONS:
             return self.iterations >= stop.limit
         return self.past_deadline()
@@ -292,7 +273,7 @@ class _Run:
         """Vectors the next batch may add; at least 1 until the stop rule fires."""
         stop = self.params.stop
         if stop.kind == StopRule.POINTS:
-            return min(size, stop.limit - self.state.evals)
+            return min(size, stop.limit - self.evals)
         return size
 
     def try_insert(self, indices: PriceIndices):
@@ -301,15 +282,14 @@ class _Run:
         In dedup mode an already-seen vector is discarded without evaluation
         and does not count toward the point budget.
         """
-        st = self.state
-        if st.seen is not None:
-            if indices in st.seen:
+        if self.seen is not None:
+            if indices in self.seen:
                 return None
-            st.seen.add(indices)
+            self.seen.add(indices)
         a = assign(self.inst, self.grid, indices)
-        st.population.append((indices, a.revenue))
-        st.evals += 1
-        return len(st.population) - 1, a
+        self.population.append((indices, a.revenue))
+        self.evals += 1
+        return len(self.population) - 1, a
 
     def random_candidate(self) -> PriceIndices:
         return random_price(self.grid, self.inst.num_products, self.rng)
@@ -323,9 +303,9 @@ class _Run:
         batch: list[tuple[int, Assignment]] = []
         draws = 0
         max_draws = quota * _DEDUP_DRAWS_PER_SLOT
-        st = self.state
+        seen = self.seen
         while len(batch) < quota:
-            if st.seen is not None and (len(st.seen) >= self.grid_points or draws >= max_draws):
+            if seen is not None and (len(seen) >= self.grid_points or draws >= max_draws):
                 self.exhausted = True
                 break
             draws += 1
@@ -342,35 +322,31 @@ class _Run:
         Under a time rule refinement stops at the deadline; the remaining
         members stay as evaluated.
         """
-        st = self.state
         if self.pipeline:
-            for j, (slot, a) in enumerate(batch):
+            for slot, a in batch:
                 if self.past_deadline():
                     break
-                [(indices, a)] = run_pipeline(
-                    self.inst, self.grid, self.pipeline, [(st.population[slot][0], a)],
+                indices, a = run_pipeline(
+                    self.inst, self.grid, self.pipeline, self.population[slot][0], a,
                     self.rng, self.stats,
                 )
-                st.population[slot] = (indices, a.revenue)
-                if st.seen is not None:
-                    st.seen.add(indices)
-                batch[j] = (slot, a)
+                self.population[slot] = (indices, a.revenue)
+                if self.seen is not None:
+                    self.seen.add(indices)
         return self.update_best(batch)
 
     def update_best(self, batch: list[tuple[int, Assignment]]) -> bool:
-        """Fold a batch into the incumbent; True when some member strictly beats it."""
-        st = self.state
+        """Fold the batch's population slots into the incumbent; True when one beats it."""
         better = False
-        for slot, a in batch:
-            if a.revenue > st.best_value:
-                st.best_value = a.revenue
-                st.best_indices = st.population[slot][0]
+        for slot, _ in batch:
+            indices, value = self.population[slot]
+            if value > self.best_value:
+                self.best_indices, self.best_value = indices, value
                 better = True
         return better
 
     def snapshot(self) -> None:
-        st = self.state
-        st.trace.append(TraceEntry(evals=st.evals, elapsed=self.elapsed(), best=st.best_value))
+        self.trace.append(TraceEntry(self.evals, self.elapsed(), self.best_value))
 
     def init_population(self) -> None:
         quota = self.batch_quota(self.params.l0)
@@ -404,19 +380,18 @@ class _Run:
         return self.result()
 
     def result(self) -> SearchResult:
-        st = self.state
-        if st.best_indices is None:
+        if self.best_indices is None:
             raise RankPriceError("search produced no evaluated vector")
         return SearchResult(
-            best_indices=st.best_indices,
-            best_prices=self.grid.prices_of(st.best_indices),
-            best_value=st.best_value,
-            trace=tuple(st.trace),
-            evaluations=st.evals,
+            best_indices=self.best_indices,
+            best_prices=self.grid.prices_of(self.best_indices),
+            best_value=self.best_value,
+            trace=tuple(self.trace),
+            evaluations=self.evals,
             elapsed=self.elapsed(),
             iterations=self.iterations,
             ls_stats=self.stats,
-            state=st,
+            population=self.population,
         )
 
 
@@ -455,10 +430,10 @@ def vns_search(
     run = _Run(inst, grid, params, pipeline, clock)
     run.init_population()
     radius_cap = max(1, grid.size - 1)
-    st = run.state
+    radius = 1
+    pop = run.population
 
     def propose():
-        pop, radius = st.population, st.radius
         elites = select_elites(pop, params.q)
 
         def candidate():
@@ -468,10 +443,11 @@ def vns_search(
         return candidate
 
     def after_batch(improved):
+        nonlocal radius
         if not improved:
-            st.radius = min(st.radius + 1, radius_cap)
+            radius = min(radius + 1, radius_cap)
         elif params.vns_reset_radius:
-            st.radius = 1
+            radius = 1
 
     return run.loop(propose, after_batch)
 
@@ -492,9 +468,9 @@ def genetic_search(
         raise RankPriceError("genetic search needs q >= 2 to pick two distinct parents")
     run = _Run(inst, grid, params, pipeline, clock)
     run.init_population()
+    pop = run.population
 
     def propose():
-        pop = run.state.population
         elites = select_elites(pop, params.q)
 
         def candidate():

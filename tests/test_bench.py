@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import rankprice.bench
 from rankprice import (
     EmptyInput,
     ExperimentConfig,
@@ -68,6 +69,9 @@ def test_generate_instance_rejects_bad_ranges():
         generate_instance(2, 4, (5, 10), 0.0, seed=0)
     with pytest.raises(InvalidRange):
         generate_instance(2, 4, (5, 10), 1.5, seed=0)
+    # a row that can only come out empty ends the redraws with an error
+    with pytest.raises(InvalidRange, match="no product"):
+        generate_instance(1, 1, (18, 66), 1e-12, seed=3)
 
 
 @pytest.mark.parametrize("num_products, num_customers", [(0, 4), (2, 0), (0, 0)])
@@ -147,14 +151,14 @@ def test_summarize_rejects_non_positive_reference(reference):
 def test_evolution_stats_orders_and_pads():
     t1 = [TraceEntry(10, 0.1, 5), TraceEntry(20, 0.2, 8), TraceEntry(30, 0.3, 9)]
     t2 = [TraceEntry(10, 0.1, 7)]  # stopped early; padded with its last entry
-    stats = evolution_stats([t1, t2])
-    assert len(stats.checkpoints) == 3
-    for c in stats.checkpoints:
+    checkpoints = evolution_stats([t1, t2])
+    assert len(checkpoints) == 3
+    for c in checkpoints:
         assert c.p5 <= c.p50 <= c.p95
-    p50_series = [c.p50 for c in stats.checkpoints]
+    p50_series = [c.p50 for c in checkpoints]
     assert p50_series == sorted(p50_series)
-    assert stats.checkpoints[2].p95 == 9
-    assert stats.checkpoints[2].p5 == 7
+    assert checkpoints[2].p95 == 9
+    assert checkpoints[2].p5 == 7
 
 
 # ------------------------------------------------------------ experiments
@@ -193,7 +197,7 @@ def read_csv(path):
 def test_run_experiment_writes_csvs(table1, table1_path, tmp_path):
     out = tmp_path / "out"
     config = make_config(table1_path, out)
-    summaries, stats = run_experiment(config, clock=counting_clock())
+    summaries, checkpoints = run_experiment(config, clock=counting_clock())
     assert len(summaries) == 5
     rows = read_csv(out / "summary.csv")
     assert len(rows) == 5
@@ -216,7 +220,7 @@ def test_run_experiment_writes_csvs(table1, table1_path, tmp_path):
         assert finals[summary.run_id] == summary.best_value
 
     pct_rows = read_csv(out / "percentiles.csv")
-    assert len(pct_rows) == len(stats.checkpoints)
+    assert len(pct_rows) == len(checkpoints)
     for row in pct_rows:
         assert int(row["p5"]) <= int(row["p50"]) <= int(row["p95"])
     for column in ("p5", "p50", "p95"):
@@ -226,8 +230,8 @@ def test_run_experiment_writes_csvs(table1, table1_path, tmp_path):
 
 def test_run_experiment_single_run_percentiles_collapse(table1_path, tmp_path):
     config = make_config(table1_path, tmp_path / "one", runs=1)
-    _, stats = run_experiment(config)
-    for c in stats.checkpoints:
+    _, checkpoints = run_experiment(config)
+    for c in checkpoints:
         assert c.p5 == c.p50 == c.p95
 
 
@@ -247,6 +251,36 @@ def test_workers_do_not_change_results(table1_path, tmp_path):
     par, _ = run_experiment(config, workers=2)
     strip = lambda s: (s.run_id, s.seed, s.best_value, s.best_prices, s.evaluations)
     assert [strip(s) for s in seq] == [strip(s) for s in par]
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_run_experiment_rejects_non_positive_workers(table1_path, workers):
+    with pytest.raises(InvalidRange, match="workers"):
+        run_experiment(make_config(table1_path, None, runs=1), workers=workers)
+
+
+def test_worker_pool_is_capped_at_runs(table1_path, monkeypatch):
+    # A process pool forks all its workers at once, so more workers than
+    # runs would start processes with nothing to do.
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(rankprice.bench, "ProcessPoolExecutor", InProcessPool)
+    summaries, _ = run_experiment(make_config(table1_path, None, runs=3), workers=64)
+    assert sizes == [3]
+    assert [s.run_id for s in summaries] == [0, 1, 2]
 
 
 def test_table1_vns_sfrc_experiment_always_optimal(table1_path, tmp_path):

@@ -183,16 +183,25 @@ def _bench_argv(tmp_path, instance_path, edit=dict):
     return ["bench", "--config", str(path), "--out", str(tmp_path / "out")]
 
 
-def _bad_instance(tmp_path):
+def _bad_instance(tmp_path, num_products, width=2):
+    """``eval`` of TABLE1's first ``width`` products, ``num_products`` spelt as the JSON given.
+
+    ``width`` lets the rows match what ``int()`` makes of the spelling (1 for true).
+    """
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(dict(TABLE1, num_products="abc")))
-    return ["eval", "--instance", str(path), "--prices", "50,34"]
+    rows = [row[:width] for row in TABLE1["preferences"]]
+    text = json.dumps(dict(TABLE1, num_products=0, preferences=rows))
+    path.write_text(text.replace('"num_products": 0', f'"num_products": {num_products}'))
+    return ["eval", "--instance", str(path), "--prices", ",".join(["50"] * width)]
 
 
 @pytest.mark.parametrize("case", ["unknown-param", "missing-config", "non-integer-prices",
                                   "unwritable-lp", "unwritable-instance", "bad-instance",
                                   "reference-zero", "nan-time-limit-flag",
-                                  "out-dir-not-a-string", *BAD_CONFIGS])
+                                  "out-dir-not-a-string", "workers-zero", "workers-negative",
+                                  "tiny-availability", "num-products-overflow",
+                                  "num-products-fractional", "num-products-bool",
+                                  *BAD_CONFIGS])
 def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys):
     missing_dir = tmp_path / "no-such-dir"
     if case in BAD_CONFIGS:
@@ -202,7 +211,12 @@ def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys):
             "unknown-param": lambda: ["bench", "--config",
                                       _config_with_unknown_param(tmp_path, table1_path)],
             "missing-config": lambda: ["bench", "--config", str(tmp_path / "missing.json")],
-            "bad-instance": lambda: _bad_instance(tmp_path),
+            "bad-instance": lambda: _bad_instance(tmp_path, '"abc"'),
+            "num-products-overflow": lambda: _bad_instance(tmp_path, "1e400"),
+            "num-products-fractional": lambda: _bad_instance(tmp_path, "2.5"),
+            "num-products-bool": lambda: _bad_instance(tmp_path, "true", width=1),
+            "workers-zero": lambda: [*_bench_argv(tmp_path, table1_path), "--workers", "0"],
+            "workers-negative": lambda: [*_bench_argv(tmp_path, table1_path), "--workers", "-2"],
             "reference-zero": lambda: [*_bench_argv(tmp_path, table1_path), "--reference", "0"],
             # --out would override the config's out_dir, so this run goes without it.
             "out-dir-not-a-string": lambda: _bench_argv(
@@ -217,6 +231,10 @@ def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys):
             "unwritable-instance": lambda: ["gen", "--products", "2", "--customers", "4",
                                             "--budget-lo", "1", "--budget-hi", "9",
                                             "--out", str(missing_dir / "gen.json")],
+            "tiny-availability": lambda: ["gen", "--products", "1", "--customers", "1",
+                                          "--budget-lo", "18", "--budget-hi", "66",
+                                          "--avail", "1e-12", "--seed", "3",
+                                          "--out", str(tmp_path / "gen.json")],
         }[case]()
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")

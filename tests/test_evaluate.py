@@ -33,8 +33,8 @@ def test_spot_value_modified_instance(table1_mod):
 
 def test_buyers_at_34_34(table1, table1_grid):
     a = assign(table1, table1_grid, table1_grid.indices_of((34, 34)))
-    assert a.buyers_of(0) == (1, 5, 6)
-    assert a.buyers_of(1) == (3, 4, 7)
+    assert a.buyers[0] == [1, 5, 6]
+    assert a.buyers[1] == [3, 4, 7]
 
 
 def test_unaffordable_everywhere_sells_nothing(table1):

@@ -87,7 +87,7 @@ def test_reassignment_skips_single_buyer():
     )
     grid = build_grid(inst)
     indices, a = state_for(inst, grid, (10, 20))
-    assert a.buyers_of(0) == (0,) and a.buyers_of(1) == (1,)
+    assert a.buyers == {0: [0], 1: [1]}
     assert reassignment(inst, grid, indices, a) == (indices, a)
 
 
@@ -222,13 +222,13 @@ def test_parse_pipeline():
 
 
 def test_empty_pipeline_is_identity(table1, table1_grid):
-    batch = [state_for(table1, table1_grid, (34, 34))]
-    assert run_pipeline(table1, table1_grid, "", batch, random.Random(0)) == batch
+    state = state_for(table1, table1_grid, (34, 34))
+    assert run_pipeline(table1, table1_grid, "", *state, random.Random(0)) == state
 
 
 def test_pipeline_worked_example(table1, table1_grid):
-    batch = [state_for(table1, table1_grid, (34, 34))]
-    (out, out_a), = run_pipeline(table1, table1_grid, "sfrc", batch, random.Random(0))
+    state = state_for(table1, table1_grid, (34, 34))
+    out, out_a = run_pipeline(table1, table1_grid, "sfrc", *state, random.Random(0))
     assert out_a.revenue >= 228  # slack already reaches 228; later steps never lose it
 
 
@@ -236,9 +236,8 @@ def test_pipeline_revenue_nondecreasing_per_element():
     rng = random.Random(31337)
     for _ in range(150):
         inst, grid, indices, a = random_state(rng.randrange(10**6), rng)
-        batch = [(indices, a)]
         for letters in ("s", "sf", "sfrc", "o", "rc", "fsrc"):
-            (out, out_a), = run_pipeline(inst, grid, letters, batch, rng)
+            out, out_a = run_pipeline(inst, grid, letters, indices, a, rng)
             assert out_a.revenue >= a.revenue
             assert out_a == assign(inst, grid, out)
 
@@ -247,16 +246,14 @@ def test_pipeline_without_slack_still_meets_preconditions():
     # 'r' and 'c' require slack-free prices; the pipeline inserts the pass
     rng = random.Random(5)
     inst, grid, indices, a = random_state(101, rng)
-    (out, out_a), = run_pipeline(inst, grid, "rc", [(indices, a)], rng)
+    out, out_a = run_pipeline(inst, grid, "rc", indices, a, rng)
     s_idx, s_a = slack(inst, grid, indices, a)
     assert out_a.revenue >= s_a.revenue
 
 
-def test_pipeline_preserves_batch_order(table1, table1_grid):
-    batch = [
-        state_for(table1, table1_grid, (34, 34)),
-        state_for(table1, table1_grid, (18, 27)),
-        state_for(table1, table1_grid, (66, 66)),
-    ]
-    out = run_pipeline(table1, table1_grid, "s", batch, random.Random(0))
-    assert [table1_grid.prices_of(i) for i, _ in out] == [(42, 34), (18, 27), (66, 66)]
+def test_slack_pipeline_per_vector(table1, table1_grid):
+    for prices, slack_free in [((34, 34), (42, 34)), ((18, 27), (18, 27)), ((66, 66), (66, 66))]:
+        state = state_for(table1, table1_grid, prices)
+        out, out_a = run_pipeline(table1, table1_grid, "s", *state, random.Random(0))
+        assert table1_grid.prices_of(out) == slack_free
+        assert out_a == assign(table1, table1_grid, out)

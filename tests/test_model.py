@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -54,6 +55,12 @@ def test_dimension_mismatches_rejected():
         validate_instance({"num_products": 2})
     with pytest.raises(DimensionMismatch):
         validate_instance(dict(helpers.TABLE1, num_products="abc"))
+    # Dimensions are JSON integers: 1e400 reads as an infinite float, and
+    # int() would accept 2.5, 2.0 and true.
+    for key in ("num_products", "num_customers"):
+        for text in ("1e400", "2.5", "2.0", "true"):
+            with pytest.raises(DimensionMismatch, match=key):
+                validate_instance(dict(helpers.TABLE1, **{key: json.loads(text)}))
 
 
 def test_nonpositive_score_rejected():
@@ -130,5 +137,3 @@ def test_buyers_partition_customers_in_order():
         for i, customers in a.buyers.items():
             assert customers == sorted(customers)
             assert all(a.chosen[k] == i for k in customers)
-        for i in range(inst.num_products):
-            assert a.buyers_of(i) == tuple(k for k, c in enumerate(a.chosen) if c == i)

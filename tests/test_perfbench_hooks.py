@@ -1,0 +1,50 @@
+"""The traced benchmark's hooks into the program, checked without running it.
+
+``perfbench/harness.py`` wraps program functions at the module attributes
+their callers read, for its ``--trace 1`` run. A renamed or removed
+attribute would break that run while the rest of the suite stays green.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from rankprice import SearchParams, StopRule, build_grid, generate_instance, vns_search
+from rankprice import local_search, search
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def harness(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("harness")
+
+
+def traced(harness, func, *args, **kwargs):
+    tracer = importlib.import_module("tracer").Tracer()
+    harness.install_spans(tracer, harness.SlackCounter())
+    try:
+        return tracer, func(*args, **kwargs)
+    finally:
+        tracer.restore()
+
+
+def test_install_spans_then_restore(harness):
+    hooked = lambda: (search.run_pipeline, local_search.slack, search.Neighborhood.sample)
+    originals = hooked()
+    traced(harness, lambda: None)
+    assert hooked() == originals
+
+
+def test_traced_counts_match_the_search(harness):
+    # The benchmark ties every local-search trial to one local_search.assign span.
+    inst = generate_instance(4, 9, (5, 30), 0.5, seed=11)
+    grid = build_grid(inst)
+    p = SearchParams(l0=10, q=4, t=6, stop=StopRule.point_budget(60), seed=1)
+    tracer, res = traced(harness, vns_search, inst, grid, p, pipeline="sfrc")
+    assert tracer.count("evaluate.assign@local_search") == res.ls_stats.assign_calls > 0
+    assert tracer.count("evaluate.assign@search") == res.evaluations
+    assert tracer.count("local_search.run_pipeline") == res.evaluations - p.l0
+    assert tracer.count("search.Neighborhood.sample") == res.evaluations - p.l0

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from collections import Counter
+from itertools import count, product
 
 import pytest
 
@@ -14,6 +17,7 @@ from rankprice import (
     brute_force,
     build_grid,
     crossover,
+    generate_instance,
     genetic_search,
     greedy_init,
     mutate,
@@ -126,22 +130,24 @@ def test_greedy_init_leftover_products_at_top():
 # ------------------------------------------------------------ neighborhood
 
 
+def box_prices(grid, box):
+    return grid.prices_of(box.lo), grid.prices_of(box.hi)
+
+
 def test_neighborhood_box_at_50_50(table1_grid):
     box = neighborhood(table1_grid, table1_grid.indices_of((50, 50)), 1)
-    points = {table1_grid.prices_of(v) for v in box}
-    assert points == {(a, b) for a in (42, 50, 66) for b in (42, 50, 66)}
-    assert box.size() == 9
+    assert box_prices(table1_grid, box) == ((42, 42), (66, 66))
 
 
 def test_neighborhood_clamped_at_origin(table1_grid):
     box = neighborhood(table1_grid, table1_grid.indices_of((18, 18)), 1)
-    points = {table1_grid.prices_of(v) for v in box}
-    assert points == {(a, b) for a in (18, 27) for b in (18, 27)}
+    assert box_prices(table1_grid, box) == ((18, 18), (27, 27))
 
 
 def test_neighborhood_large_radius_covers_grid(table1_grid):
     box = neighborhood(table1_grid, (2, 4), table1_grid.size - 1)
-    assert box.size() == table1_grid.size ** 2
+    assert box.lo == (0, 0)
+    assert box.hi == (table1_grid.size - 1, table1_grid.size - 1)
 
 
 def test_neighborhood_nesting_and_center(table1_grid):
@@ -151,9 +157,18 @@ def test_neighborhood_nesting_and_center(table1_grid):
         for r in range(1, table1_grid.size):
             inner = neighborhood(table1_grid, center, r)
             outer = neighborhood(table1_grid, center, r + 1)
-            assert center in inner
-            assert all(v in outer for v in inner)
-            assert inner.sample(rng) in inner
+            draw = inner.sample(rng)
+            for axis in range(2):
+                assert outer.lo[axis] <= inner.lo[axis] <= center[axis]
+                assert center[axis] <= inner.hi[axis] <= outer.hi[axis]
+                assert inner.lo[axis] <= draw[axis] <= inner.hi[axis]
+
+
+def test_neighborhood_sample_draws_like_randint(table1_grid):
+    box = neighborhood(table1_grid, (2, 4), 2)
+    a, b = random.Random(8), random.Random(8)
+    for _ in range(100):
+        assert box.sample(a) == tuple(b.randint(lo, hi) for lo, hi in zip(box.lo, box.hi))
 
 
 def test_neighborhood_rejects_zero_radius(table1_grid):
@@ -243,14 +258,14 @@ def test_naive_exhaustive_dedup_finds_optimum(table1, table1_grid):
     res = naive_search(table1, table1_grid, p)
     assert res.best_value == 236
     assert res.evaluations == 36
-    assert len(res.state.population) == 36
+    assert len(res.population) == 36
 
 
 def test_naive_budget_one(table1, table1_grid):
     p = params(stop=StopRule.point_budget(1))
     res = naive_search(table1, table1_grid, p)
     assert res.evaluations == 1
-    assert res.best_value == res.state.population[0][1]
+    assert res.best_value == res.population[0][1]
 
 
 def test_naive_same_seed_same_trace(table1, table1_grid):
@@ -290,7 +305,7 @@ def test_vns_zero_iterations_returns_init_best(table1, table1_grid):
     res = vns_search(table1, table1_grid, p)
     assert res.evaluations == 10
     assert len(res.trace) == 1
-    assert res.best_value == max(revenue for _, revenue in res.state.population)
+    assert res.best_value == max(revenue for _, revenue in res.population)
 
 
 def test_vns_never_beats_brute_force():
@@ -314,12 +329,21 @@ def test_vns_deterministic_and_monotone(table1, table1_grid):
     assert values == sorted(values)
 
 
-def test_vns_radius_grows_then_caps(table1, table1_grid):
+def test_vns_radius_grows_then_caps(table1, table1_grid, monkeypatch):
     # a tiny elite stuck in a corner forces repeated failures; the radius
-    # must stop growing at size-1
+    # must grow one step at a time and stop growing at size-1
+    radii = []
+
+    def recording(grid, indices, radius):
+        radii.append(radius)
+        return neighborhood(grid, indices, radius)
+
+    monkeypatch.setattr(rankprice.search, "neighborhood", recording)
     p = params(l0=1, q=1, t=3, stop=StopRule.iterations(30), seed=2)
-    res = vns_search(table1, table1_grid, p)
-    assert res.state.radius == table1_grid.size - 1
+    vns_search(table1, table1_grid, p)
+    assert radii == sorted(radii)
+    assert sorted(set(radii)) == list(range(1, table1_grid.size))
+    assert radii[-1] == table1_grid.size - 1
 
 
 def test_vns_time_limit_stops():
@@ -363,7 +387,7 @@ def test_genetic_zero_iterations(table1, table1_grid):
     p = params(q=10, stop=StopRule.iterations(0), seed=3)
     res = genetic_search(table1, table1_grid, p)
     assert res.evaluations == 10
-    assert res.best_value == max(r for _, r in res.state.population)
+    assert res.best_value == max(r for _, r in res.population)
 
 
 def test_genetic_requires_two_parents():
@@ -406,7 +430,7 @@ def test_elite_selection_order_and_tie_break():
 def test_elites_dominate_rest(table1, table1_grid):
     p = params(l0=30, q=8, t=10, stop=StopRule.point_budget(150), seed=5)
     res = vns_search(table1, table1_grid, p)
-    pop = res.state.population
+    pop = res.population
     elites = select_elites(pop, 8)
     # independent sort-based oracle, same tie-break
     expected = sorted(range(len(pop)), key=lambda s: (-pop[s][1], s))[:8]
@@ -420,7 +444,7 @@ def test_population_stays_on_grid(table1, table1_grid):
     for search, q in ((vns_search, 5), (genetic_search, 5)):
         p = params(q=q, seed=11, stop=StopRule.point_budget(200))
         res = search(table1, table1_grid, p, pipeline="sfrc")
-        for indices, _ in res.state.population:
+        for indices, _ in res.population:
             assert all(0 <= m < table1_grid.size for m in indices)
             assert len(indices) == table1.num_products
 
@@ -429,7 +453,7 @@ def test_best_value_matches_population_max(table1, table1_grid):
     p = params(seed=13, stop=StopRule.point_budget(250))
     for search in (naive_search, vns_search):
         res = search(table1, table1_grid, p)
-        assert res.best_value == max(r for _, r in res.state.population)
+        assert res.best_value == max(r for _, r in res.population)
 
 
 def test_pipeline_results_replace_population_members(table1, table1_grid):
@@ -437,7 +461,7 @@ def test_pipeline_results_replace_population_members(table1, table1_grid):
 
     p = params(l0=10, seed=21, stop=StopRule.point_budget(100))
     res = vns_search(table1, table1_grid, p, pipeline="s")
-    pop = res.state.population
+    pop = res.population
     for slot, (indices, revenue) in enumerate(pop):
         a = assign(table1, table1_grid, indices)
         assert a.revenue == revenue
@@ -445,3 +469,40 @@ def test_pipeline_results_replace_population_members(table1, table1_grid):
             # loop-phase members went through the slack step: re-applying
             # it must change nothing
             assert slack(table1, table1_grid, indices, a) == (indices, a)
+
+
+# SHA-256 over the seeded runs of ``_pinned_runs``. A change that keeps
+# seeded results keeps this digest; one that changes them must say so.
+SEARCH_DIGEST = "b9dfc431af14ba6ed6792e234801299906abede381fd85607df5480904a006f6"
+
+
+def _pinned_runs():
+    """One record per run: best vector, trace, population and local-search counts.
+
+    Every elapsed time comes from a clock that counts its own reads.
+    """
+    cases = product(
+        [helpers.table1(), generate_instance(4, 9, (5, 30), 0.5, seed=11)],
+        [naive_search, vns_search, genetic_search],
+        ["", "sfrc", "rc", "o"],
+        ["random", "greedy"],
+        [{}, {"dedup": True}, {"vns_reset_radius": True}, {"parents_with_replacement": True}],
+    )
+    for seed, (inst, search, pipeline, init, variant) in enumerate(cases):
+        p = params(l0=10, q=4, stop=StopRule.point_budget(90), init=init, seed=seed, **variant)
+        ticks = count()
+        res = search(inst, build_grid(inst), p, pipeline=pipeline, clock=lambda: next(ticks))
+        stats = res.ls_stats
+        yield [
+            list(res.best_indices),
+            [[e.evals, e.elapsed, e.best] for e in res.trace],
+            [[list(indices), value] for indices, value in res.population],
+            sorted(stats.kept.items()),
+            sorted(stats.reverted.items()),
+            stats.assign_calls,
+        ]
+
+
+def test_search_results_are_pinned():
+    blob = json.dumps(list(_pinned_runs()), separators=(",", ":"))
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == SEARCH_DIGEST

@@ -43,6 +43,9 @@ from .search import (
 
 METHODS = {"naive": naive_search, "vns": vns_search, "genetic": genetic_search}
 
+# The genetic method's default elite set size (capped at l0), in place of SearchParams.q.
+GENETIC_Q = 1000
+
 SUMMARY_COLUMNS = (
     "run_id",
     "seed",
@@ -384,12 +387,21 @@ def _from_json(cls, raw, prepare=dict):
         raise RankPriceError(f"invalid {cls.__name__}: {exc}") from None
 
 
-def params_from_dict(raw: dict) -> SearchParams:
-    """SearchParams from a JSON object; ``stop`` is a {kind, limit} object or null."""
+def params_from_dict(raw: dict, method: str | None = None) -> SearchParams:
+    """SearchParams from a JSON object; ``stop`` is a {kind, limit} object or null.
+
+    An omitted ``q`` is ``min(default, l0)``: the default is ``GENETIC_Q`` for
+    the genetic method and ``SearchParams.q`` for the others.
+    """
 
     def prepare(data):
         stop = data.get("stop")
-        return {**data, "stop": SearchParams.stop if stop is None else _from_json(StopRule, stop)}
+        data = {**data, "stop": SearchParams.stop if stop is None else _from_json(StopRule, stop)}
+        l0 = data.get("l0", SearchParams.l0)
+        # An ill-typed l0 keeps q unset, so SearchParams names l0 in its error.
+        if "q" not in data and type(l0) is int:
+            data["q"] = min(GENETIC_Q if method == "genetic" else SearchParams.q, l0)
+        return data
 
     return _from_json(SearchParams, raw, prepare)
 
@@ -400,7 +412,7 @@ def config_from_dict(raw: dict, **overrides) -> ExperimentConfig:
     def prepare(data):
         data = {**data, **{k: v for k, v in overrides.items() if v is not None}}
         raw_params = data.get("params", {})
-        params = params_from_dict(raw_params)
+        params = params_from_dict(raw_params, data.get("method"))
         # Each run sets its own seed and init, so these params keys would be ignored.
         if "seed" in raw_params:
             raise RankPriceError("params.seed is unused (run j uses base_seed + j); set base_seed")

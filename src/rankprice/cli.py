@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .bench import (
-    ExperimentConfig,
     config_from_dict,
     generate_instance,
     run_experiment,
@@ -16,10 +14,7 @@ from .bench import (
 from .errors import InvalidRange, RankPriceError
 from .evaluate import assign_prices
 from .exact import DEFAULT_ENUMERATION_CAP, brute_force, write_lp
-from .model import build_grid, load_instance, save_instance
-from .search import SearchParams, StopRule
-
-_GENETIC_Q = 1000
+from .model import build_grid, load_instance, read_json, save_instance
 
 
 def _add_solve_parser(sub):
@@ -32,7 +27,7 @@ def _add_solve_parser(sub):
                         "c=conditional reassignment o=optimization-based")
     p.add_argument("--l0", type=int, default=None)
     p.add_argument("--q", type=int, default=None,
-                   help="elite set size (default 100, or 1000 for genetic)")
+                   help="elite set size (default min(100, l0), or min(1000, l0) for genetic)")
     p.add_argument("--t", type=int, default=None)
     stop = p.add_mutually_exclusive_group()
     stop.add_argument("--max-points", type=int, default=None)
@@ -50,43 +45,28 @@ def _add_solve_parser(sub):
     p.set_defaults(run=_cmd_solve)
 
 
-def _stop_rule(args) -> StopRule | None:
-    if args.max_points is not None:
-        return StopRule.point_budget(args.max_points)
-    if args.time_limit is not None:
-        return StopRule.time_limit(args.time_limit)
-    if args.iterations is not None:
-        return StopRule.iterations(args.iterations)
-    return None
-
-
 def _cmd_solve(args) -> int:
-    # Only flags the user set reach SearchParams; the rest keep its defaults.
-    # The run itself sets init and seed from the config.
-    given = {
-        name: value
-        for name, value in (("l0", args.l0), ("t", args.t), ("stop", _stop_rule(args)))
-        if value is not None
-    }
-    default_q = _GENETIC_Q if args.method == "genetic" else SearchParams.q
-    q = args.q if args.q is not None else min(default_q, given.get("l0", SearchParams.l0))
-    params = SearchParams(
-        **given,
-        q=q,
-        dedup=args.dedup,
-        vns_reset_radius=args.vns_reset_radius,
-        parents_with_replacement=args.parents_with_replacement,
-    )
-    config = ExperimentConfig(
-        instance_path=args.instance,
-        method=args.method,
-        init=args.init,
-        pipeline=args.local_search,
-        params=params,
-        runs=1,
-        base_seed=args.seed,
-        out_dir=args.out,
-    )
+    # The same JSON-shaped config that bench reads; flags the user left unset
+    # are omitted, so config_from_dict applies the defaults.
+    limits = {"points": args.max_points, "time": args.time_limit, "iterations": args.iterations}
+    stop = next(({"kind": k, "limit": v} for k, v in limits.items() if v is not None), None)
+    given = {"l0": args.l0, "q": args.q, "t": args.t, "stop": stop}
+    params = {name: value for name, value in given.items() if value is not None}
+    config = config_from_dict({
+        "instance_path": args.instance,
+        "method": args.method,
+        "init": args.init,
+        "pipeline": args.local_search,
+        "params": {
+            **params,
+            "dedup": args.dedup,
+            "vns_reset_radius": args.vns_reset_radius,
+            "parents_with_replacement": args.parents_with_replacement,
+        },
+        "runs": 1,
+        "base_seed": args.seed,
+        "out_dir": args.out,
+    })
     summaries, _ = run_experiment(config)
     s = summaries[0]
     print(f"method: {s.method}  init: {s.init}  pipeline: {s.pipeline or '-'}  seed: {s.seed}")
@@ -102,13 +82,11 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     if args.reference is not None and args.reference <= 0:
         raise InvalidRange(f"reference must be positive, got {args.reference}")
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise RankPriceError(f"cannot read config {args.config}: {exc}") from exc
     config = config_from_dict(
-        raw, instance_path=args.instance, runs=args.runs, out_dir=args.out
+        read_json(args.config, "config", RankPriceError),
+        instance_path=args.instance,
+        runs=args.runs,
+        out_dir=args.out,
     )
     summaries, _ = run_experiment(config, workers=args.workers)
     report = summarize(summaries, reference=args.reference)

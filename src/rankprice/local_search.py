@@ -9,9 +9,10 @@ displaced buyer has an equally-priced alternative to fall back on
 (conditional reassignment). The fifth (opt_based) is the plain benchmark
 scan that retries every alternative price of every product.
 
-Moves that can backfire re-evaluate the full instance and revert when
-revenue does not strictly improve, so every operator here is revenue
-nondecreasing by construction.
+Every move but slack is one walk over products (:func:`_walk`): each step
+only names the grid levels it tries for a product. A trial re-evaluates the
+full instance and is reverted unless revenue strictly improves, so every
+operator here is revenue nondecreasing by construction.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import RankPriceError
 from .evaluate import assign
@@ -32,15 +33,18 @@ STEP_LETTERS = "sfrco"
 
 @dataclass
 class LocalSearchStats:
-    """Bookkeeping for one run: extra evaluations and kept/reverted moves."""
+    """Kept and reverted trials per step; each trial is one full evaluation."""
 
-    assign_calls: int = 0
     kept: Counter[str] = field(default_factory=Counter)
     reverted: Counter[str] = field(default_factory=Counter)
 
     @property
     def total_reverted(self) -> int:
         return sum(self.reverted.values())
+
+    @property
+    def assign_calls(self) -> int:
+        return sum(self.kept.values()) + self.total_reverted
 
 
 def parse_pipeline(letters: Sequence[str]) -> tuple[str, ...]:
@@ -54,31 +58,45 @@ def parse_pipeline(letters: Sequence[str]) -> tuple[str, ...]:
     return steps
 
 
-def _try_price(
+def _walk(
     inst: Instance,
     grid: BudgetGrid,
-    cur: list[int],
-    cur_a: Assignment,
-    product: int,
-    m: int,
+    indices: PriceIndices,
+    assignment: Assignment,
     step: str,
-    stats: LocalSearchStats,
-) -> tuple[list[int], Assignment]:
-    """Price ``product`` at grid index ``m``; keep the move iff revenue strictly improves.
+    products: Iterable[int],
+    levels: Callable[[int, list[int], Assignment], Iterable[int]],
+    stats: LocalSearchStats | None,
+) -> tuple[PriceIndices, Assignment]:
+    """Try each product in ``products`` at each of its ``levels``; keep strict improvements.
 
-    A move to the price already held is skipped without evaluation.
+    ``levels(i, cur, cur_a)`` gives the grid indices to try for product i in
+    the current state; it is asked when the walk reaches i, so it sees every
+    earlier kept trial. A trial prices one product at one grid index and
+    re-evaluates the instance; it is kept iff revenue strictly improves and
+    counted under ``step`` as kept or reverted. The price already held is
+    skipped without evaluation.
     """
-    if m == cur[product]:
-        return cur, cur_a
-    trial = list(cur)
-    trial[product] = m
-    trial_a = assign(inst, grid, trial)
-    stats.assign_calls += 1
-    if trial_a.revenue > cur_a.revenue:
-        stats.kept[step] += 1
-        return trial, trial_a
-    stats.reverted[step] += 1
-    return cur, cur_a
+    stats = stats or LocalSearchStats()
+    cur, cur_a = list(indices), assignment
+    for i in products:
+        for m in levels(i, cur, cur_a):
+            if m == cur[i]:
+                continue
+            trial = list(cur)
+            trial[i] = m
+            trial_a = assign(inst, grid, trial)
+            if trial_a.revenue > cur_a.revenue:
+                stats.kept[step] += 1
+                cur, cur_a = trial, trial_a
+            else:
+                stats.reverted[step] += 1
+    return tuple(cur), cur_a
+
+
+def _second_budget(inst: Instance, grid: BudgetGrid, buyers: Sequence[int]) -> int:
+    """The grid index of the second-cheapest budget among two or more ``buyers``."""
+    return grid.index_of(sorted(inst.budgets[k] for k in buyers)[1])
 
 
 def slack(
@@ -95,7 +113,7 @@ def slack(
         if i is not None:
             new[i] = grid.index_of(min(inst.budgets[k] for k in buyers))
     revenue = sum(grid.values[new[i]] for i in assignment.chosen if i is not None)
-    return tuple(new), Assignment(chosen=assignment.chosen, revenue=revenue)
+    return tuple(new), assignment.repriced(revenue)
 
 
 def fill(
@@ -113,51 +131,15 @@ def fill(
     re-evaluated revenue strictly improves. Products handled in ascending
     index order, each seeing the effects of earlier kept moves.
     """
-    stats = stats or LocalSearchStats()
-    cur, cur_a = list(indices), assignment
-    for i in range(inst.num_products):
+
+    def levels(i, cur, cur_a):
         if i in cur_a.buyers:
-            continue
-        interested = [k for k in cur_a.buyers.get(None, ()) if inst.preferences[k][i] is not None]
-        if not interested:
-            continue
-        m = grid.index_of(min(inst.budgets[k] for k in interested))
-        cur, cur_a = _try_price(inst, grid, cur, cur_a, i, m, "f", stats)
-    return tuple(cur), cur_a
+            return []
+        unassigned = cur_a.buyers.get(None, ())
+        pool = [inst.budgets[k] for k in unassigned if inst.preferences[k][i] is not None]
+        return [grid.index_of(min(pool))] if pool else []
 
-
-def _reassign(
-    inst: Instance,
-    grid: BudgetGrid,
-    indices: PriceIndices,
-    assignment: Assignment,
-    conditional: bool,
-    stats: LocalSearchStats,
-) -> tuple[PriceIndices, Assignment]:
-    """Walk products in index order, trying each at its second-cheapest buyer budget.
-
-    With ``conditional`` a product is tried only when its poorest buyer pays
-    exactly the current price and wants another product priced at that
-    budget too.
-    """
-    step = "c" if conditional else "r"
-    cur, cur_a = list(indices), assignment
-    for i in range(inst.num_products):
-        buyers = cur_a.buyers.get(i, ())
-        if len(buyers) < 2:
-            continue
-        if conditional:
-            poorest = min(buyers, key=lambda k: (inst.budgets[k], k))
-            budget = inst.budgets[poorest]
-            if budget != grid.values[cur[i]]:
-                continue
-            if not any(
-                j != i and grid.values[cur[j]] == budget for j in inst.preference_order[poorest]
-            ):
-                continue
-        second = sorted(inst.budgets[k] for k in buyers)[1]
-        cur, cur_a = _try_price(inst, grid, cur, cur_a, i, grid.index_of(second), step, stats)
-    return tuple(cur), cur_a
+    return _walk(inst, grid, indices, assignment, "f", range(inst.num_products), levels, stats)
 
 
 def reassignment(
@@ -173,7 +155,12 @@ def reassignment(
     re-evaluated revenue strictly improves. Expects slack-free prices (run
     :func:`slack` first). Products handled in ascending index order.
     """
-    return _reassign(inst, grid, indices, assignment, False, stats or LocalSearchStats())
+
+    def levels(i, cur, cur_a):
+        buyers = cur_a.buyers.get(i, ())
+        return [_second_budget(inst, grid, buyers)] if len(buyers) > 1 else []
+
+    return _walk(inst, grid, indices, assignment, "r", range(inst.num_products), levels, stats)
 
 
 def conditional_reassignment(
@@ -192,7 +179,22 @@ def conditional_reassignment(
     product, so the move is guarded by re-evaluation like reassignment.
     Expects slack-free prices.
     """
-    return _reassign(inst, grid, indices, assignment, True, stats or LocalSearchStats())
+
+    def levels(i, cur, cur_a):
+        buyers = cur_a.buyers.get(i, ())
+        if len(buyers) < 2:
+            return []
+        # Every buyer affords the price, so the poorest pays it exactly iff
+        # some buyer's budget equals it; the first such buyer is the poorest.
+        m = cur[i]
+        poorest = next((k for k in buyers if inst.budgets[k] == grid.values[m]), None)
+        if poorest is None or not any(
+            j != i and cur[j] == m for j in inst.preference_order[poorest]
+        ):
+            return []
+        return [_second_budget(inst, grid, buyers)]
+
+    return _walk(inst, grid, indices, assignment, "c", range(inst.num_products), levels, stats)
 
 
 def scan_product(
@@ -209,11 +211,8 @@ def scan_product(
     held; a strictly better vector is kept immediately and the scan continues
     from it.
     """
-    stats = stats or LocalSearchStats()
-    cur, cur_a = list(indices), assignment
-    for m in range(grid.size):
-        cur, cur_a = _try_price(inst, grid, cur, cur_a, product, m, "o", stats)
-    return tuple(cur), cur_a
+    every_level = lambda *_: range(grid.size)
+    return _walk(inst, grid, indices, assignment, "o", [product], every_level, stats)
 
 
 def opt_based(
@@ -227,10 +226,8 @@ def opt_based(
     """Benchmark scan: products in random order, every alternative price tried."""
     order = list(range(inst.num_products))
     rng.shuffle(order)
-    cur, cur_a = tuple(indices), assignment
-    for i in order:
-        cur, cur_a = scan_product(inst, grid, cur, cur_a, i, stats)
-    return cur, cur_a
+    every_level = lambda *_: range(grid.size)
+    return _walk(inst, grid, indices, assignment, "o", order, every_level, stats)
 
 
 def run_pipeline(

@@ -20,6 +20,7 @@ from .errors import (
     InstanceReadError,
     NonPositiveBudget,
     OutputWriteError,
+    RankPriceError,
     TiedPreferences,
 )
 
@@ -114,6 +115,12 @@ class Assignment:
             table.setdefault(i, []).append(k)
         return table
 
+    def repriced(self, revenue: int) -> "Assignment":
+        """The same purchases at another revenue, sharing this assignment's buyers table."""
+        out = Assignment(chosen=self.chosen, revenue=revenue)
+        out.__dict__["buyers"] = self.buyers
+        return out
+
 
 def validate_instance(raw: Mapping) -> Instance:
     """Check raw instance data and build an :class:`Instance`.
@@ -182,13 +189,23 @@ def build_grid(inst: Instance) -> BudgetGrid:
     return BudgetGrid(values=tuple(sorted(set(inst.budgets))))
 
 
-def load_instance(path) -> Instance:
+def read_json(path, what: str, error: type[RankPriceError]):
+    """The JSON value in the UTF-8 file ``path``.
+
+    A file that cannot be opened, decoded or parsed raises ``error``, naming
+    the file as ``what``. ``ValueError`` covers bad UTF-8, bad JSON and
+    integers too long to convert; ``RecursionError`` covers arrays or objects
+    nested too deep for the parser.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InstanceReadError(f"cannot read instance {path}: {exc}") from exc
-    return validate_instance(raw)
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_instance(path) -> Instance:
+    return validate_instance(read_json(path, "instance", InstanceReadError))
 
 
 def save_instance(inst: Instance, path) -> None:

@@ -329,3 +329,18 @@ def test_config_rejects_ill_typed_fields(table1_path, key, value, message):
 def test_params_from_dict_defaults():
     params = params_from_dict({"l0": 10, "q": 2, "t": 5})
     assert params.stop == StopRule.point_budget(24000)
+
+
+def test_config_default_q_follows_method_and_l0():
+    # solve builds its config through config_from_dict too, so both commands share this rule.
+    def q(method, **params):
+        raw = {"instance_path": "x", "method": method, "runs": 1, "params": params}
+        return config_from_dict(raw).params.q
+
+    assert q("genetic") == 1000
+    assert q("genetic", l0=300) == 300
+    assert q("genetic", q=7) == 7
+    assert q("vns") == 100
+    assert q("naive", l0=40) == 40
+    with pytest.raises(RankPriceError, match="l0"):
+        q("genetic", l0="many")

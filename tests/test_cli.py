@@ -183,6 +183,28 @@ def _bench_argv(tmp_path, instance_path, edit=dict):
     return ["bench", "--config", str(path), "--out", str(tmp_path / "out")]
 
 
+def _undecodable(tmp_path):
+    """A file that starts with the bytes ff fe, which are not UTF-8."""
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    return str(path)
+
+
+def _too_deep(tmp_path):
+    """A JSON file of arrays nested deeper than the parser's recursion limit."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return str(path)
+
+
+def _huge_integer_config(tmp_path, instance_path):
+    """A bench config whose base_seed has 5000 digits, more than Python's int() takes."""
+    argv = _bench_argv(tmp_path, instance_path, lambda good: dict(good, base_seed=0))
+    path = tmp_path / "config.json"
+    path.write_text(path.read_text().replace('"base_seed": 0', '"base_seed": ' + "9" * 5000))
+    return argv
+
+
 def _bad_instance(tmp_path, num_products, width=2):
     """``eval`` of TABLE1's first ``width`` products, ``num_products`` spelt as the JSON given.
 
@@ -201,6 +223,9 @@ def _bad_instance(tmp_path, num_products, width=2):
                                   "out-dir-not-a-string", "workers-zero", "workers-negative",
                                   "tiny-availability", "num-products-overflow",
                                   "num-products-fractional", "num-products-bool",
+                                  "instance-not-utf8", "config-not-utf8",
+                                  "instance-huge-integer", "config-huge-integer",
+                                  "instance-too-deep",
                                   *BAD_CONFIGS])
 def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys):
     missing_dir = tmp_path / "no-such-dir"
@@ -215,6 +240,13 @@ def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys):
             "num-products-overflow": lambda: _bad_instance(tmp_path, "1e400"),
             "num-products-fractional": lambda: _bad_instance(tmp_path, "2.5"),
             "num-products-bool": lambda: _bad_instance(tmp_path, "true", width=1),
+            "instance-not-utf8": lambda: ["eval", "--instance", _undecodable(tmp_path),
+                                          "--prices", "50,34"],
+            "config-not-utf8": lambda: ["bench", "--config", _undecodable(tmp_path)],
+            "instance-huge-integer": lambda: _bad_instance(tmp_path, "9" * 5000),
+            "config-huge-integer": lambda: _huge_integer_config(tmp_path, table1_path),
+            "instance-too-deep": lambda: ["eval", "--instance", _too_deep(tmp_path),
+                                          "--prices", "50,34"],
             "workers-zero": lambda: [*_bench_argv(tmp_path, table1_path), "--workers", "0"],
             "workers-negative": lambda: [*_bench_argv(tmp_path, table1_path), "--workers", "-2"],
             "reference-zero": lambda: [*_bench_argv(tmp_path, table1_path), "--reference", "0"],

@@ -1,8 +1,11 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 import helpers
+import rankprice.local_search
 from rankprice import (
     LocalSearchStats,
     RankPriceError,
@@ -41,6 +44,12 @@ def test_slack_worked_example(table1, table1_grid):
     assert table1_grid.prices_of(out) == (42, 34)
     assert out_a.revenue == 228
     assert out_a.chosen == a.chosen
+
+
+def test_slack_keeps_the_buyers_table(table1, table1_grid):
+    # slack never changes a purchase, so fill after it reuses the same table
+    indices, a = state_for(table1, table1_grid, (34, 34))
+    assert slack(table1, table1_grid, indices, a)[1].buyers is a.buyers
 
 
 def test_slack_fixed_point(table1, table1_grid):
@@ -176,18 +185,31 @@ def test_all_steps_keep_revenue_and_consistency():
     assert reverts_seen > 0  # the guards do fire on random inputs
 
 
-def test_every_trial_is_counted_kept_or_reverted():
+def test_every_trial_is_counted_kept_or_reverted(monkeypatch):
+    # Each trial is one real evaluation: count local_search.assign calls directly.
+    calls = []
+    real_assign = rankprice.local_search.assign
+
+    def counted(*args):
+        calls.append(None)
+        return real_assign(*args)
+
+    monkeypatch.setattr(rankprice.local_search, "assign", counted)
     rng = random.Random(31)
     ops = (fill, reassignment, conditional_reassignment,
            lambda *state, stats: opt_based(*state, rng=rng, stats=stats))
+    trials = 0
     for _ in range(100):
         inst, grid, indices, a = random_state(rng.randrange(10**6), rng)
         state = slack(inst, grid, indices, a)
         for op in ops:
             stats = LocalSearchStats()
+            calls.clear()
             op(inst, grid, *state, stats=stats)
-            counted = sum(stats.kept.values()) + stats.total_reverted
-            assert counted == stats.assign_calls
+            assert len(calls) == stats.assign_calls
+            assert sum(stats.kept.values()) + stats.total_reverted == stats.assign_calls
+            trials += len(calls)
+    assert trials > 0
 
 
 def test_scan_product_reaches_single_swap_optimum():
@@ -209,6 +231,54 @@ def test_fill_only_prices_down(table1_mod):
         out, _ = fill(table1_mod, grid, indices, a)
         for before, after in zip(indices, out):
             assert after <= before
+
+
+# SHA-256 over ``_pinned_steps``. A change that keeps every step's result
+# and trial counts keeps this digest; one that changes them must say so.
+STEP_DIGEST = "ba8c4b98bc590de1ce5fbfd9c1db70eb3fbf54c04c20a321f4a914f7812220b0"
+
+
+def _pinned_steps():
+    """One record per step and random state: vector, revenue and trial counts.
+
+    Every step starts from the raw random state, so fill and conditional
+    reassignment also meet prices that are not slack-free.
+    """
+    rng = random.Random(2718)
+    for _ in range(200):
+        seed = rng.randrange(10**6)
+        inst = helpers.random_instance(seed, max_products=5, max_customers=10, budget=(5, 30))
+        grid = build_grid(inst)
+        indices = helpers.random_indices(grid, inst.num_products, rng)
+        a = assign(inst, grid, indices)
+        steps = [
+            lambda stats, op=op: op(inst, grid, indices, a, stats=stats)
+            for op in (fill, reassignment, conditional_reassignment)
+        ]
+        steps += [
+            lambda stats, i=i: scan_product(inst, grid, indices, a, i, stats=stats)
+            for i in range(inst.num_products)
+        ]
+        steps.append(lambda stats: opt_based(inst, grid, indices, a, random.Random(seed), stats))
+        steps += [
+            lambda stats, p=p: run_pipeline(inst, grid, p, indices, a, random.Random(seed), stats)
+            for p in ("f", "c", "fo", "sfrco")
+        ]
+        for step in steps:
+            stats = LocalSearchStats()
+            out, out_a = step(stats)
+            yield [
+                list(out),
+                out_a.revenue,
+                sorted(stats.kept.items()),
+                sorted(stats.reverted.items()),
+                stats.assign_calls,
+            ]
+
+
+def test_step_results_are_pinned():
+    blob = json.dumps(list(_pinned_steps()), separators=(",", ":"))
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == STEP_DIGEST
 
 
 # ---------------------------------------------------------------- pipeline

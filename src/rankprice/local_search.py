@@ -187,7 +187,8 @@ def conditional_reassignment(
         # Every buyer affords the price, so the poorest pays it exactly iff
         # some buyer's budget equals it; the first such buyer is the poorest.
         m = cur[i]
-        poorest = next((k for k in buyers if inst.budgets[k] == grid.values[m]), None)
+        price = grid.values[m]
+        poorest = next((k for k in buyers if inst.budgets[k] == price), None)
         if poorest is None or not any(
             j != i and cur[j] == m for j in inst.preference_order[poorest]
         ):

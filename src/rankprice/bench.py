@@ -32,6 +32,7 @@ from .errors import EmptyInput, InvalidRange, OutputWriteError, RankPriceError
 from .local_search import parse_pipeline
 from .model import Instance, build_grid, load_instance
 from .search import (
+    GREEDY,
     SearchParams,
     SearchResult,
     StopRule,
@@ -144,6 +145,8 @@ class ExperimentConfig:
         parse_pipeline(self.pipeline)
         if self.method not in METHODS:
             raise RankPriceError(f"unknown method {self.method!r}")
+        if self.method == "naive" and self.init == GREEDY:
+            raise RankPriceError("method naive draws every vector at random; init greedy is unused")
         if self.runs < 1:
             raise RankPriceError("runs must be at least 1")
 

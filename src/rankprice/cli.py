@@ -147,6 +147,8 @@ def _cmd_eval(args) -> int:
         raise RankPriceError(
             f"expected {inst.num_products} prices, got {len(prices)}"
         )
+    if min(prices) <= 0:
+        raise RankPriceError(f"prices must be positive, got {args.prices!r}")
     a = assign_prices(inst, prices)
     off_grid = [p for p in prices if p not in grid.values]
     if off_grid:

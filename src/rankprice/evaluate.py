@@ -2,10 +2,12 @@
 
 For fixed prices each customer's problem has a unique optimum: buy the most
 preferred affordable product, or nothing if none is affordable. ``assign``
-exploits this directly and is the hot path of every search; ``assign_oracle``
-re-derives the same result by brute enumeration of all purchase options and
-exists so tests can cross-check the closed form against a literal reading of
-the customer problem.
+exploits this directly and is the hot path of every search. Given the
+assignment of a vector that differs in one product, it re-decides only the
+customers that one price change can touch; every local-search trial is
+evaluated that way. ``assign_oracle`` re-derives the same result by brute
+enumeration of all purchase options and exists so tests can cross-check the
+closed form against a literal reading of the customer problem.
 """
 
 from __future__ import annotations
@@ -31,9 +33,54 @@ def assign_prices(inst: Instance, prices: Sequence[int]) -> Assignment:
     return Assignment(chosen=tuple(chosen), revenue=revenue)
 
 
-def assign(inst: Instance, grid: BudgetGrid, indices: Sequence[int]) -> Assignment:
-    """Unique optimal purchase of every customer under the given grid prices."""
-    return assign_prices(inst, grid.prices_of(indices))
+def assign(
+    inst: Instance,
+    grid: BudgetGrid,
+    indices: Sequence[int],
+    base: tuple[int, int, Assignment] | None = None,
+) -> Assignment:
+    """Unique optimal purchase of every customer under the given grid prices.
+
+    ``base = (i, level, before)`` says that ``indices`` differs from the
+    vector behind ``before`` only in product i, which was at grid index
+    ``level``. Then only the customers who want i with a budget between the
+    old and the new price of i are decided again: after a cut, those who rank
+    i above their choice switch to it; after a raise, its buyers who can no
+    longer afford it scan their ranking again. Revenue is updated by the
+    difference, and the result equals the one without ``base``.
+    """
+    if base is None:
+        return assign_prices(inst, grid.prices_of(indices))
+    i, level, before = base
+    values = grid.values
+    old, new = values[level], values[indices[i]]
+    chosen = before.chosen
+    revenue = before.revenue + len(before.buyers.get(i, ())) * (new - old)
+    moves = []
+    if new < old:
+        for k in inst.wanting_between(i, new, old):
+            c = chosen[k]
+            if c is None:
+                moves.append((k, None, i))
+                revenue += new
+            elif inst.preferences[k][i] > inst.preferences[k][c]:
+                moves.append((k, c, i))
+                revenue += new - values[indices[c]]
+    else:
+        for k in inst.wanting_between(i, old, new):
+            if chosen[k] != i:
+                continue
+            revenue -= new
+            budget = inst.budgets[k]
+            for j in inst.preference_order[k]:
+                price = values[indices[j]]
+                if price <= budget:
+                    moves.append((k, i, j))
+                    revenue += price
+                    break
+            else:
+                moves.append((k, i, None))
+    return before.moved(moves, revenue)
 
 
 def assign_oracle(inst: Instance, grid: BudgetGrid, indices: Sequence[int]) -> Assignment:

@@ -10,9 +10,10 @@ displaced buyer has an equally-priced alternative to fall back on
 scan that retries every alternative price of every product.
 
 Every move but slack is one walk over products (:func:`_walk`): each step
-only names the grid levels it tries for a product. A trial re-evaluates the
-full instance and is reverted unless revenue strictly improves, so every
-operator here is revenue nondecreasing by construction.
+only names the grid levels it tries for a product. A trial changes one price
+and is one :func:`~rankprice.evaluate.assign` call that re-decides only the
+customers that change can touch; it is reverted unless revenue strictly
+improves, so every operator here is revenue nondecreasing by construction.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ STEP_LETTERS = "sfrco"
 
 @dataclass
 class LocalSearchStats:
-    """Kept and reverted trials per step; each trial is one full evaluation."""
+    """Kept and reverted trials per step; each trial is one ``assign`` call."""
 
     kept: Counter[str] = field(default_factory=Counter)
     reverted: Counter[str] = field(default_factory=Counter)
@@ -72,10 +73,11 @@ def _walk(
 
     ``levels(i, cur, cur_a)`` gives the grid indices to try for product i in
     the current state; it is asked when the walk reaches i, so it sees every
-    earlier kept trial. A trial prices one product at one grid index and
-    re-evaluates the instance; it is kept iff revenue strictly improves and
-    counted under ``step`` as kept or reverted. The price already held is
-    skipped without evaluation.
+    earlier kept trial. A trial prices one product at one grid index and is
+    evaluated by one ``assign`` call given the current state as its base, so
+    only the customers the move can touch are decided again; it is kept iff
+    revenue strictly improves and counted under ``step`` as kept or reverted.
+    The price already held is skipped without evaluation.
     """
     stats = stats or LocalSearchStats()
     cur, cur_a = list(indices), assignment
@@ -85,7 +87,7 @@ def _walk(
                 continue
             trial = list(cur)
             trial[i] = m
-            trial_a = assign(inst, grid, trial)
+            trial_a = assign(inst, grid, trial, (i, cur[i], cur_a))
             if trial_a.revenue > cur_a.revenue:
                 stats.kept[step] += 1
                 cur, cur_a = trial, trial_a
@@ -113,7 +115,7 @@ def slack(
         if i is not None:
             new[i] = grid.index_of(min(inst.budgets[k] for k in buyers))
     revenue = sum(grid.values[new[i]] for i in assignment.chosen if i is not None)
-    return tuple(new), assignment.repriced(revenue)
+    return tuple(new), assignment.moved((), revenue)
 
 
 def fill(

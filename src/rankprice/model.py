@@ -10,6 +10,7 @@ keeps neighborhood moves and mutations exact integer operations.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -56,6 +57,23 @@ class Instance:
             )
             order.append(tuple(ranked))
         return tuple(order)
+
+    @cached_property
+    def customers_by_budget(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per product, ``(budgets, customers)`` of those who want it, by ascending budget."""
+        index = []
+        for i in range(self.num_products):
+            wanting = sorted(
+                (b, k) for k, (b, row) in enumerate(zip(self.budgets, self.preferences))
+                if row[i] is not None
+            )
+            index.append((tuple(b for b, _ in wanting), tuple(k for _, k in wanting)))
+        return tuple(index)
+
+    def wanting_between(self, product: int, lo: int, hi: int) -> tuple[int, ...]:
+        """Customers who want ``product`` with ``lo <= budget < hi``, by ascending budget."""
+        budgets, customers = self.customers_by_budget[product]
+        return customers[bisect_left(budgets, lo):bisect_left(budgets, hi)]
 
     def to_dict(self) -> dict:
         return {
@@ -109,17 +127,49 @@ class Assignment:
         """Customers of each product bought, in customer order; ``None`` keys those buying nothing.
 
         Built once, on first read, and shared by every reader: do not mutate.
+        An assignment made by :meth:`moved` derives it from its origin's table.
         """
+        origin = self.__dict__.pop("_origin", None)
+        if origin is not None:
+            return _moved_table(*origin)
         table: dict[int | None, list[int]] = {}
         for k, i in enumerate(self.chosen):
             table.setdefault(i, []).append(k)
         return table
 
-    def repriced(self, revenue: int) -> "Assignment":
-        """The same purchases at another revenue, sharing this assignment's buyers table."""
-        out = Assignment(chosen=self.chosen, revenue=revenue)
-        out.__dict__["buyers"] = self.buyers
+    def moved(
+        self, moves: Sequence[tuple[int, int | None, int | None]], revenue: int
+    ) -> "Assignment":
+        """These purchases after each ``(customer, old, new)`` move, at ``revenue``.
+
+        With no moves the result shares this assignment's buyers table;
+        otherwise its table is derived from this one on first read, rebuilding
+        only the products whose buyers changed.
+        """
+        if not moves:
+            out = Assignment(chosen=self.chosen, revenue=revenue)
+            out.__dict__["buyers"] = self.buyers
+            return out
+        chosen = list(self.chosen)
+        for k, _, new in moves:
+            chosen[k] = new
+        out = Assignment(chosen=tuple(chosen), revenue=revenue)
+        out.__dict__["_origin"] = (self.buyers, moves)
         return out
+
+
+def _moved_table(table, moves) -> dict[int | None, list[int]]:
+    """``table`` after ``moves``, sharing the lists of every product no move touches."""
+    table = dict(table)
+    movers = {k for k, _, _ in moves}
+    for j in {old for _, old, _ in moves} | {new for _, _, new in moves}:
+        stay = [k for k in table.get(j, ()) if k not in movers]
+        customers = sorted(stay + [k for k, _, new in moves if new == j])
+        if customers:
+            table[j] = customers
+        else:
+            del table[j]
+    return table
 
 
 def validate_instance(raw: Mapping) -> Instance:

@@ -168,6 +168,7 @@ BAD_CONFIGS = {
     "bool-runs": lambda good: dict(good, runs=True),
     "fractional-runs": lambda good: dict(good, runs=2.7),
     "bool-base-seed": lambda good: dict(good, base_seed=False),
+    "naive-greedy": lambda good: dict(good, method="naive", init="greedy"),
     "string-points-limit": lambda good: dict(
         good, params=dict(good["params"], stop={"kind": "points", "limit": "50"})),
     "fractional-points-limit": lambda good: dict(
@@ -225,7 +226,8 @@ def _bad_instance(tmp_path, num_products, width=2):
                                   "num-products-fractional", "num-products-bool",
                                   "instance-not-utf8", "config-not-utf8",
                                   "instance-huge-integer", "config-huge-integer",
-                                  "instance-too-deep",
+                                  "instance-too-deep", "negative-prices", "zero-prices",
+                                  "solve-naive-greedy",
                                   *BAD_CONFIGS])
 def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys):
     missing_dir = tmp_path / "no-such-dir"
@@ -258,6 +260,11 @@ def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys):
                                             "--out", str(tmp_path / "out")],
             "non-integer-prices": lambda: ["eval", "--instance", table1_path,
                                            "--prices", "a,b"],
+            "negative-prices": lambda: ["eval", "--instance", table1_path, "--prices=-5,-5"],
+            "zero-prices": lambda: ["eval", "--instance", table1_path, "--prices=0,34"],
+            "solve-naive-greedy": lambda: ["solve", "--instance", table1_path,
+                                           "--method", "naive", "--init", "greedy",
+                                           "--out", str(tmp_path / "out")],
             "unwritable-lp": lambda: ["export-lp", "--instance", table1_path,
                                       "--out", str(missing_dir / "out.lp")],
             "unwritable-instance": lambda: ["gen", "--products", "2", "--customers", "4",

@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from rankprice import assign, assign_oracle, assign_prices, build_grid, validate_instance
+from rankprice import (
+    Assignment,
+    assign,
+    assign_oracle,
+    assign_prices,
+    build_grid,
+    validate_instance,
+)
 
 # Worked revenue values for the small instance, checked by hand.
 TABLE1_SPOT_VALUES = {
@@ -140,3 +147,63 @@ def test_oracle_equivalence_seeded_sweep():
         grid = build_grid(inst)
         indices = helpers.random_indices(grid, inst.num_products, rng)
         assert assign(inst, grid, indices) == assign_oracle(inst, grid, indices)
+
+
+# ------------------------------------------------------- one-product delta
+
+
+def _fresh(a):
+    """The same assignment with its buyers table built from scratch."""
+    return Assignment(chosen=a.chosen, revenue=a.revenue)
+
+
+def _delta_walk(inst, grid, indices, moves):
+    """Apply ``(product, level)`` moves one at a time through the delta path.
+
+    Yields ``(before, i, old_level, new_level, after)`` per move, each
+    ``after`` checked against the full path, the oracle and a freshly built
+    buyers table.
+    """
+    cur, cur_a = list(indices), assign(inst, grid, indices)
+    for i, level in moves:
+        trial = list(cur)
+        trial[i] = level
+        after = assign(inst, grid, trial, (i, cur[i], cur_a))
+        assert after == assign(inst, grid, trial) == assign_oracle(inst, grid, trial)
+        # Dict equality compares each product's buyer list in order.
+        assert after.buyers == _fresh(after).buyers
+        yield cur_a, i, cur[i], level, after
+        cur, cur_a = trial, after
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance_and_indices(), st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)),
+                                        min_size=1, max_size=6))
+def test_delta_path_equals_full_path_and_oracle(case, raw_moves):
+    # Chained moves: every delta after the first starts from a derived buyers table.
+    inst, grid, indices = case
+    moves = [(i % inst.num_products, m % grid.size) for i, m in raw_moves]
+    for _ in _delta_walk(inst, grid, indices, moves):
+        pass
+
+
+def test_delta_path_covers_every_kind_of_move():
+    rng = random.Random(20261018)
+    seen = dict.fromkeys(["raise", "cut", "same level", "unwanted product", "buyer lost",
+                          "buyer won", "buyer left for nothing", "nothing bought"], 0)
+    for _ in range(400):
+        inst = helpers.random_instance(rng.randrange(10**6), max_products=5, max_customers=10)
+        grid = build_grid(inst)
+        indices = helpers.random_indices(grid, inst.num_products, rng)
+        moves = [(rng.randrange(inst.num_products), rng.randrange(grid.size)) for _ in range(4)]
+        for before, i, old, new, after in _delta_walk(inst, grid, indices, moves):
+            seen["raise"] += new > old
+            seen["cut"] += new < old
+            seen["same level"] += new == old
+            seen["unwanted product"] += all(row[i] is None for row in inst.preferences)
+            pairs = list(zip(before.chosen, after.chosen))
+            seen["buyer lost"] += any(b == i != a for b, a in pairs)
+            seen["buyer won"] += any(b != i == a for b, a in pairs)
+            seen["buyer left for nothing"] += (i, None) in pairs
+            seen["nothing bought"] += None in before.chosen and None in after.chosen
+    assert all(seen.values()), seen

@@ -125,6 +125,16 @@ def test_preference_order(table1, table1_mod):
     assert table1_mod.preference_order[4] == (0,)
 
 
+def test_customers_by_budget(table1_mod):
+    # customer 4 cannot buy product 1; equal budgets keep customer order
+    budgets, customers = table1_mod.customers_by_budget[1]
+    assert budgets == (18, 27, 34, 42, 42, 50, 66)
+    assert customers == (0, 2, 3, 6, 7, 5, 1)
+    assert table1_mod.wanting_between(1, 34, 66) == (3, 6, 7, 5)
+    assert table1_mod.wanting_between(0, 66, 67) == (1, 4)
+    assert table1_mod.wanting_between(0, 20, 20) == ()
+
+
 def test_buyers_partition_customers_in_order():
     rng = random.Random(5)
     for seed in range(200):

@@ -358,7 +358,7 @@ def test_vns_time_limit_stops():
 
 
 def test_vns_time_limit_overrun_is_one_refined_vector(monkeypatch):
-    # The clock ticks once per full evaluation, in the search and in the
+    # The clock ticks once per assign call, in the search and in the
     # local search alike, so refining a whole batch past the deadline would
     # overrun by hundreds of ticks.
     ticks = [0]

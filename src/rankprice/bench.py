@@ -147,6 +147,10 @@ class ExperimentConfig:
             raise RankPriceError(f"unknown method {self.method!r}")
         if self.method == "naive" and self.init == GREEDY:
             raise RankPriceError("method naive draws every vector at random; init greedy is unused")
+        if self.method == "naive" and self.params.stop == StopRule.iterations(0):
+            raise RankPriceError(
+                "method naive has no initial population; an iterations limit of 0 evaluates nothing"
+            )
         if self.runs < 1:
             raise RankPriceError("runs must be at least 1")
 

@@ -14,11 +14,19 @@ only names the grid levels it tries for a product. A trial changes one price
 and is one :func:`~rankprice.evaluate.assign` call that re-decides only the
 customers that change can touch; it is reverted unless revenue strictly
 improves, so every operator here is revenue nondecreasing by construction.
+
+A state's purchases are its assignment's ``chosen``; no buyers table is
+kept. Fill, reassignment and conditional reassignment find a product's
+cheapest buyers, or the cheapest customer who buys nothing and wants it, by
+scanning ``Instance.customers_by_budget`` from the product's price
+(:func:`_cheapest`). Slack finds every cheapest buyer in one pass over the
+customers.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -96,9 +104,25 @@ def _walk(
     return tuple(cur), cur_a
 
 
-def _second_budget(inst: Instance, grid: BudgetGrid, buyers: Sequence[int]) -> int:
-    """The grid index of the second-cheapest budget among two or more ``buyers``."""
-    return grid.index_of(sorted(inst.budgets[k] for k in buyers)[1])
+def _cheapest(
+    inst: Instance, chosen: Sequence[int | None], i: int, price: int, of: int | None, count: int
+) -> list[int]:
+    """Up to ``count`` customers who want product i and chose ``of``, by ascending budget.
+
+    Reads ``inst.customers_by_budget[i]``. When ``of`` is i these are i's
+    buyers, who all afford ``price``, so the scan starts at the first budget
+    not below it. When ``of`` is ``None`` they buy nothing, so none affords
+    ``price`` and the scan stops below it. Equal budgets come in customer order.
+    """
+    budgets, customers = inst.customers_by_budget[i]
+    cut = bisect_left(budgets, price)
+    found = []
+    for k in customers[cut:] if of == i else customers[:cut]:
+        if chosen[k] == of:
+            found.append(k)
+            if len(found) == count:
+                break
+    return found
 
 
 def slack(
@@ -108,14 +132,18 @@ def slack(
 
     Every current buyer can still afford the product and nobody else's
     choice is touched, so the purchase pattern is unchanged and revenue can
-    only grow. Idempotent.
+    only grow. Idempotent. Every sold product is raised at once, so one pass
+    over the customers finds all cheapest buyers.
     """
+    lowest: dict[int, int] = {}
+    for budget, i in zip(inst.budgets, assignment.chosen):
+        if i is not None and (i not in lowest or budget < lowest[i]):
+            lowest[i] = budget
     new = list(indices)
-    for i, buyers in assignment.buyers.items():
-        if i is not None:
-            new[i] = grid.index_of(min(inst.budgets[k] for k in buyers))
+    for i, budget in lowest.items():
+        new[i] = grid.index_of(budget)
     revenue = sum(grid.values[new[i]] for i in assignment.chosen if i is not None)
-    return tuple(new), assignment.moved((), revenue)
+    return tuple(new), Assignment(chosen=assignment.chosen, revenue=revenue)
 
 
 def fill(
@@ -135,11 +163,10 @@ def fill(
     """
 
     def levels(i, cur, cur_a):
-        if i in cur_a.buyers:
+        if i in cur_a.chosen:
             return []
-        unassigned = cur_a.buyers.get(None, ())
-        pool = [inst.budgets[k] for k in unassigned if inst.preferences[k][i] is not None]
-        return [grid.index_of(min(pool))] if pool else []
+        pool = _cheapest(inst, cur_a.chosen, i, grid.values[cur[i]], None, 1)
+        return [grid.index_of(inst.budgets[pool[0]])] if pool else []
 
     return _walk(inst, grid, indices, assignment, "f", range(inst.num_products), levels, stats)
 
@@ -159,8 +186,10 @@ def reassignment(
     """
 
     def levels(i, cur, cur_a):
-        buyers = cur_a.buyers.get(i, ())
-        return [_second_budget(inst, grid, buyers)] if len(buyers) > 1 else []
+        if cur_a.chosen.count(i) < 2:
+            return []
+        _, second = _cheapest(inst, cur_a.chosen, i, grid.values[cur[i]], i, 2)
+        return [grid.index_of(inst.budgets[second])]
 
     return _walk(inst, grid, indices, assignment, "r", range(inst.num_products), levels, stats)
 
@@ -183,19 +212,16 @@ def conditional_reassignment(
     """
 
     def levels(i, cur, cur_a):
-        buyers = cur_a.buyers.get(i, ())
-        if len(buyers) < 2:
+        if cur_a.chosen.count(i) < 2:
             return []
-        # Every buyer affords the price, so the poorest pays it exactly iff
-        # some buyer's budget equals it; the first such buyer is the poorest.
         m = cur[i]
         price = grid.values[m]
-        poorest = next((k for k in buyers if inst.budgets[k] == price), None)
-        if poorest is None or not any(
+        poorest, second = _cheapest(inst, cur_a.chosen, i, price, i, 2)
+        if inst.budgets[poorest] != price or not any(
             j != i and cur[j] == m for j in inst.preference_order[poorest]
         ):
             return []
-        return [_second_budget(inst, grid, buyers)]
+        return [grid.index_of(inst.budgets[second])]
 
     return _walk(inst, grid, indices, assignment, "c", range(inst.num_products), levels, stats)
 

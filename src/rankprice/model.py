@@ -117,59 +117,12 @@ class Assignment:
     """Per-customer purchase decision plus the resulting total revenue.
 
     ``chosen[k]`` is the product bought by customer k (0-based) or ``None``.
+    The buyers of a product are read from ``chosen`` together with
+    :attr:`Instance.customers_by_budget`; no other table is kept.
     """
 
     chosen: tuple[int | None, ...]
     revenue: int
-
-    @cached_property
-    def buyers(self) -> dict[int | None, list[int]]:
-        """Customers of each product bought, in customer order; ``None`` keys those buying nothing.
-
-        Built once, on first read, and shared by every reader: do not mutate.
-        An assignment made by :meth:`moved` derives it from its origin's table.
-        """
-        origin = self.__dict__.pop("_origin", None)
-        if origin is not None:
-            return _moved_table(*origin)
-        table: dict[int | None, list[int]] = {}
-        for k, i in enumerate(self.chosen):
-            table.setdefault(i, []).append(k)
-        return table
-
-    def moved(
-        self, moves: Sequence[tuple[int, int | None, int | None]], revenue: int
-    ) -> "Assignment":
-        """These purchases after each ``(customer, old, new)`` move, at ``revenue``.
-
-        With no moves the result shares this assignment's buyers table;
-        otherwise its table is derived from this one on first read, rebuilding
-        only the products whose buyers changed.
-        """
-        if not moves:
-            out = Assignment(chosen=self.chosen, revenue=revenue)
-            out.__dict__["buyers"] = self.buyers
-            return out
-        chosen = list(self.chosen)
-        for k, _, new in moves:
-            chosen[k] = new
-        out = Assignment(chosen=tuple(chosen), revenue=revenue)
-        out.__dict__["_origin"] = (self.buyers, moves)
-        return out
-
-
-def _moved_table(table, moves) -> dict[int | None, list[int]]:
-    """``table`` after ``moves``, sharing the lists of every product no move touches."""
-    table = dict(table)
-    movers = {k for k, _, _ in moves}
-    for j in {old for _, old, _ in moves} | {new for _, _, new in moves}:
-        stay = [k for k in table.get(j, ()) if k not in movers]
-        customers = sorted(stay + [k for k, _, new in moves if new == j])
-        if customers:
-            table[j] = customers
-        else:
-            del table[j]
-    return table
 
 
 def validate_instance(raw: Mapping) -> Instance:

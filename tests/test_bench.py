@@ -326,6 +326,16 @@ def test_config_rejects_ill_typed_fields(table1_path, key, value, message):
         config_from_dict(dict(raw, **{key: value}))
 
 
+def test_config_rejects_naive_with_no_iterations(table1_path):
+    # naive has no initial population, so zero iterations would evaluate nothing
+    raw = {"instance_path": str(table1_path), "method": "naive", "runs": 1,
+           "params": {"stop": {"kind": "iterations", "limit": 0}}}
+    with pytest.raises(RankPriceError, match="iterations limit of 0"):
+        config_from_dict(raw)
+    raw["params"]["stop"]["limit"] = 1
+    assert config_from_dict(raw).params.stop == StopRule.iterations(1)
+
+
 def test_params_from_dict_defaults():
     params = params_from_dict({"l0": 10, "q": 2, "t": 5})
     assert params.stop == StopRule.point_budget(24000)

@@ -227,7 +227,7 @@ def _bad_instance(tmp_path, num_products, width=2):
                                   "instance-not-utf8", "config-not-utf8",
                                   "instance-huge-integer", "config-huge-integer",
                                   "instance-too-deep", "negative-prices", "zero-prices",
-                                  "solve-naive-greedy",
+                                  "solve-naive-greedy", "solve-naive-no-iterations",
                                   *BAD_CONFIGS])
 def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys):
     missing_dir = tmp_path / "no-such-dir"
@@ -265,6 +265,9 @@ def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys):
             "solve-naive-greedy": lambda: ["solve", "--instance", table1_path,
                                            "--method", "naive", "--init", "greedy",
                                            "--out", str(tmp_path / "out")],
+            "solve-naive-no-iterations": lambda: ["solve", "--instance", table1_path,
+                                                  "--method", "naive", "--iterations", "0",
+                                                  "--out", str(tmp_path / "out")],
             "unwritable-lp": lambda: ["export-lp", "--instance", table1_path,
                                       "--out", str(missing_dir / "out.lp")],
             "unwritable-instance": lambda: ["gen", "--products", "2", "--customers", "4",

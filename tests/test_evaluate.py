@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import helpers
 from rankprice import (
-    Assignment,
     assign,
     assign_oracle,
     assign_prices,
@@ -40,8 +39,7 @@ def test_spot_value_modified_instance(table1_mod):
 
 def test_buyers_at_34_34(table1, table1_grid):
     a = assign(table1, table1_grid, table1_grid.indices_of((34, 34)))
-    assert a.buyers[0] == [1, 5, 6]
-    assert a.buyers[1] == [3, 4, 7]
+    assert a.chosen == (None, 0, None, 1, 1, 0, 0, 1)
 
 
 def test_unaffordable_everywhere_sells_nothing(table1):
@@ -152,17 +150,11 @@ def test_oracle_equivalence_seeded_sweep():
 # ------------------------------------------------------- one-product delta
 
 
-def _fresh(a):
-    """The same assignment with its buyers table built from scratch."""
-    return Assignment(chosen=a.chosen, revenue=a.revenue)
-
-
 def _delta_walk(inst, grid, indices, moves):
     """Apply ``(product, level)`` moves one at a time through the delta path.
 
     Yields ``(before, i, old_level, new_level, after)`` per move, each
-    ``after`` checked against the full path, the oracle and a freshly built
-    buyers table.
+    ``after`` checked against the full path and the oracle.
     """
     cur, cur_a = list(indices), assign(inst, grid, indices)
     for i, level in moves:
@@ -170,8 +162,6 @@ def _delta_walk(inst, grid, indices, moves):
         trial[i] = level
         after = assign(inst, grid, trial, (i, cur[i], cur_a))
         assert after == assign(inst, grid, trial) == assign_oracle(inst, grid, trial)
-        # Dict equality compares each product's buyer list in order.
-        assert after.buyers == _fresh(after).buyers
         yield cur_a, i, cur[i], level, after
         cur, cur_a = trial, after
 
@@ -180,7 +170,7 @@ def _delta_walk(inst, grid, indices, moves):
 @given(instance_and_indices(), st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)),
                                         min_size=1, max_size=6))
 def test_delta_path_equals_full_path_and_oracle(case, raw_moves):
-    # Chained moves: every delta after the first starts from a derived buyers table.
+    # Chained moves: every delta after the first starts from a delta-built assignment.
     inst, grid, indices = case
     moves = [(i % inst.num_products, m % grid.size) for i, m in raw_moves]
     for _ in _delta_walk(inst, grid, indices, moves):

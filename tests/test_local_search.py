@@ -46,12 +46,6 @@ def test_slack_worked_example(table1, table1_grid):
     assert out_a.chosen == a.chosen
 
 
-def test_slack_keeps_the_buyers_table(table1, table1_grid):
-    # slack never changes a purchase, so fill after it reuses the same table
-    indices, a = state_for(table1, table1_grid, (34, 34))
-    assert slack(table1, table1_grid, indices, a)[1].buyers is a.buyers
-
-
 def test_slack_fixed_point(table1, table1_grid):
     indices, a = state_for(table1, table1_grid, (42, 34))
     assert slack(table1, table1_grid, indices, a) == (indices, a)
@@ -96,7 +90,7 @@ def test_reassignment_skips_single_buyer():
     )
     grid = build_grid(inst)
     indices, a = state_for(inst, grid, (10, 20))
-    assert a.buyers == {0: [0], 1: [1]}
+    assert a.chosen == (0, 1)
     assert reassignment(inst, grid, indices, a) == (indices, a)
 
 
@@ -183,6 +177,56 @@ def test_all_steps_keep_revenue_and_consistency():
         assert o_a == assign(inst, grid, o_idx)
         reverts_seen += stats.total_reverted
     assert reverts_seen > 0  # the guards do fire on random inputs
+
+
+def _levels_tried(op, inst, grid, indices, a, monkeypatch):
+    """Per product, the levels ``op`` would try in the state ``(indices, a)``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(rankprice.local_search, "_walk", lambda *args: args[6])
+        levels = op(inst, grid, indices, a)
+    return [list(levels(i, list(indices), a)) for i in range(inst.num_products)]
+
+
+def _literal_levels(inst, grid, indices, a, i):
+    """``(f, r, c)`` levels for product i, read off ``a.chosen`` without the budget index."""
+    price = grid.values[indices[i]]
+    buyers = sorted((inst.budgets[k], k) for k, c in enumerate(a.chosen) if c == i)
+    pool = [inst.budgets[k] for k, c in enumerate(a.chosen)
+            if c is None and inst.preferences[k][i] is not None]
+    f = [grid.index_of(min(pool))] if pool and not buyers else []
+    r = [grid.index_of(buyers[1][0])] if len(buyers) > 1 else []
+    fallback = r and buyers[0][0] == price and any(
+        j != i and indices[j] == indices[i] and inst.preferences[buyers[0][1]][j] is not None
+        for j in range(inst.num_products)
+    )
+    return f, r, r if fallback else []
+
+
+def test_scan_bounds_match_a_literal_reading_of_chosen(monkeypatch):
+    # Tied budgets put buyers exactly at the price, most of all after slack:
+    # a buyer scan that started above the price would miss them.
+    rng = random.Random(1618)
+    at_price = states = 0
+    while states < 300:
+        inst = helpers.random_instance(rng.randrange(10**6), max_products=5, max_customers=12,
+                                       budget=(5, 12))
+        if len(set(inst.budgets)) == inst.num_customers:
+            continue
+        grid = build_grid(inst)
+        indices = helpers.random_indices(grid, inst.num_products, rng)
+        raw = (indices, assign(inst, grid, indices))
+        for indices, a in (raw, slack(inst, grid, *raw)):
+            states += 1
+            tried = [_levels_tried(op, inst, grid, indices, a, monkeypatch)
+                     for op in (fill, reassignment, conditional_reassignment)]
+            slacked = slack(inst, grid, indices, a)[0]
+            for i in range(inst.num_products):
+                assert tuple(step[i] for step in tried) == _literal_levels(inst, grid, indices, a, i)
+                budgets = [inst.budgets[k] for k, c in enumerate(a.chosen) if c == i]
+                cheapest = grid.index_of(min(budgets)) if budgets else indices[i]
+                assert slacked[i] == cheapest
+                at_price += grid.values[indices[i]] in budgets
+    assert at_price > states
 
 
 def test_every_trial_is_counted_kept_or_reverted(monkeypatch):

@@ -12,7 +12,6 @@ from rankprice import (
     InstanceReadError,
     NonPositiveBudget,
     TiedPreferences,
-    assign,
     build_grid,
     load_instance,
     save_instance,
@@ -133,17 +132,3 @@ def test_customers_by_budget(table1_mod):
     assert table1_mod.wanting_between(1, 34, 66) == (3, 6, 7, 5)
     assert table1_mod.wanting_between(0, 66, 67) == (1, 4)
     assert table1_mod.wanting_between(0, 20, 20) == ()
-
-
-def test_buyers_partition_customers_in_order():
-    rng = random.Random(5)
-    for seed in range(200):
-        inst = helpers.random_instance(seed)
-        grid = build_grid(inst)
-        a = assign(inst, grid, helpers.random_indices(grid, inst.num_products, rng))
-        assert set(a.buyers) == set(a.chosen)
-        grouped = sorted(k for customers in a.buyers.values() for k in customers)
-        assert grouped == list(range(inst.num_customers))
-        for i, customers in a.buyers.items():
-            assert customers == sorted(customers)
-            assert all(a.chosen[k] == i for k in customers)

@@ -16,9 +16,16 @@ customers that change can touch; it is reverted unless revenue strictly
 improves, so every operator here is revenue nondecreasing by construction.
 
 A state's purchases are its assignment's ``chosen``; no buyers table is
-kept. Fill, reassignment and conditional reassignment find a product's
-cheapest buyers, or the cheapest customer who buys nothing and wants it, by
-scanning ``Instance.customers_by_budget`` from the product's price
+kept. Each walk keeps a small state for the vector it refines
+(:class:`_Walk`): the buyer count of every product, built with one pass over
+``chosen``, and, once conditional reassignment asks for it, the products
+priced at each grid level. Both are updated on kept trials only, for the
+customers the trial re-decided. Fill considers only unsold products and
+both reassignments only products with two buyers or more, by that count
+read when the walk reaches the product. Fill, reassignment and
+conditional reassignment find a product's cheapest buyers, or the cheapest
+customer who buys nothing and wants it, by scanning
+``Instance.customers_by_budget`` from the product's price
 (:func:`_cheapest`). Slack finds every cheapest buyer in one pass over the
 customers.
 """
@@ -67,6 +74,69 @@ def parse_pipeline(letters: Sequence[str]) -> tuple[str, ...]:
     return steps
 
 
+class _Walk:
+    """The vector a walk refines, with its buyer counts and a level index.
+
+    ``sold[i]`` is the number of customers who buy product i. ``at_level[m]``
+    is the set of products priced at grid index m; it is built on the first
+    :meth:`priced_at` call, and stays ``None`` in a walk that never asks.
+    :meth:`try_price` keeps both current.
+    """
+
+    __slots__ = ("inst", "grid", "cur", "assignment", "sold", "at_level")
+
+    def __init__(
+        self,
+        inst: Instance,
+        grid: BudgetGrid,
+        indices: PriceIndices,
+        assignment: Assignment,
+    ):
+        self.inst, self.grid = inst, grid
+        self.cur, self.assignment = list(indices), assignment
+        self.sold = sold = [0] * inst.num_products
+        for i in assignment.chosen:
+            if i is not None:
+                sold[i] += 1
+        self.at_level: list[set[int]] | None = None
+
+    def priced_at(self, m: int) -> set[int]:
+        """The products currently priced at grid index m."""
+        if self.at_level is None:
+            self.at_level = [set() for _ in range(self.grid.size)]
+            for i, level in enumerate(self.cur):
+                self.at_level[level].add(i)
+        return self.at_level[m]
+
+    def try_price(self, i: int, m: int) -> bool:
+        """Price product i at grid index m if that strictly raises revenue.
+
+        One ``assign`` call given the current state as its base. Only the
+        customers who want i with a budget between its old and new price are
+        decided again, so only their choices can move a buyer count.
+        """
+        cur, before = self.cur, self.assignment
+        old = cur[i]
+        trial = list(cur)
+        trial[i] = m
+        after = assign(self.inst, self.grid, trial, (i, old, before))
+        if after.revenue <= before.revenue:
+            return False
+        lo, hi = sorted((self.grid.values[old], self.grid.values[m]))
+        sold, was, now = self.sold, before.chosen, after.chosen
+        for k in self.inst.wanting_between(i, lo, hi):
+            if was[k] != now[k]:
+                if was[k] is not None:
+                    sold[was[k]] -= 1
+                if now[k] is not None:
+                    sold[now[k]] += 1
+        if self.at_level is not None:
+            self.at_level[old].remove(i)
+            self.at_level[m].add(i)
+        self.cur, self.assignment = trial, after
+        return True
+
+
 def _walk(
     inst: Instance,
     grid: BudgetGrid,
@@ -74,34 +144,31 @@ def _walk(
     assignment: Assignment,
     step: str,
     products: Iterable[int],
-    levels: Callable[[int, list[int], Assignment], Iterable[int]],
+    levels: Callable[[int, _Walk], Iterable[int]],
     stats: LocalSearchStats | None,
 ) -> tuple[PriceIndices, Assignment]:
     """Try each product in ``products`` at each of its ``levels``; keep strict improvements.
 
-    ``levels(i, cur, cur_a)`` gives the grid indices to try for product i in
-    the current state; it is asked when the walk reaches i, so it sees every
-    earlier kept trial. A trial prices one product at one grid index and is
-    evaluated by one ``assign`` call given the current state as its base, so
-    only the customers the move can touch are decided again; it is kept iff
-    revenue strictly improves and counted under ``step`` as kept or reverted.
-    The price already held is skipped without evaluation.
+    ``levels(i, walk)`` gives the grid indices to try for product i in the
+    current state; it is asked when the walk reaches i, so it sees every
+    earlier kept trial, and a step that considers only some products tests
+    ``walk.sold[i]`` first. A trial prices one product at one grid index and
+    is one :meth:`_Walk.try_price`, so one ``assign`` call that decides
+    again only the customers the move can touch; it is counted under
+    ``step`` as kept or reverted. The price already held is skipped without
+    evaluation.
     """
     stats = stats or LocalSearchStats()
-    cur, cur_a = list(indices), assignment
+    walk = _Walk(inst, grid, indices, assignment)
     for i in products:
-        for m in levels(i, cur, cur_a):
-            if m == cur[i]:
+        for m in levels(i, walk):
+            if m == walk.cur[i]:
                 continue
-            trial = list(cur)
-            trial[i] = m
-            trial_a = assign(inst, grid, trial, (i, cur[i], cur_a))
-            if trial_a.revenue > cur_a.revenue:
+            if walk.try_price(i, m):
                 stats.kept[step] += 1
-                cur, cur_a = trial, trial_a
             else:
                 stats.reverted[step] += 1
-    return tuple(cur), cur_a
+    return tuple(walk.cur), walk.assignment
 
 
 def _cheapest(
@@ -162,10 +229,10 @@ def fill(
     index order, each seeing the effects of earlier kept moves.
     """
 
-    def levels(i, cur, cur_a):
-        if i in cur_a.chosen:
+    def levels(i, walk):
+        if walk.sold[i]:
             return []
-        pool = _cheapest(inst, cur_a.chosen, i, grid.values[cur[i]], None, 1)
+        pool = _cheapest(inst, walk.assignment.chosen, i, grid.values[walk.cur[i]], None, 1)
         return [grid.index_of(inst.budgets[pool[0]])] if pool else []
 
     return _walk(inst, grid, indices, assignment, "f", range(inst.num_products), levels, stats)
@@ -185,10 +252,10 @@ def reassignment(
     :func:`slack` first). Products handled in ascending index order.
     """
 
-    def levels(i, cur, cur_a):
-        if cur_a.chosen.count(i) < 2:
+    def levels(i, walk):
+        if walk.sold[i] < 2:
             return []
-        _, second = _cheapest(inst, cur_a.chosen, i, grid.values[cur[i]], i, 2)
+        _, second = _cheapest(inst, walk.assignment.chosen, i, grid.values[walk.cur[i]], i, 2)
         return [grid.index_of(inst.budgets[second])]
 
     return _walk(inst, grid, indices, assignment, "r", range(inst.num_products), levels, stats)
@@ -211,14 +278,15 @@ def conditional_reassignment(
     Expects slack-free prices.
     """
 
-    def levels(i, cur, cur_a):
-        if cur_a.chosen.count(i) < 2:
+    def levels(i, walk):
+        if walk.sold[i] < 2:
             return []
-        m = cur[i]
+        m = walk.cur[i]
         price = grid.values[m]
-        poorest, second = _cheapest(inst, cur_a.chosen, i, price, i, 2)
+        poorest, second = _cheapest(inst, walk.assignment.chosen, i, price, i, 2)
+        wants = inst.preferences[poorest]
         if inst.budgets[poorest] != price or not any(
-            j != i and cur[j] == m for j in inst.preference_order[poorest]
+            j != i and wants[j] is not None for j in walk.priced_at(m)
         ):
             return []
         return [grid.index_of(inst.budgets[second])]

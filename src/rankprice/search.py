@@ -435,10 +435,16 @@ def vns_search(
 
     def propose():
         elites = select_elites(pop, params.q)
+        # Elite slots and the radius stay fixed while a batch is drawn, and
+        # building a box draws nothing, so each elite's box is built once.
+        boxes: dict[int, Neighborhood] = {}
 
         def candidate():
-            center = pop[run.rng.choice(elites)][0]
-            return neighborhood(grid, center, radius).sample(run.rng)
+            slot = run.rng.choice(elites)
+            box = boxes.get(slot)
+            if box is None:
+                box = boxes[slot] = neighborhood(grid, pop[slot][0], radius)
+            return box.sample(run.rng)
 
         return candidate
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -180,11 +181,16 @@ def test_all_steps_keep_revenue_and_consistency():
 
 
 def _levels_tried(op, inst, grid, indices, a, monkeypatch):
-    """Per product, the levels ``op`` would try in the state ``(indices, a)``."""
+    """Per product, the levels ``op`` would try in the state ``(indices, a)``.
+
+    ``levels`` applies the step's buyer-count test first, on the counts a
+    walk starting from this state holds.
+    """
     with monkeypatch.context() as patch:
         patch.setattr(rankprice.local_search, "_walk", lambda *args: args[6])
         levels = op(inst, grid, indices, a)
-    return [list(levels(i, list(indices), a)) for i in range(inst.num_products)]
+    walk = rankprice.local_search._Walk(inst, grid, indices, a)
+    return [list(levels(i, walk)) for i in range(inst.num_products)]
 
 
 def _literal_levels(inst, grid, indices, a, i):
@@ -227,6 +233,46 @@ def test_scan_bounds_match_a_literal_reading_of_chosen(monkeypatch):
                 assert slacked[i] == cheapest
                 at_price += grid.values[indices[i]] in budgets
     assert at_price > states
+
+
+def test_walk_state_matches_a_recount(monkeypatch):
+    # After every trial, kept or reverted, the walk's buyer counts equal a
+    # count over ``chosen`` and its level index groups the current prices.
+    walk_class = rankprice.local_search._Walk
+    real_try = walk_class.try_price
+    seen = Counter()
+
+    def checked(walk, i, m):
+        kept = real_try(walk, i, m)
+        seen["kept" if kept else "reverted"] += 1
+        chosen = walk.assignment.chosen
+        assert walk.assignment == assign(walk.inst, walk.grid, walk.cur)
+        assert walk.sold == [chosen.count(j) for j in range(walk.inst.num_products)]
+        if walk.at_level is not None:
+            seen["level_index"] += 1
+            assert walk.at_level == [{j for j, at in enumerate(walk.cur) if at == level}
+                                     for level in range(walk.grid.size)]
+        return kept
+
+    monkeypatch.setattr(walk_class, "try_price", checked)
+    rng = random.Random(1729)
+    ops = (fill, reassignment, conditional_reassignment,
+           lambda *state: opt_based(*state, rng=rng))
+    for _ in range(300):
+        inst = helpers.random_instance(rng.randrange(10**6), max_products=5, max_customers=12,
+                                       budget=(5, 12))
+        grid = build_grid(inst)
+        indices = helpers.random_indices(grid, inst.num_products, rng)
+        raw = (indices, assign(inst, grid, indices))
+        seen["tied"] += len(set(inst.budgets)) < inst.num_customers
+        seen["unwanted"] += any(set(wants) == {None} for wants in zip(*inst.preferences))
+        for state in (raw, slack(inst, grid, *raw)):
+            for op in ops:
+                before = seen["kept"] + seen["reverted"]
+                out, out_a = op(inst, grid, *state)
+                assert out_a == assign(inst, grid, out)
+                seen[op] += seen["kept"] + seen["reverted"] > before
+    assert all(seen[key] > 0 for key in ("kept", "reverted", "level_index", "tied", "unwanted", *ops))
 
 
 def test_every_trial_is_counted_kept_or_reverted(monkeypatch):

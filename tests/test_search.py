@@ -346,6 +346,32 @@ def test_vns_radius_grows_then_caps(table1, table1_grid, monkeypatch):
     assert radii[-1] == table1_grid.size - 1
 
 
+def test_vns_builds_each_elite_box_once_per_batch(monkeypatch):
+    inst = generate_instance(6, 20, (5, 40), 0.7, seed=3)
+    grid = build_grid(inst)
+    for q, t in ((3, 12), (8, 4)):
+        p = params(l0=20, q=q, t=t, stop=StopRule.point_budget(200), seed=5)
+        expected = vns_search(inst, grid, p, pipeline="sfrc", clock=FROZEN_CLOCK)
+        batches = []
+
+        def counting_elites(population, q):
+            batches.append(0)
+            return select_elites(population, q)
+
+        def counting_boxes(grid, indices, radius):
+            batches[-1] += 1
+            return neighborhood(grid, indices, radius)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(rankprice.search, "select_elites", counting_elites)
+            patch.setattr(rankprice.search, "neighborhood", counting_boxes)
+            res = vns_search(inst, grid, p, pipeline="sfrc", clock=FROZEN_CLOCK)
+        assert len(batches) == res.iterations > 0
+        assert 0 < max(batches) <= min(q, t)
+        assert (res.trace, res.best_indices, res.best_value, res.population) == (
+            expected.trace, expected.best_indices, expected.best_value, expected.population)
+
+
 def test_vns_time_limit_stops():
     inst = helpers.table1()
     grid = build_grid(inst)

@@ -140,6 +140,8 @@ class ExperimentConfig:
             raise RankPriceError(f"instance_path must be a string, got {self.instance_path!r}")
         if not isinstance(self.out_dir, (str, PathLike, type(None))):
             raise RankPriceError(f"out_dir must be a string or null, got {self.out_dir!r}")
+        if self.out_dir == "":
+            raise RankPriceError("out_dir must not be empty; use null to write no CSVs")
         if not isinstance(self.pipeline, str):
             raise RankPriceError(f"pipeline must be a string, got {self.pipeline!r}")
         parse_pipeline(self.pipeline)
@@ -183,6 +185,8 @@ def percentile(values: Sequence[float], q: float):
     """Nearest-rank percentile of a nonempty sample (q in (0, 100])."""
     if not values:
         raise EmptyInput("percentile of an empty sample")
+    if not 0 < q <= 100:
+        raise InvalidRange(f"percentile q must be in (0, 100], got {q}")
     ordered = sorted(values)
     rank = max(1, ceil(q / 100.0 * len(ordered)))
     return ordered[rank - 1]

@@ -15,11 +15,9 @@ and is one :func:`~rankprice.evaluate.assign` call that re-decides only the
 customers that change can touch; it is reverted unless revenue strictly
 improves, so every operator here is revenue nondecreasing by construction.
 
-A state's purchases are its assignment's ``chosen``; no buyers table is
-kept. Each walk keeps a small state for the vector it refines
-(:class:`_Walk`): the buyer count of every product, built with one pass over
-``chosen``, and, once conditional reassignment asks for it, the products
-priced at each grid level. Both are updated on kept trials only, for the
+A state's purchases are its assignment's ``chosen``. Each walk also keeps
+the buyer count of every product for the vector it refines (:class:`_Walk`),
+built with one pass over ``chosen`` and updated on kept trials only, for the
 customers the trial re-decided. Fill considers only unsold products and
 both reassignments only products with two buyers or more, by that count
 read when the walk reaches the product. Fill, reassignment and
@@ -75,15 +73,13 @@ def parse_pipeline(letters: Sequence[str]) -> tuple[str, ...]:
 
 
 class _Walk:
-    """The vector a walk refines, with its buyer counts and a level index.
+    """The vector a walk refines, with its buyer counts.
 
-    ``sold[i]`` is the number of customers who buy product i. ``at_level[m]``
-    is the set of products priced at grid index m; it is built on the first
-    :meth:`priced_at` call, and stays ``None`` in a walk that never asks.
-    :meth:`try_price` keeps both current.
+    ``sold[i]`` is the number of customers who buy product i;
+    :meth:`try_price` keeps it current.
     """
 
-    __slots__ = ("inst", "grid", "cur", "assignment", "sold", "at_level")
+    __slots__ = ("inst", "grid", "cur", "assignment", "sold")
 
     def __init__(
         self,
@@ -98,15 +94,6 @@ class _Walk:
         for i in assignment.chosen:
             if i is not None:
                 sold[i] += 1
-        self.at_level: list[set[int]] | None = None
-
-    def priced_at(self, m: int) -> set[int]:
-        """The products currently priced at grid index m."""
-        if self.at_level is None:
-            self.at_level = [set() for _ in range(self.grid.size)]
-            for i, level in enumerate(self.cur):
-                self.at_level[level].add(i)
-        return self.at_level[m]
 
     def try_price(self, i: int, m: int) -> bool:
         """Price product i at grid index m if that strictly raises revenue.
@@ -130,9 +117,6 @@ class _Walk:
                     sold[was[k]] -= 1
                 if now[k] is not None:
                     sold[now[k]] += 1
-        if self.at_level is not None:
-            self.at_level[old].remove(i)
-            self.at_level[m].add(i)
         self.cur, self.assignment = trial, after
         return True
 
@@ -281,13 +265,17 @@ def conditional_reassignment(
     def levels(i, walk):
         if walk.sold[i] < 2:
             return []
-        m = walk.cur[i]
+        cur = walk.cur
+        m = cur[i]
         price = grid.values[m]
         poorest, second = _cheapest(inst, walk.assignment.chosen, i, price, i, 2)
-        wants = inst.preferences[poorest]
-        if inst.budgets[poorest] != price or not any(
-            j != i and wants[j] is not None for j in walk.priced_at(m)
-        ):
+        if inst.budgets[poorest] != price:
+            return []
+        # The poorest buyer affords every product at i's price and bought i,
+        # the first affordable one in their ranking, so a fallback priced
+        # there ranks below i.
+        ranked = inst.preference_order[poorest]
+        if not any(cur[j] == m for j in ranked[ranked.index(i) + 1:]):
             return []
         return [grid.index_of(inst.budgets[second])]
 

@@ -99,6 +99,12 @@ def test_percentile_empty_raises():
         percentile([], 50)
 
 
+@pytest.mark.parametrize("q", [150, 100.5, 0, -5, float("nan")])
+def test_percentile_q_out_of_range_raises(q):
+    with pytest.raises(InvalidRange, match="q must be in"):
+        percentile([1, 2, 3], q)
+
+
 def _summary(value, run_id=0):
     from rankprice import RunSummary
 

@@ -228,8 +228,11 @@ def _bad_instance(tmp_path, num_products, width=2):
                                   "instance-huge-integer", "config-huge-integer",
                                   "instance-too-deep", "negative-prices", "zero-prices",
                                   "solve-naive-greedy", "solve-naive-no-iterations",
+                                  "solve-empty-out", "bench-empty-out", "config-empty-out-dir",
                                   *BAD_CONFIGS])
-def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys):
+def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys, monkeypatch):
+    # An empty output directory would be the current one: nothing may land there.
+    monkeypatch.chdir(tmp_path)
     missing_dir = tmp_path / "no-such-dir"
     if case in BAD_CONFIGS:
         argv = _bench_argv(tmp_path, table1_path, BAD_CONFIGS[case])
@@ -255,6 +258,12 @@ def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys):
             # --out would override the config's out_dir, so this run goes without it.
             "out-dir-not-a-string": lambda: _bench_argv(
                 tmp_path, table1_path, lambda good: dict(good, out_dir=5))[:-2],
+            "config-empty-out-dir": lambda: _bench_argv(
+                tmp_path, table1_path, lambda good: dict(good, out_dir=""))[:-2],
+            "bench-empty-out": lambda: [*_bench_argv(tmp_path, table1_path)[:-1], ""],
+            "solve-empty-out": lambda: ["solve", "--instance", table1_path,
+                                        "--method", "vns", "--l0", "20", "--max-points", "40",
+                                        "--out", ""],
             "nan-time-limit-flag": lambda: ["solve", "--instance", table1_path,
                                             "--method", "vns", "--time-limit", "nan",
                                             "--out", str(tmp_path / "out")],
@@ -281,3 +290,4 @@ def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "summary.csv").exists()

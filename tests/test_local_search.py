@@ -187,7 +187,8 @@ def _levels_tried(op, inst, grid, indices, a, monkeypatch):
     walk starting from this state holds.
     """
     with monkeypatch.context() as patch:
-        patch.setattr(rankprice.local_search, "_walk", lambda *args: args[6])
+        patch.setattr(rankprice.local_search, "_walk",
+                      lambda inst, grid, indices, assignment, step, products, levels, stats: levels)
         levels = op(inst, grid, indices, a)
     walk = rankprice.local_search._Walk(inst, grid, indices, a)
     return [list(levels(i, walk)) for i in range(inst.num_products)]
@@ -213,6 +214,7 @@ def test_scan_bounds_match_a_literal_reading_of_chosen(monkeypatch):
     # a buyer scan that started above the price would miss them.
     rng = random.Random(1618)
     at_price = states = 0
+    fallback = Counter()  # c's fallback test, when it is asked: fires or blocks
     while states < 300:
         inst = helpers.random_instance(rng.randrange(10**6), max_products=5, max_customers=12,
                                        budget=(5, 12))
@@ -227,17 +229,21 @@ def test_scan_bounds_match_a_literal_reading_of_chosen(monkeypatch):
                      for op in (fill, reassignment, conditional_reassignment)]
             slacked = slack(inst, grid, indices, a)[0]
             for i in range(inst.num_products):
-                assert tuple(step[i] for step in tried) == _literal_levels(inst, grid, indices, a, i)
-                budgets = [inst.budgets[k] for k, c in enumerate(a.chosen) if c == i]
+                f, r, c = _literal_levels(inst, grid, indices, a, i)
+                assert tuple(step[i] for step in tried) == (f, r, c)
+                budgets = [inst.budgets[k] for k, j in enumerate(a.chosen) if j == i]
                 cheapest = grid.index_of(min(budgets)) if budgets else indices[i]
                 assert slacked[i] == cheapest
                 at_price += grid.values[indices[i]] in budgets
+                if r and min(budgets) == grid.values[indices[i]]:
+                    fallback["fires" if c else "blocks"] += 1
     assert at_price > states
+    assert fallback["fires"] > 0 and fallback["blocks"] > 0
 
 
 def test_walk_state_matches_a_recount(monkeypatch):
     # After every trial, kept or reverted, the walk's buyer counts equal a
-    # count over ``chosen`` and its level index groups the current prices.
+    # count over ``chosen`` and its assignment equals a full ``assign``.
     walk_class = rankprice.local_search._Walk
     real_try = walk_class.try_price
     seen = Counter()
@@ -248,10 +254,6 @@ def test_walk_state_matches_a_recount(monkeypatch):
         chosen = walk.assignment.chosen
         assert walk.assignment == assign(walk.inst, walk.grid, walk.cur)
         assert walk.sold == [chosen.count(j) for j in range(walk.inst.num_products)]
-        if walk.at_level is not None:
-            seen["level_index"] += 1
-            assert walk.at_level == [{j for j, at in enumerate(walk.cur) if at == level}
-                                     for level in range(walk.grid.size)]
         return kept
 
     monkeypatch.setattr(walk_class, "try_price", checked)
@@ -272,7 +274,7 @@ def test_walk_state_matches_a_recount(monkeypatch):
                 out, out_a = op(inst, grid, *state)
                 assert out_a == assign(inst, grid, out)
                 seen[op] += seen["kept"] + seen["reverted"] > before
-    assert all(seen[key] > 0 for key in ("kept", "reverted", "level_index", "tied", "unwanted", *ops))
+    assert all(seen[key] > 0 for key in ("kept", "reverted", "tied", "unwanted", *ops))
 
 
 def test_every_trial_is_counted_kept_or_reverted(monkeypatch):

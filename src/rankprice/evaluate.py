@@ -38,27 +38,27 @@ def assign(
     inst: Instance,
     grid: BudgetGrid,
     indices: Sequence[int],
-    base: tuple[int, int, Assignment] | None = None,
+    base: tuple[int, int, Assignment, int] | None = None,
 ) -> Assignment:
     """Unique optimal purchase of every customer under the given grid prices.
 
-    ``base = (i, level, before)`` says that ``indices`` differs from the
-    vector behind ``before`` only in product i, which was at grid index
-    ``level``. Then only the customers who want i with a budget between the
-    old and the new price of i are decided again: after a cut, those who rank
-    i above their choice switch to it; after a raise, its buyers who can no
-    longer afford it scan their ranking again. Those customers are found
-    through ``Instance.customers_by_budget``, and i's buyers are counted in
-    ``before.chosen``. Revenue is updated by the difference, and the result
-    equals the one without ``base``.
+    ``base = (i, level, before, buyers)`` says that ``indices`` differs from
+    the vector behind ``before`` only in product i, which was at grid index
+    ``level`` and sold to ``buyers`` customers under ``before``. Then only
+    the customers who want i with a budget between the old and the new price
+    of i are decided again: after a cut, those who rank i above their choice
+    switch to it; after a raise, its buyers who can no longer afford it scan
+    their ranking again. Those customers are found through
+    ``Instance.customers_by_budget``. Revenue is updated by the difference,
+    and the result equals the one without ``base``.
     """
     if base is None:
         return assign_prices(inst, grid.prices_of(indices))
-    i, level, before = base
+    i, level, before, buyers = base
     values = grid.values
     old, new = values[level], values[indices[i]]
     chosen = list(before.chosen)
-    revenue = before.revenue + chosen.count(i) * (new - old)
+    revenue = before.revenue + buyers * (new - old)
     if new < old:
         for k in inst.wanting_between(i, new, old):
             c = chosen[k]

@@ -106,7 +106,7 @@ class _Walk:
         old = cur[i]
         trial = list(cur)
         trial[i] = m
-        after = assign(self.inst, self.grid, trial, (i, old, before))
+        after = assign(self.inst, self.grid, trial, (i, old, before, self.sold[i]))
         if after.revenue <= before.revenue:
             return False
         lo, hi = sorted((self.grid.values[old], self.grid.values[m]))

@@ -20,7 +20,8 @@ import random
 import time
 from dataclasses import dataclass
 from heapq import nsmallest
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 from .errors import LengthMismatch, RankPriceError
 from .evaluate import assign
@@ -142,9 +143,22 @@ class SearchResult:
     population: list[tuple[PriceIndices, int]]
 
 
-def select_elites(population: Sequence[tuple[PriceIndices, int]], q: int) -> list[int]:
-    """Slots of the q highest-revenue members; ties go to earlier insertion."""
-    return nsmallest(q, range(len(population)), key=lambda slot: (-population[slot][1], slot))
+def select_elites(
+    population: Sequence[tuple[PriceIndices, int]],
+    q: int,
+    among: Iterable[int] | None = None,
+) -> list[int]:
+    """Slots of the q highest-revenue members; ties go to earlier insertion.
+
+    Ranks the slots in ``among``, or every slot when it is None. The key
+    ``(-revenue, slot)`` orders slots totally, so a slot outside the top q of
+    some slots stays outside it once more slots join: the q ahead of it keep
+    their places. The top q of a population is therefore the top q of its
+    earlier top q plus the slots appended since, provided the revenues of the
+    earlier slots have not changed.
+    """
+    slots = range(len(population)) if among is None else among
+    return nsmallest(q, slots, key=lambda slot: (-population[slot][1], slot))
 
 
 def random_price(grid: BudgetGrid, num_products: int, rng: random.Random) -> PriceIndices:
@@ -230,6 +244,12 @@ class _Run:
 
     In dedup mode ``seen`` holds every vector drawn or refined so far;
     otherwise it is None.
+
+    ``elites`` are the slots :meth:`next_elites` last selected and ``ranked``
+    the population length it ranked. A slot's revenue is final once the batch
+    that appended it has been refined, which happens before the next
+    selection, so the revenues of slots below ``ranked`` never change and the
+    next selection needs to rank only ``elites`` and the slots appended since.
     """
 
     def __init__(self, inst, grid, params, pipeline, clock):
@@ -250,6 +270,8 @@ class _Run:
         self.exhausted = False
         self.iterations = 0
         self.grid_points = grid.size**inst.num_products
+        self.elites: list[int] = []
+        self.ranked = 0
 
     def elapsed(self) -> float:
         return self.clock() - self.t0
@@ -290,6 +312,14 @@ class _Run:
         self.population.append((indices, a.revenue))
         self.evals += 1
         return len(self.population) - 1, a
+
+    def next_elites(self) -> list[int]:
+        """The q best slots of the whole population, as a full re-selection gives them."""
+        pop = self.population
+        among = chain(self.elites, range(self.ranked, len(pop)))
+        self.elites = select_elites(pop, self.params.q, among)
+        self.ranked = len(pop)
+        return self.elites
 
     def random_candidate(self) -> PriceIndices:
         return random_price(self.grid, self.inst.num_products, self.rng)
@@ -434,7 +464,7 @@ def vns_search(
     pop = run.population
 
     def propose():
-        elites = select_elites(pop, params.q)
+        elites = run.next_elites()
         # Elite slots and the radius stay fixed while a batch is drawn, and
         # building a box draws nothing, so each elite's box is built once.
         boxes: dict[int, Neighborhood] = {}
@@ -477,7 +507,7 @@ def genetic_search(
     pop = run.population
 
     def propose():
-        elites = select_elites(pop, params.q)
+        elites = run.next_elites()
 
         def candidate():
             if params.parents_with_replacement:

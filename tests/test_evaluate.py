@@ -160,7 +160,7 @@ def _delta_walk(inst, grid, indices, moves):
     for i, level in moves:
         trial = list(cur)
         trial[i] = level
-        after = assign(inst, grid, trial, (i, cur[i], cur_a))
+        after = assign(inst, grid, trial, (i, cur[i], cur_a, cur_a.chosen.count(i)))
         assert after == assign(inst, grid, trial) == assign_oracle(inst, grid, trial)
         yield cur_a, i, cur[i], level, after
         cur, cur_a = trial, after

@@ -24,6 +24,7 @@ from rankprice import (
     naive_search,
     neighborhood,
     random_price,
+    run_pipeline,
     select_elites,
     validate_instance,
     vns_search,
@@ -354,9 +355,9 @@ def test_vns_builds_each_elite_box_once_per_batch(monkeypatch):
         expected = vns_search(inst, grid, p, pipeline="sfrc", clock=FROZEN_CLOCK)
         batches = []
 
-        def counting_elites(population, q):
+        def counting_elites(*args):
             batches.append(0)
-            return select_elites(population, q)
+            return select_elites(*args)
 
         def counting_boxes(grid, indices, radius):
             batches[-1] += 1
@@ -383,10 +384,8 @@ def test_vns_time_limit_stops():
     assert res.elapsed >= 5.0
 
 
-def test_vns_time_limit_overrun_is_one_refined_vector(monkeypatch):
-    # The clock ticks once per assign call, in the search and in the
-    # local search alike, so refining a whole batch past the deadline would
-    # overrun by hundreds of ticks.
+def _ticking_assign(monkeypatch):
+    """A clock that reads the number of ``assign`` calls made so far."""
     ticks = [0]
 
     def counted(assign):
@@ -398,10 +397,18 @@ def test_vns_time_limit_overrun_is_one_refined_vector(monkeypatch):
 
     for module in (rankprice.search, rankprice.local_search):
         monkeypatch.setattr(module, "assign", counted(module.assign))
+    return lambda: ticks[0]
+
+
+def test_vns_time_limit_overrun_is_one_refined_vector(monkeypatch):
+    # The clock ticks once per assign call, in the search and in the
+    # local search alike, so refining a whole batch past the deadline would
+    # overrun by hundreds of ticks.
+    clock = _ticking_assign(monkeypatch)
     inst = helpers.table1()
     grid = build_grid(inst)
     p = params(t=50, stop=StopRule.time_limit(100), seed=1)
-    res = vns_search(inst, grid, p, pipeline="o", clock=lambda: ticks[0])
+    res = vns_search(inst, grid, p, pipeline="o", clock=clock)
     one_scan = inst.num_products * grid.size
     assert 100 <= res.elapsed <= 100 + one_scan
 
@@ -444,6 +451,24 @@ def test_genetic_same_seed_same_trace(table1, table1_grid):
     assert a.trace == b.trace
 
 
+def test_genetic_selects_elites_once_per_batch(monkeypatch):
+    inst = generate_instance(6, 20, (5, 40), 0.7, seed=3)
+    grid = build_grid(inst)
+    p = params(l0=20, q=8, t=12, stop=StopRule.point_budget(200), seed=5)
+    expected = genetic_search(inst, grid, p, clock=FROZEN_CLOCK)
+    calls = []
+
+    def counting_elites(*args):
+        calls.append(0)
+        return select_elites(*args)
+
+    monkeypatch.setattr(rankprice.search, "select_elites", counting_elites)
+    res = genetic_search(inst, grid, p, clock=FROZEN_CLOCK)
+    assert len(calls) == res.iterations > 0
+    assert (res.trace, res.best_indices, res.best_value, res.population) == (
+        expected.trace, expected.best_indices, expected.best_value, expected.population)
+
+
 # -------------------------------------------------------------- invariants
 
 
@@ -451,6 +476,50 @@ def test_elite_selection_order_and_tie_break():
     pop = [((0,), 10), ((1,), 30), ((2,), 30), ((3,), 5), ((4,), 30)]
     assert select_elites(pop, 3) == [1, 2, 4]
     assert select_elites(pop, 10) == [1, 2, 4, 0, 3]
+    assert select_elites(pop, 2, among=[0, 3, 4]) == [4, 0]
+
+
+@pytest.mark.parametrize("search", [vns_search, genetic_search])
+@pytest.mark.parametrize("pipeline", ["", "sfrc"])
+@pytest.mark.parametrize("dedup", [False, True])
+@pytest.mark.parametrize("rule", ["points", "iterations", "time"])
+def test_incremental_elites_equal_full_selection(monkeypatch, search, pipeline, dedup, rule):
+    # 6 products on an 11-level grid: dedup runs stay far from exhausting it.
+    inst = generate_instance(6, 12, (5, 40), 0.7, seed=4)
+    grid = build_grid(inst)
+    stop = {
+        "points": StopRule.point_budget(120),
+        "iterations": StopRule.iterations(15),
+        "time": StopRule.time_limit(450),
+    }[rule]
+    clock = _ticking_assign(monkeypatch) if rule == "time" else FROZEN_CLOCK
+    p = params(l0=10, q=4, t=6, stop=stop, seed=7, dedup=dedup)
+    sizes = []
+
+    def checked_elites(population, q, *args):
+        elites = select_elites(population, q, *args)
+        assert elites == select_elites(population, q)
+        sizes.append(len(population))
+        return elites
+
+    refined = []
+
+    def counting_pipeline(*args):
+        refined.append(0)
+        return run_pipeline(*args)
+
+    monkeypatch.setattr(rankprice.search, "select_elites", checked_elites)
+    monkeypatch.setattr(rankprice.search, "run_pipeline", counting_pipeline)
+    res = search(inst, grid, p, pipeline=pipeline, clock=clock)
+    assert len(sizes) == res.iterations
+    assert sizes[-1] > p.q + p.t
+    if rule == "time":
+        assert res.elapsed >= 450
+        if pipeline:
+            # Every earlier batch was refined whole; the deadline stopped the
+            # last one part way through.
+            last_refined = len(refined) - (sizes[-1] - p.l0)
+            assert 0 < last_refined < res.evaluations - sizes[-1]
 
 
 def test_elites_dominate_rest(table1, table1_grid):

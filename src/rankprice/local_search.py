@@ -15,12 +15,12 @@ and is one :func:`~rankprice.evaluate.assign` call that re-decides only the
 customers that change can touch; it is reverted unless revenue strictly
 improves, so every operator here is revenue nondecreasing by construction.
 
-A state's purchases are its assignment's ``chosen``. Each walk also keeps
-the buyer count of every product for the vector it refines (:class:`_Walk`),
-built with one pass over ``chosen`` and updated on kept trials only, for the
-customers the trial re-decided. Fill considers only unsold products and
-both reassignments only products with two buyers or more, by that count
-read when the walk reaches the product. Fill, reassignment and
+A state's purchases are its assignment's ``chosen``. Each walk also holds
+the buyer count of every product for the vector it refines, counted over
+``chosen`` when the walk starts and again after each kept trial
+(:func:`_buyer_counts`). Fill considers only unsold products and both
+reassignments only products with two buyers or more, by that count read
+when the walk reaches the product. Fill, reassignment and
 conditional reassignment find a product's cheapest buyers, or the cheapest
 customer who buys nothing and wants it, by scanning
 ``Instance.customers_by_budget`` from the product's price
@@ -72,53 +72,13 @@ def parse_pipeline(letters: Sequence[str]) -> tuple[str, ...]:
     return steps
 
 
-class _Walk:
-    """The vector a walk refines, with its buyer counts.
-
-    ``sold[i]`` is the number of customers who buy product i;
-    :meth:`try_price` keeps it current.
-    """
-
-    __slots__ = ("inst", "grid", "cur", "assignment", "sold")
-
-    def __init__(
-        self,
-        inst: Instance,
-        grid: BudgetGrid,
-        indices: PriceIndices,
-        assignment: Assignment,
-    ):
-        self.inst, self.grid = inst, grid
-        self.cur, self.assignment = list(indices), assignment
-        self.sold = sold = [0] * inst.num_products
-        for i in assignment.chosen:
-            if i is not None:
-                sold[i] += 1
-
-    def try_price(self, i: int, m: int) -> bool:
-        """Price product i at grid index m if that strictly raises revenue.
-
-        One ``assign`` call given the current state as its base. Only the
-        customers who want i with a budget between its old and new price are
-        decided again, so only their choices can move a buyer count.
-        """
-        cur, before = self.cur, self.assignment
-        old = cur[i]
-        trial = list(cur)
-        trial[i] = m
-        after = assign(self.inst, self.grid, trial, (i, old, before, self.sold[i]))
-        if after.revenue <= before.revenue:
-            return False
-        lo, hi = sorted((self.grid.values[old], self.grid.values[m]))
-        sold, was, now = self.sold, before.chosen, after.chosen
-        for k in self.inst.wanting_between(i, lo, hi):
-            if was[k] != now[k]:
-                if was[k] is not None:
-                    sold[was[k]] -= 1
-                if now[k] is not None:
-                    sold[now[k]] += 1
-        self.cur, self.assignment = trial, after
-        return True
+def _buyer_counts(num_products: int, chosen: Sequence[int | None]) -> list[int]:
+    """``sold[i]``, the number of customers who buy product i under ``chosen``."""
+    sold = [0] * num_products
+    for i in chosen:
+        if i is not None:
+            sold[i] += 1
+    return sold
 
 
 def _walk(
@@ -128,31 +88,38 @@ def _walk(
     assignment: Assignment,
     step: str,
     products: Iterable[int],
-    levels: Callable[[int, _Walk], Iterable[int]],
+    levels: Callable[[int, list[int], Sequence[int | None], list[int]], Iterable[int]],
     stats: LocalSearchStats | None,
 ) -> tuple[PriceIndices, Assignment]:
     """Try each product in ``products`` at each of its ``levels``; keep strict improvements.
 
-    ``levels(i, walk)`` gives the grid indices to try for product i in the
-    current state; it is asked when the walk reaches i, so it sees every
-    earlier kept trial, and a step that considers only some products tests
-    ``walk.sold[i]`` first. A trial prices one product at one grid index and
-    is one :meth:`_Walk.try_price`, so one ``assign`` call that decides
-    again only the customers the move can touch; it is counted under
-    ``step`` as kept or reverted. The price already held is skipped without
-    evaluation.
+    ``levels(i, cur, chosen, sold)`` gives the grid indices to try for
+    product i in the current state (price indices, purchases, buyer counts).
+    It is asked when the walk reaches i, so it sees every earlier kept
+    trial, and a step that considers only some products tests ``sold[i]``
+    first. A trial prices one product at one grid index and is one
+    ``assign`` call given the current state as its base, which decides again
+    only the customers the move can touch; it is counted under ``step`` as
+    kept or reverted, and ``sold`` is recounted over ``chosen`` after each
+    kept trial. The price already held is skipped without evaluation.
     """
     stats = stats or LocalSearchStats()
-    walk = _Walk(inst, grid, indices, assignment)
+    cur, a = list(indices), assignment
+    sold = _buyer_counts(inst.num_products, a.chosen)
     for i in products:
-        for m in levels(i, walk):
-            if m == walk.cur[i]:
+        for m in levels(i, cur, a.chosen, sold):
+            if m == cur[i]:
                 continue
-            if walk.try_price(i, m):
+            trial = list(cur)
+            trial[i] = m
+            after = assign(inst, grid, trial, (i, cur[i], a, sold[i]))
+            if after.revenue > a.revenue:
+                cur, a = trial, after
+                sold = _buyer_counts(inst.num_products, a.chosen)
                 stats.kept[step] += 1
             else:
                 stats.reverted[step] += 1
-    return tuple(walk.cur), walk.assignment
+    return tuple(cur), a
 
 
 def _cheapest(
@@ -213,10 +180,10 @@ def fill(
     index order, each seeing the effects of earlier kept moves.
     """
 
-    def levels(i, walk):
-        if walk.sold[i]:
+    def levels(i, cur, chosen, sold):
+        if sold[i]:
             return []
-        pool = _cheapest(inst, walk.assignment.chosen, i, grid.values[walk.cur[i]], None, 1)
+        pool = _cheapest(inst, chosen, i, grid.values[cur[i]], None, 1)
         return [grid.index_of(inst.budgets[pool[0]])] if pool else []
 
     return _walk(inst, grid, indices, assignment, "f", range(inst.num_products), levels, stats)
@@ -236,10 +203,10 @@ def reassignment(
     :func:`slack` first). Products handled in ascending index order.
     """
 
-    def levels(i, walk):
-        if walk.sold[i] < 2:
+    def levels(i, cur, chosen, sold):
+        if sold[i] < 2:
             return []
-        _, second = _cheapest(inst, walk.assignment.chosen, i, grid.values[walk.cur[i]], i, 2)
+        _, second = _cheapest(inst, chosen, i, grid.values[cur[i]], i, 2)
         return [grid.index_of(inst.budgets[second])]
 
     return _walk(inst, grid, indices, assignment, "r", range(inst.num_products), levels, stats)
@@ -262,13 +229,12 @@ def conditional_reassignment(
     Expects slack-free prices.
     """
 
-    def levels(i, walk):
-        if walk.sold[i] < 2:
+    def levels(i, cur, chosen, sold):
+        if sold[i] < 2:
             return []
-        cur = walk.cur
         m = cur[i]
         price = grid.values[m]
-        poorest, second = _cheapest(inst, walk.assignment.chosen, i, price, i, 2)
+        poorest, second = _cheapest(inst, chosen, i, price, i, 2)
         if inst.budgets[poorest] != price:
             return []
         # The poorest buyer affords every product at i's price and bought i,

@@ -289,7 +289,8 @@ class _Run:
             return self.evals >= stop.limit
         if stop.kind == StopRule.ITERATIONS:
             return self.iterations >= stop.limit
-        return self.past_deadline()
+        # A time limit is checked after an evaluation, so every run has one.
+        return self.evals > 0 and self.past_deadline()
 
     def batch_quota(self, size: int) -> int:
         """Vectors the next batch may add; at least 1 until the stop rule fires."""

@@ -97,6 +97,13 @@ def test_solve_time_limit_stop(table1_path, capsys):
     assert "best value:" in capsys.readouterr().out
 
 
+def test_solve_naive_tiny_time_limit_evaluates_one_vector(table1_path, capsys):
+    code = main(["solve", "--instance", table1_path, "--method", "naive",
+                 "--time-limit", "1e-9", "--seed", "0"])
+    assert code == 0
+    assert "evaluations: 1 " in capsys.readouterr().out
+
+
 def test_solve_naive_dedup_exhausts_grid(table1_path, capsys):
     # 36 grid points in total: deduplicated sampling must cover them all
     code = main(["solve", "--instance", table1_path, "--method", "naive",

@@ -190,8 +190,8 @@ def _levels_tried(op, inst, grid, indices, a, monkeypatch):
         patch.setattr(rankprice.local_search, "_walk",
                       lambda inst, grid, indices, assignment, step, products, levels, stats: levels)
         levels = op(inst, grid, indices, a)
-    walk = rankprice.local_search._Walk(inst, grid, indices, a)
-    return [list(levels(i, walk)) for i in range(inst.num_products)]
+    sold = rankprice.local_search._buyer_counts(inst.num_products, a.chosen)
+    return [list(levels(i, list(indices), a.chosen, sold)) for i in range(inst.num_products)]
 
 
 def _literal_levels(inst, grid, indices, a, i):
@@ -242,21 +242,24 @@ def test_scan_bounds_match_a_literal_reading_of_chosen(monkeypatch):
 
 
 def test_walk_state_matches_a_recount(monkeypatch):
-    # After every trial, kept or reverted, the walk's buyer counts equal a
-    # count over ``chosen`` and its assignment equals a full ``assign``.
-    walk_class = rankprice.local_search._Walk
-    real_try = walk_class.try_price
+    # On every trial, kept or reverted, the walk hands ``assign`` a base that
+    # equals a full ``assign`` of the vector before the move and the buyer
+    # count of the moved product in it, and gets a full ``assign`` back.
+    real_assign = rankprice.local_search.assign
     seen = Counter()
 
-    def checked(walk, i, m):
-        kept = real_try(walk, i, m)
-        seen["kept" if kept else "reverted"] += 1
-        chosen = walk.assignment.chosen
-        assert walk.assignment == assign(walk.inst, walk.grid, walk.cur)
-        assert walk.sold == [chosen.count(j) for j in range(walk.inst.num_products)]
-        return kept
+    def checked(inst, grid, indices, base):
+        i, level, before, buyers = base
+        prior = list(indices)
+        prior[i] = level
+        assert before == assign(inst, grid, prior)
+        assert buyers == before.chosen.count(i)
+        after = real_assign(inst, grid, indices, base)
+        assert after == assign(inst, grid, indices)
+        seen["kept" if after.revenue > before.revenue else "reverted"] += 1
+        return after
 
-    monkeypatch.setattr(walk_class, "try_price", checked)
+    monkeypatch.setattr(rankprice.local_search, "assign", checked)
     rng = random.Random(1729)
     ops = (fill, reassignment, conditional_reassignment,
            lambda *state: opt_based(*state, rng=rng))

@@ -269,6 +269,16 @@ def test_naive_budget_one(table1, table1_grid):
     assert res.best_value == res.population[0][1]
 
 
+def test_naive_time_limit_still_evaluates_one_vector(table1, table1_grid):
+    # Naive search has no initial population; a deadline already passed at
+    # the first read still lets the first draw be evaluated.
+    ticking = count()
+    p = params(stop=StopRule.time_limit(0.5))
+    res = naive_search(table1, table1_grid, p, clock=lambda: float(next(ticking)))
+    assert res.evaluations == 1
+    assert len(res.trace) == 1
+
+
 def test_naive_same_seed_same_trace(table1, table1_grid):
     p = params(seed=12, stop=StopRule.point_budget(100))
     a = naive_search(table1, table1_grid, p, clock=FROZEN_CLOCK)

@@ -50,7 +50,6 @@ from .local_search import (
     parse_pipeline,
     reassignment,
     run_pipeline,
-    scan_product,
     slack,
 )
 from .model import (

@@ -321,10 +321,6 @@ def write_outputs(
     checkpoints: Sequence[CheckpointStats],
 ) -> None:
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OutputWriteError(f"cannot create {out}: {exc}") from exc
     meta = _meta_line(config)
     _write_csv(
         out / "summary.csv",
@@ -359,15 +355,22 @@ def run_experiment(
 ) -> tuple[list[RunSummary], tuple[CheckpointStats, ...]]:
     """Execute all runs of a configuration and write the CSV outputs.
 
-    ``workers`` > 1 spreads runs over at most that many processes, one per
-    run at most; a custom ``clock`` is only meaningful in-process and
-    therefore requires workers=1.
+    The output directory is created before the first run, so a path that
+    cannot be one fails before any search time is spent. ``workers`` > 1
+    spreads runs over at most that many processes, one per run at most; a
+    custom ``clock`` is only meaningful in-process and therefore requires
+    workers=1.
     """
     if workers < 1:
         raise InvalidRange(f"workers must be at least 1, got {workers}")
     if workers > 1 and clock is not None:
         raise RankPriceError("clock injection requires workers=1")
     inst = load_instance(config.instance_path)
+    if config.out_dir is not None:
+        try:
+            Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise OutputWriteError(f"cannot create {config.out_dir}: {exc}") from exc
     run_ids = range(config.runs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, config.runs)) as pool:

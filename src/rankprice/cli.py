@@ -6,6 +6,7 @@ import argparse
 import sys
 
 from .bench import (
+    METHODS,
     config_from_dict,
     generate_instance,
     run_experiment,
@@ -15,13 +16,14 @@ from .errors import InvalidRange, RankPriceError
 from .evaluate import assign_prices
 from .exact import DEFAULT_ENUMERATION_CAP, brute_force, write_lp
 from .model import build_grid, load_instance, read_json, save_instance
+from .search import GREEDY, RANDOM
 
 
 def _add_solve_parser(sub):
     p = sub.add_parser("solve", help="run one seeded search on an instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--method", choices=("naive", "vns", "genetic"), required=True)
-    p.add_argument("--init", choices=("random", "greedy"), default="random")
+    p.add_argument("--method", choices=tuple(METHODS), required=True)
+    p.add_argument("--init", choices=(RANDOM, GREEDY), default=RANDOM)
     p.add_argument("--local-search", default="", metavar="LETTERS",
                    help="pipeline letters: s=slack f=fill r=reassignment "
                         "c=conditional reassignment o=optimization-based")
@@ -37,7 +39,7 @@ def _add_solve_parser(sub):
     p.add_argument("--out", default=None, metavar="DIR",
                    help="write summary/trace/percentiles CSVs here")
     p.add_argument("--dedup", action="store_true",
-                   help="discard re-drawn vectors instead of counting them")
+                   help="discard vectors drawn or refined before instead of counting them")
     p.add_argument("--vns-reset-radius", action="store_true",
                    help="reset the VNS radius to 1 after an improvement")
     p.add_argument("--parents-with-replacement", action="store_true",

@@ -2,13 +2,13 @@
 
 For fixed prices each customer's problem has a unique optimum: buy the most
 preferred affordable product, or nothing if none is affordable. ``assign``
-exploits this directly and is the hot path of every search. Given the
-assignment of a vector that differs in one product, it re-decides only the
-customers that one price change can touch and copies every other choice;
-every local-search trial is evaluated that way. ``assign_oracle`` re-derives
-the same result by brute enumeration of all purchase options and exists so
-tests can cross-check the closed form against a literal reading of the
-customer problem.
+exploits this directly and is the hot path of every search. Given a vector,
+its assignment and a move of one product to another grid index, it
+re-decides only the customers that one price change can touch and copies
+every other choice; every local-search trial is evaluated that way, against
+the walk's own vector. ``assign_oracle`` re-derives the same result by brute
+enumeration of all purchase options and exists so tests can cross-check the
+closed form against a literal reading of the customer problem.
 """
 
 from __future__ import annotations
@@ -38,25 +38,26 @@ def assign(
     inst: Instance,
     grid: BudgetGrid,
     indices: Sequence[int],
-    base: tuple[int, int, Assignment, int] | None = None,
+    move: tuple[int, int, Assignment, int] | None = None,
 ) -> Assignment:
     """Unique optimal purchase of every customer under the given grid prices.
 
-    ``base = (i, level, before, buyers)`` says that ``indices`` differs from
-    the vector behind ``before`` only in product i, which was at grid index
-    ``level`` and sold to ``buyers`` customers under ``before``. Then only
-    the customers who want i with a budget between the old and the new price
-    of i are decided again: after a cut, those who rank i above their choice
-    switch to it; after a raise, its buyers who can no longer afford it scan
-    their ranking again. Those customers are found through
-    ``Instance.customers_by_budget``. Revenue is updated by the difference,
-    and the result equals the one without ``base``.
+    ``move = (i, m, before, buyers)`` asks instead for the assignment after
+    product i moves to grid index m, where ``before`` is the assignment of
+    ``indices`` and ``buyers`` the number of customers who buy i under it.
+    Then only the customers who want i with a budget between the old and the
+    new price of i are decided again, found through
+    ``Instance.customers_by_budget``: after a cut, those who rank i above
+    their choice switch to it; after a raise, its buyers who can no longer
+    afford it scan the products they rank below i, since i was the first
+    they could afford and no other price moved. Revenue is updated by the
+    difference, and the result equals a full evaluation of the moved vector.
     """
-    if base is None:
+    if move is None:
         return assign_prices(inst, grid.prices_of(indices))
-    i, level, before, buyers = base
+    i, m, before, buyers = move
     values = grid.values
-    old, new = values[level], values[indices[i]]
+    old, new = values[indices[i]], values[m]
     chosen = list(before.chosen)
     revenue = before.revenue + buyers * (new - old)
     if new < old:
@@ -74,7 +75,8 @@ def assign(
                 continue
             revenue -= new
             budget = inst.budgets[k]
-            for j in inst.preference_order[k]:
+            ranked = inst.preference_order[k]
+            for j in ranked[ranked.index(i) + 1:]:
                 price = values[indices[j]]
                 if price <= budget:
                     chosen[k] = j

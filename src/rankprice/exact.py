@@ -70,7 +70,7 @@ class MilpModel:
 
     v_names: tuple[str, ...]
     x_names: tuple[str, ...]
-    objective: tuple[tuple[int, str, str], ...]  # (budget, v name, x name)
+    objective: tuple[tuple[int, str, str], ...]  # (price of level m, v_{i}_{m}, x_{i}_{k})
     rows: tuple[ConstraintRow, ...]
     fixed_zero: tuple[str, ...]
 
@@ -82,7 +82,7 @@ class MilpModel:
 
     def objective_value(self, values: Mapping[str, int]) -> int:
         return sum(
-            b * values.get(v, 0) * values.get(x, 0) for b, v, x in self.objective
+            price * values.get(v, 0) * values.get(x, 0) for price, v, x in self.objective
         )
 
     def violated_rows(self, values: Mapping[str, int]) -> list[str]:
@@ -188,7 +188,7 @@ def export_single_level(inst: Instance, grid: BudgetGrid) -> str:
         "Maximize",
         " obj: [",
     ]
-    lines.extend(f"   + {2 * budget} {v} * {x}" for budget, v, x in model.objective)
+    lines.extend(f"   + {2 * price} {v} * {x}" for price, v, x in model.objective)
     lines += ["   ] / 2", "Subject To"]
     lines.extend(f" {row.name}: {_render_terms(row.terms)} {row.sense} {row.rhs}"
                  for row in model.rows)

@@ -7,13 +7,14 @@ customers (fill), and push a product's price up to its second-cheapest
 buyer's budget, either unconditionally (reassignment) or only when the
 displaced buyer has an equally-priced alternative to fall back on
 (conditional reassignment). The fifth (opt_based) is the plain benchmark
-scan that retries every alternative price of every product.
+scan that retries every alternative price of the products it is given.
 
 Every move but slack is one walk over products (:func:`_walk`): each step
-only names the grid levels it tries for a product. A trial changes one price
-and is one :func:`~rankprice.evaluate.assign` call that re-decides only the
-customers that change can touch; it is reverted unless revenue strictly
-improves, so every operator here is revenue nondecreasing by construction.
+only names the grid levels it tries for a product. A trial moves one product
+to one grid index and is one :func:`~rankprice.evaluate.assign` call against
+the walk's own vector, which re-decides only the customers the move can
+touch; the vector takes the move only when revenue strictly improves, so
+every operator here is revenue nondecreasing by construction.
 
 A state's purchases are its assignment's ``chosen``. Each walk also holds
 the buyer count of every product for the vector it refines, counted over
@@ -97,11 +98,11 @@ def _walk(
     product i in the current state (price indices, purchases, buyer counts).
     It is asked when the walk reaches i, so it sees every earlier kept
     trial, and a step that considers only some products tests ``sold[i]``
-    first. A trial prices one product at one grid index and is one
-    ``assign`` call given the current state as its base, which decides again
-    only the customers the move can touch; it is counted under ``step`` as
-    kept or reverted, and ``sold`` is recounted over ``chosen`` after each
-    kept trial. The price already held is skipped without evaluation.
+    first. A trial moves product i to grid index m: one ``assign`` call given
+    the move ``(i, m, a, sold[i])`` against the current state decides again
+    only the customers it can touch. It is counted under ``step`` as kept or
+    reverted; only a kept one sets ``cur[i]`` and recounts ``sold`` over
+    ``chosen``. The price already held is skipped without evaluation.
     """
     stats = stats or LocalSearchStats()
     cur, a = list(indices), assignment
@@ -110,11 +111,9 @@ def _walk(
         for m in levels(i, cur, a.chosen, sold):
             if m == cur[i]:
                 continue
-            trial = list(cur)
-            trial[i] = m
-            after = assign(inst, grid, trial, (i, cur[i], a, sold[i]))
+            after = assign(inst, grid, cur, (i, m, a, sold[i]))
             if after.revenue > a.revenue:
-                cur, a = trial, after
+                cur[i], a = m, after
                 sold = _buyer_counts(inst.num_products, a.chosen)
                 stats.kept[step] += 1
             else:
@@ -248,37 +247,22 @@ def conditional_reassignment(
     return _walk(inst, grid, indices, assignment, "c", range(inst.num_products), levels, stats)
 
 
-def scan_product(
-    inst: Instance,
-    grid: BudgetGrid,
-    indices: PriceIndices,
-    assignment: Assignment,
-    product: int,
-    stats: LocalSearchStats | None = None,
-) -> tuple[PriceIndices, Assignment]:
-    """Try every alternative grid price for one product, first-improvement.
-
-    Grid values are visited in ascending order, skipping the price currently
-    held; a strictly better vector is kept immediately and the scan continues
-    from it.
-    """
-    every_level = lambda *_: range(grid.size)
-    return _walk(inst, grid, indices, assignment, "o", [product], every_level, stats)
-
-
 def opt_based(
     inst: Instance,
     grid: BudgetGrid,
     indices: PriceIndices,
     assignment: Assignment,
-    rng: random.Random,
+    products: Iterable[int],
     stats: LocalSearchStats | None = None,
 ) -> tuple[PriceIndices, Assignment]:
-    """Benchmark scan: products in random order, every alternative price tried."""
-    order = list(range(inst.num_products))
-    rng.shuffle(order)
+    """Benchmark scan: try every other grid price of each of ``products``, in turn.
+
+    Prices ascend and a strictly better vector is kept at once, the scan
+    continuing from it. The pipeline's ``o`` step passes every product, in
+    random order.
+    """
     every_level = lambda *_: range(grid.size)
-    return _walk(inst, grid, indices, assignment, "o", order, every_level, stats)
+    return _walk(inst, grid, indices, assignment, "o", products, every_level, stats)
 
 
 def run_pipeline(
@@ -309,5 +293,7 @@ def run_pipeline(
         elif step == "c":
             cur = conditional_reassignment(inst, grid, *cur, stats=stats)
         elif step == "o":
-            cur = opt_based(inst, grid, *cur, rng=rng, stats=stats)
+            order = list(range(inst.num_products))
+            rng.shuffle(order)
+            cur = opt_based(inst, grid, *cur, order, stats=stats)
     return cur

@@ -86,12 +86,14 @@ class SearchParams:
     """Knobs shared by all searches.
 
     ``l0`` initial population size, ``q`` elite set size, ``t`` batch size
-    per iteration. ``dedup`` makes the population a set: re-drawn vectors are
-    discarded and do not count toward a point budget. ``vns_reset_radius``
-    restores the classical VNS reset of the radius to 1 on improvement
-    (default keeps the radius unchanged on improvement and grows it only on
-    failure). ``parents_with_replacement`` lets the genetic method pick the
-    same elite twice as both parents.
+    per iteration. ``dedup`` evaluates no vector twice: a drawn vector that
+    was drawn or refined before is discarded and does not count toward a
+    point budget. The local search may still refine a vector into one the
+    population holds, so with a pipeline the population can repeat vectors.
+    ``vns_reset_radius`` restores the classical VNS reset of the radius to 1
+    on improvement (default keeps the radius unchanged on improvement and
+    grows it only on failure). ``parents_with_replacement`` lets the genetic
+    method pick the same elite twice as both parents.
     """
 
     l0: int = 1000

@@ -65,5 +65,12 @@ def random_indices(grid, num_products, rng):
     return tuple(rng.randrange(grid.size) for _ in range(num_products))
 
 
+def shuffled_products(num_products, rng):
+    """Every product in random order, drawn as the pipeline's ``o`` step draws it."""
+    order = list(range(num_products))
+    rng.shuffle(order)
+    return order
+
+
 def grid_of(inst):
     return build_grid(inst)

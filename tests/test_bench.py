@@ -11,6 +11,7 @@ from rankprice import (
     EmptyInput,
     ExperimentConfig,
     InvalidRange,
+    OutputWriteError,
     RankPriceError,
     SearchParams,
     StopRule,
@@ -232,6 +233,18 @@ def test_run_experiment_writes_csvs(table1, table1_path, tmp_path):
     for column in ("p5", "p50", "p95"):
         series = [int(row[column]) for row in pct_rows]
         assert series == sorted(series)
+
+
+def test_bad_output_directory_fails_before_any_run(table1_path, tmp_path, monkeypatch):
+    calls = []
+    search = rankprice.bench.METHODS["vns"]
+    monkeypatch.setitem(rankprice.bench.METHODS, "vns",
+                        lambda *args, **kw: calls.append(None) or search(*args, **kw))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(OutputWriteError, match="cannot create"):
+        run_experiment(make_config(table1_path, blocker / "out"))
+    assert calls == []
 
 
 def test_run_experiment_single_run_percentiles_collapse(table1_path, tmp_path):

@@ -1,9 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from rankprice import load_instance, save_instance
-from rankprice.cli import main
+from rankprice.cli import build_parser, main
 from helpers import TABLE1
 
 
@@ -136,6 +139,19 @@ def test_bench_runs_config(table1_path, tmp_path, capsys):
     assert "runs: 6" in printed
     assert "hit rate vs 236" in printed
     assert (out / "summary.csv").exists()
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = [
+        shlex.split(line)
+        for block in re.findall(r"```bash\n(.*?)```", readme, flags=re.S)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("rankprice ")
+    ]
+    assert len(commands) == 6
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
 
 
 def test_missing_instance_fails_cleanly(capsys):

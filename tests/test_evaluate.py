@@ -158,12 +158,12 @@ def _delta_walk(inst, grid, indices, moves):
     """
     cur, cur_a = list(indices), assign(inst, grid, indices)
     for i, level in moves:
-        trial = list(cur)
-        trial[i] = level
-        after = assign(inst, grid, trial, (i, cur[i], cur_a, cur_a.chosen.count(i)))
-        assert after == assign(inst, grid, trial) == assign_oracle(inst, grid, trial)
-        yield cur_a, i, cur[i], level, after
-        cur, cur_a = trial, after
+        after = assign(inst, grid, cur, (i, level, cur_a, cur_a.chosen.count(i)))
+        old = cur[i]
+        cur[i] = level
+        assert after == assign(inst, grid, cur) == assign_oracle(inst, grid, cur)
+        yield cur_a, i, old, level, after
+        cur_a = after
 
 
 @settings(max_examples=200, deadline=None)

@@ -18,7 +18,6 @@ from rankprice import (
     parse_pipeline,
     reassignment,
     run_pipeline,
-    scan_product,
     slack,
     validate_instance,
 )
@@ -135,21 +134,20 @@ def test_opt_based_worked_walk(table1, table1_grid):
     indices, a = state_for(table1, table1_grid, (42, 34))
     assert a.revenue == 228
     # scanning product 2 first keeps the move to price 27
-    mid, mid_a = scan_product(table1, table1_grid, indices, a, 1)
+    mid, mid_a = opt_based(table1, table1_grid, indices, a, [1])
     assert table1_grid.prices_of(mid) == (42, 27)
     assert mid_a.revenue == 234
     # seed 1 shuffles the walk to [product 2, product 1], which then lifts product 1
-    order = [0, 1]
-    random.Random(1).shuffle(order)
+    order = helpers.shuffled_products(2, random.Random(1))
     assert order == [1, 0]
-    out, out_a = opt_based(table1, table1_grid, indices, a, random.Random(1))
+    out, out_a = opt_based(table1, table1_grid, indices, a, order)
     assert table1_grid.prices_of(out) == (50, 27)
     assert out_a.revenue == 235
 
 
 def test_opt_based_at_optimum_is_identity(table1, table1_grid):
     indices, a = state_for(table1, table1_grid, (50, 34))
-    out, out_a = opt_based(table1, table1_grid, indices, a, random.Random(1))
+    out, out_a = opt_based(table1, table1_grid, indices, a, [1, 0])
     assert out == indices
     assert out_a.revenue == 236
 
@@ -173,7 +171,8 @@ def test_all_steps_keep_revenue_and_consistency():
             o_idx, o_a = op(inst, grid, s_idx, s_a, stats=stats)
             assert o_a.revenue >= s_a.revenue
             assert o_a == assign(inst, grid, o_idx)
-        o_idx, o_a = opt_based(inst, grid, s_idx, s_a, rng, stats=stats)
+        order = helpers.shuffled_products(inst.num_products, rng)
+        o_idx, o_a = opt_based(inst, grid, s_idx, s_a, order, stats=stats)
         assert o_a.revenue >= s_a.revenue
         assert o_a == assign(inst, grid, o_idx)
         reverts_seen += stats.total_reverted
@@ -242,27 +241,29 @@ def test_scan_bounds_match_a_literal_reading_of_chosen(monkeypatch):
 
 
 def test_walk_state_matches_a_recount(monkeypatch):
-    # On every trial, kept or reverted, the walk hands ``assign`` a base that
-    # equals a full ``assign`` of the vector before the move and the buyer
-    # count of the moved product in it, and gets a full ``assign`` back.
+    # On every trial, kept or reverted, the walk hands ``assign`` its own
+    # vector, a move whose assignment equals a full ``assign`` of that vector
+    # and whose buyer count is the moved product's in it, and gets a full
+    # ``assign`` of the moved vector back.
     real_assign = rankprice.local_search.assign
     seen = Counter()
 
-    def checked(inst, grid, indices, base):
-        i, level, before, buyers = base
-        prior = list(indices)
-        prior[i] = level
-        assert before == assign(inst, grid, prior)
+    def checked(inst, grid, indices, move):
+        i, m, before, buyers = move
+        assert before == assign(inst, grid, indices)
         assert buyers == before.chosen.count(i)
-        after = real_assign(inst, grid, indices, base)
-        assert after == assign(inst, grid, indices)
+        after = real_assign(inst, grid, indices, move)
+        moved = list(indices)
+        moved[i] = m
+        assert after == assign(inst, grid, moved)
         seen["kept" if after.revenue > before.revenue else "reverted"] += 1
         return after
 
     monkeypatch.setattr(rankprice.local_search, "assign", checked)
     rng = random.Random(1729)
     ops = (fill, reassignment, conditional_reassignment,
-           lambda *state: opt_based(*state, rng=rng))
+           lambda inst, *state: opt_based(
+               inst, *state, helpers.shuffled_products(inst.num_products, rng)))
     for _ in range(300):
         inst = helpers.random_instance(rng.randrange(10**6), max_products=5, max_customers=12,
                                        budget=(5, 12))
@@ -292,7 +293,8 @@ def test_every_trial_is_counted_kept_or_reverted(monkeypatch):
     monkeypatch.setattr(rankprice.local_search, "assign", counted)
     rng = random.Random(31)
     ops = (fill, reassignment, conditional_reassignment,
-           lambda *state, stats: opt_based(*state, rng=rng, stats=stats))
+           lambda inst, *state, stats: opt_based(
+               inst, *state, helpers.shuffled_products(inst.num_products, rng), stats=stats))
     trials = 0
     for _ in range(100):
         inst, grid, indices, a = random_state(rng.randrange(10**6), rng)
@@ -307,14 +309,14 @@ def test_every_trial_is_counted_kept_or_reverted(monkeypatch):
     assert trials > 0
 
 
-def test_scan_product_reaches_single_swap_optimum():
+def test_one_product_scan_reaches_single_swap_optimum():
     rng = random.Random(4242)
     for _ in range(200):
         inst, grid, indices, a = random_state(rng.randrange(10**6), rng)
         product = rng.randrange(inst.num_products)
-        out, out_a = scan_product(inst, grid, indices, a, product)
+        out, out_a = opt_based(inst, grid, indices, a, [product])
         # no second scan of the same product can improve further
-        assert scan_product(inst, grid, out, out_a, product) == (out, out_a)
+        assert opt_based(inst, grid, out, out_a, [product]) == (out, out_a)
 
 
 def test_fill_only_prices_down(table1_mod):
@@ -351,10 +353,12 @@ def _pinned_steps():
             for op in (fill, reassignment, conditional_reassignment)
         ]
         steps += [
-            lambda stats, i=i: scan_product(inst, grid, indices, a, i, stats=stats)
+            lambda stats, i=i: opt_based(inst, grid, indices, a, [i], stats=stats)
             for i in range(inst.num_products)
         ]
-        steps.append(lambda stats: opt_based(inst, grid, indices, a, random.Random(seed), stats))
+        steps.append(lambda stats: opt_based(
+            inst, grid, indices, a,
+            helpers.shuffled_products(inst.num_products, random.Random(seed)), stats))
         steps += [
             lambda stats, p=p: run_pipeline(inst, grid, p, indices, a, random.Random(seed), stats)
             for p in ("f", "c", "fo", "sfrco")

@@ -262,6 +262,31 @@ def test_naive_exhaustive_dedup_finds_optimum(table1, table1_grid):
     assert len(res.population) == 36
 
 
+@pytest.mark.parametrize("search", [naive_search, vns_search, genetic_search])
+def test_dedup_evaluates_no_vector_twice(monkeypatch, search):
+    # The local search may refine a vector into one the population already
+    # holds, so dedup does not make the population a set. It does keep every
+    # vector from a second full evaluation.
+    inst = generate_instance(4, 9, (5, 30), 0.5, seed=11)
+    grid = build_grid(inst)
+    evaluated = []
+    real_assign = rankprice.search.assign
+
+    def recorded(inst, grid, indices):
+        evaluated.append(indices)
+        return real_assign(inst, grid, indices)
+
+    monkeypatch.setattr(rankprice.search, "assign", recorded)
+    repeats = 0
+    for seed in range(20):
+        evaluated.clear()
+        p = params(l0=10, q=4, t=6, stop=StopRule.point_budget(90), seed=seed, dedup=True)
+        res = search(inst, grid, p, pipeline="sfrc", clock=FROZEN_CLOCK)
+        assert len(set(evaluated)) == len(evaluated) == res.evaluations
+        repeats += len({indices for indices, _ in res.population}) < len(res.population)
+    assert repeats > 0
+
+
 def test_naive_budget_one(table1, table1_grid):
     p = params(stop=StopRule.point_budget(1))
     res = naive_search(table1, table1_grid, p)

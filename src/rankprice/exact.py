@@ -2,17 +2,18 @@
 
 The optimum of an instance always sits on the budget grid, so exhaustive
 enumeration of the M^I grid vectors is an exact oracle whenever that count
-is affordable. For anything larger, ``export_single_level`` writes the
-equivalent single-level binary program (quadratic objective, linear
-constraints) in LP format for an external solver; this package never solves
-that model itself.
+is affordable. ``brute_force`` walks them in reflected Gray order, one
+product one level per step, so that every vector after the first is a
+one-product delta ``assign`` against the one before it. For anything
+larger, ``export_single_level`` writes the equivalent single-level binary
+program (quadratic objective, linear constraints) in LP format for an
+external solver; this package never solves that model itself.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product as iter_product
 from typing import Mapping, Sequence
 
 from .errors import OutputWriteError, SearchSpaceTooLarge
@@ -27,21 +28,35 @@ def brute_force(
 ) -> tuple[int, list[PriceIndices]]:
     """Maximum revenue over the whole grid and every vector attaining it.
 
-    The argmax list comes out lexicographically sorted (index order, which
-    matches price order). Refuses to enumerate more than ``cap`` vectors.
+    The grid is walked in reflected mixed-radix Gray order from the all-zero
+    vector: product 0 sweeps its levels up and down, and whenever it reaches
+    an end the lowest product that can still move in its own direction moves
+    by one level. Only the first vector gets a full ``assign``; every later
+    one is a one-product move against the walk's own vector and assignment.
+    The argmax list is sorted at the end, so it comes out lexicographically
+    sorted (index order, which matches price order). Refuses to enumerate
+    more than ``cap`` vectors.
     """
     total = grid.size**inst.num_products
     if total > cap:
         raise SearchSpaceTooLarge(total, cap)
-    best = -1
-    argmax: list[PriceIndices] = []
-    for indices in iter_product(range(grid.size), repeat=inst.num_products):
-        revenue = assign(inst, grid, indices).revenue
-        if revenue > best:
-            best = revenue
-            argmax = [indices]
-        elif revenue == best:
-            argmax.append(indices)
+    cur = [0] * inst.num_products
+    step = [1] * inst.num_products
+    a = assign(inst, grid, cur)
+    best, argmax = a.revenue, [tuple(cur)]
+    for _ in range(total - 1):
+        i = 0
+        while not 0 <= cur[i] + step[i] < grid.size:
+            step[i] = -step[i]
+            i += 1
+        m = cur[i] + step[i]
+        a = assign(inst, grid, cur, (i, m, a, a.chosen.count(i)))
+        cur[i] = m
+        if a.revenue > best:
+            best, argmax = a.revenue, [tuple(cur)]
+        elif a.revenue == best:
+            argmax.append(tuple(cur))
+    argmax.sort()
     return best, argmax
 
 

@@ -1,13 +1,17 @@
 import hashlib
+import json
 import random
 import re
+from itertools import product
 
 import pytest
 
 import helpers
+import rankprice.exact
 from rankprice import (
     SearchSpaceTooLarge,
     assign,
+    assign_oracle,
     assign_prices,
     brute_force,
     build_grid,
@@ -97,6 +101,85 @@ def test_brute_force_product_permutation_equivariance():
         assert mapped == set(optima_b)
 
 
+def _small_instances(seed, count):
+    """Random instances for whole-grid checks: I 1-4, K 1-9, grid size 1 included."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield generate_instance(
+            num_products=rng.randint(1, 4),
+            num_customers=rng.randint(1, 9),
+            budget_range=rng.choice([(5, 5), (5, 12), (5, 30)]),
+            availability_prob=rng.choice([0.2, 0.5, 1.0]),
+            seed=rng.randrange(10**6),
+        )
+
+
+def _lexicographic_reference(inst, grid):
+    """Optimum and argmax list by a literal lexicographic scan with the oracle."""
+    vectors = list(product(range(grid.size), repeat=inst.num_products))
+    revenue = {v: assign_oracle(inst, grid, v).revenue for v in vectors}
+    best = max(revenue.values())
+    return best, [v for v in vectors if revenue[v] == best]
+
+
+def test_brute_force_matches_lexicographic_reference():
+    cases = [helpers.table1(), helpers.table1_mod(), *_small_instances(151, 60)]
+    sizes, ties = set(), 0
+    for inst in cases:
+        grid = build_grid(inst)
+        sizes.add(grid.size)
+        optimum, optima = brute_force(inst, grid)
+        assert (optimum, optima) == _lexicographic_reference(inst, grid)
+        ties += len(optima) > 1
+    assert 1 in sizes and ties >= 5
+
+
+def test_brute_force_walk_moves_one_product_one_level(monkeypatch):
+    calls = []
+
+    def recording(inst, grid, indices, move=None):
+        result = assign(inst, grid, indices, move)
+        calls.append((tuple(indices), move, result))
+        return result
+
+    monkeypatch.setattr(rankprice.exact, "assign", recording)
+    for inst in _small_instances(152, 40):
+        grid = build_grid(inst)
+        calls.clear()
+        brute_force(inst, grid)
+        first_indices, first_move, first_result = calls[0]
+        assert first_move is None
+        visited = [first_indices]
+        assert first_result == assign_oracle(inst, grid, first_indices)
+        before = first_result
+        for indices, move, result in calls[1:]:
+            i, m, handed, buyers = move
+            assert indices == visited[-1]
+            assert abs(m - indices[i]) == 1
+            assert handed is before
+            assert buyers == before.chosen.count(i)
+            moved = indices[:i] + (m,) + indices[i + 1:]
+            assert result == assign_oracle(inst, grid, moved)
+            visited.append(moved)
+            before = result
+        assert sorted(visited) == list(product(range(grid.size), repeat=inst.num_products))
+
+
+# SHA-256 of the optimum and full argmax list of brute_force on 200
+# generated instances, recorded before the lexicographic loop became a
+# Gray-order walk: the order of the walk must not change any result.
+BRUTE_FORCE_DIGEST = "411422265ebb2abba883de1feaa750faa6ad62ec95f51d398973a1863d6babad"
+
+
+def test_brute_force_results_are_pinned():
+    records = []
+    for inst in _small_instances(15, 200):
+        optimum, optima = brute_force(inst, build_grid(inst))
+        records.append([optimum, [list(v) for v in optima]])
+    blob = json.dumps(records, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == BRUTE_FORCE_DIGEST
+
+
 # ----------------------------------------------------------------- LP model
 
 
@@ -149,8 +232,6 @@ def test_infeasible_point_is_caught(table1, table1_grid):
 def test_model_choices_match_evaluator():
     # for fixed prices the model's rows decouple per customer: the only
     # feasible purchase of each customer must be the evaluator's choice
-    from itertools import product as iter_product
-
     rng = random.Random(64)
     cases = [helpers.table1()] + [
         helpers.random_instance(rng.randrange(10**6), max_products=2, max_customers=5)
@@ -159,7 +240,7 @@ def test_model_choices_match_evaluator():
     for inst in cases:
         grid = build_grid(inst)
         model = build_single_level(inst, grid)
-        for indices in iter_product(range(grid.size), repeat=inst.num_products):
+        for indices in product(range(grid.size), repeat=inst.num_products):
             a = assign(inst, grid, indices)
             base = variable_values(inst, grid, indices, a)
             assert model.violated_rows(base) == []

@@ -2,9 +2,11 @@
 
 The optimum of an instance always sits on the budget grid, so exhaustive
 enumeration of the M^I grid vectors is an exact oracle whenever that count
-is affordable. ``brute_force`` walks them in reflected Gray order, one
-product one level per step, so that every vector after the first is a
-one-product delta ``assign`` against the one before it. For anything
+is affordable. ``brute_force`` walks the M^(I-1) price vectors of products
+1..I-1 in reflected Gray order, one product one level per step, so that
+every vector after the first is a one-product delta ``assign`` against the
+one before it. At each of them it reads the revenue of all M prices of
+product 0 off that product's revenue curve. For anything
 larger, ``export_single_level`` writes the equivalent single-level binary
 program (quadratic objective, linear constraints) in LP format for an
 external solver; this package never solves that model itself.
@@ -28,11 +30,18 @@ def brute_force(
 ) -> tuple[int, list[PriceIndices]]:
     """Maximum revenue over the whole grid and every vector attaining it.
 
-    The grid is walked in reflected mixed-radix Gray order from the all-zero
-    vector: product 0 sweeps its levels up and down, and whenever it reaches
-    an end the lowest product that can still move in its own direction moves
-    by one level. Only the first vector gets a full ``assign``; every later
-    one is a one-product move against the walk's own vector and assignment.
+    Products 1..I-1 are walked in reflected mixed-radix Gray order from the
+    all-zero vector: product 1 sweeps its levels up and down, and whenever it
+    reaches an end the lowest product that can still move in its own
+    direction moves by one level. The walk runs on ``rest``, the instance
+    with product 0 removed: only its first vector gets a full ``assign``,
+    every later one is a one-product move against the walk's own vector and
+    assignment. In ``rest`` customer k chooses ``other(k)``, the product k
+    picks when 0 is not on sale; k buys 0 at level m exactly when k affords
+    it and ``other(k)`` is none or ranked below 0, and then k's payment
+    changes from the price of ``other(k)`` to the m-th grid value. One pass
+    over the customers who want 0 and a suffix sum over the levels give
+    product 0's revenue curve, so each walk vector settles M grid vectors.
     The argmax list is sorted at the end, so it comes out lexicographically
     sorted (index order, which matches price order). Refuses to enumerate
     more than ``cap`` vectors.
@@ -40,22 +49,51 @@ def brute_force(
     total = grid.size**inst.num_products
     if total > cap:
         raise SearchSpaceTooLarge(total, cap)
-    cur = [0] * inst.num_products
-    step = [1] * inst.num_products
-    a = assign(inst, grid, cur)
-    best, argmax = a.revenue, [tuple(cur)]
-    for _ in range(total - 1):
-        i = 0
-        while not 0 <= cur[i] + step[i] < grid.size:
-            step[i] = -step[i]
-            i += 1
-        m = cur[i] + step[i]
-        a = assign(inst, grid, cur, (i, m, a, a.chosen.count(i)))
-        cur[i] = m
-        if a.revenue > best:
-            best, argmax = a.revenue, [tuple(cur)]
-        elif a.revenue == best:
-            argmax.append(tuple(cur))
+    # Not validated: a customer who wants only product 0 has an empty row here.
+    rest = Instance(inst.name, inst.num_products - 1, inst.num_customers, inst.budgets,
+                    tuple(row[1:] for row in inst.preferences))
+    values, size = grid.values, grid.size
+    levels = range(size - 1, -1, -1)
+    # Per customer who wants 0 and affords some level of it: the top level
+    # they afford, and the products of ``rest`` they rank above 0.
+    wanting = [
+        (k, top, {j - 1 for j, score in enumerate(row) if score is not None and score > row[0]})
+        for k, (budget, row) in enumerate(zip(inst.budgets, inst.preferences))
+        if row[0] is not None and (top := bisect_right(values, budget) - 1) >= 0
+    ]
+    cur = [0] * rest.num_products
+    step = [1] * rest.num_products
+    # The price of each product of ``rest`` under ``cur``; no purchase pays 0.
+    paid: dict[int | None, int] = {j: values[0] for j in range(rest.num_products)}
+    paid[None] = 0
+    best, argmax = -1, []
+    a = assign(rest, grid, cur)
+    for n in range(size**rest.num_products):
+        if n:
+            i = 0
+            while not 0 <= cur[i] + step[i] < size:
+                step[i] = -step[i]
+                i += 1
+            m = cur[i] + step[i]
+            a = assign(rest, grid, cur, (i, m, a, a.chosen.count(i)))
+            cur[i] = m
+            paid[i] = values[m]
+        buyers, lost = [0] * size, [0] * size
+        chosen = a.chosen
+        for k, top, above in wanting:
+            c = chosen[k]
+            if c not in above:
+                buyers[top] += 1
+                lost[top] += paid[c]
+        count = loss = 0
+        for m in levels:
+            count += buyers[m]
+            loss += lost[m]
+            revenue = a.revenue + values[m] * count - loss
+            if revenue > best:
+                best, argmax = revenue, [(m, *cur)]
+            elif revenue == best:
+                argmax.append((m, *cur))
     argmax.sort()
     return best, argmax
 

@@ -19,7 +19,6 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from heapq import nsmallest
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
@@ -157,10 +156,12 @@ def select_elites(
     some slots stays outside it once more slots join: the q ahead of it keep
     their places. The top q of a population is therefore the top q of its
     earlier top q plus the slots appended since, provided the revenues of the
-    earlier slots have not changed.
+    earlier slots have not changed. A run of slots already in key order, such
+    as that earlier top q placed first in ``among``, is merged by the sort
+    instead of being ranked again.
     """
     slots = range(len(population)) if among is None else among
-    return nsmallest(q, slots, key=lambda slot: (-population[slot][1], slot))
+    return sorted(slots, key=lambda slot: (-population[slot][1], slot))[:q]
 
 
 def random_price(grid: BudgetGrid, num_products: int, rng: random.Random) -> PriceIndices:
@@ -317,7 +318,11 @@ class _Run:
         return len(self.population) - 1, a
 
     def next_elites(self) -> list[int]:
-        """The q best slots of the whole population, as a full re-selection gives them."""
+        """The q best slots of the whole population, as a full re-selection gives them.
+
+        The previous elites come first, in the key order ``select_elites``
+        returned them in, so the sort merges the new slots into them.
+        """
         pop = self.population
         among = chain(self.elites, range(self.ranked, len(pop)))
         self.elites = select_elites(pop, self.params.q, among)

@@ -134,35 +134,81 @@ def test_brute_force_matches_lexicographic_reference():
     assert 1 in sizes and ties >= 5
 
 
-def test_brute_force_walk_moves_one_product_one_level(monkeypatch):
+def _recording_assign(monkeypatch):
+    """Record every ``assign`` call brute_force makes as (instance, indices, move, result)."""
     calls = []
 
     def recording(inst, grid, indices, move=None):
         result = assign(inst, grid, indices, move)
-        calls.append((tuple(indices), move, result))
+        calls.append((inst, tuple(indices), move, result))
         return result
 
     monkeypatch.setattr(rankprice.exact, "assign", recording)
+    return calls
+
+
+def test_brute_force_walk_moves_one_product_one_level(monkeypatch):
+    # The walk covers products 1..I-1 on the instance without product 0;
+    # product 0 is read off its revenue curve at each walk vector.
+    calls = _recording_assign(monkeypatch)
     for inst in _small_instances(152, 40):
         grid = build_grid(inst)
         calls.clear()
         brute_force(inst, grid)
-        first_indices, first_move, first_result = calls[0]
+        rest = calls[0][0]
+        assert rest.num_products == inst.num_products - 1
+        assert rest.preferences == tuple(row[1:] for row in inst.preferences)
+        assert all(call[0] is rest for call in calls)
+        _, first_indices, first_move, first_result = calls[0]
         assert first_move is None
         visited = [first_indices]
-        assert first_result == assign_oracle(inst, grid, first_indices)
+        assert first_result == assign_oracle(rest, grid, first_indices)
         before = first_result
-        for indices, move, result in calls[1:]:
+        for _, indices, move, result in calls[1:]:
             i, m, handed, buyers = move
             assert indices == visited[-1]
             assert abs(m - indices[i]) == 1
             assert handed is before
             assert buyers == before.chosen.count(i)
             moved = indices[:i] + (m,) + indices[i + 1:]
-            assert result == assign_oracle(inst, grid, moved)
+            assert result == assign_oracle(rest, grid, moved)
             visited.append(moved)
             before = result
-        assert sorted(visited) == list(product(range(grid.size), repeat=inst.num_products))
+        assert len(calls) == grid.size ** (inst.num_products - 1)
+        assert sorted(visited) == list(product(range(grid.size), repeat=rest.num_products))
+
+
+def _instance(budgets, preferences):
+    return validate_instance({
+        "name": "curve", "num_products": len(preferences[0]), "num_customers": len(budgets),
+        "budgets": budgets, "preferences": preferences,
+    })
+
+
+def test_brute_force_one_product_reads_everything_off_the_curve(monkeypatch):
+    calls = _recording_assign(monkeypatch)
+    inst = _instance([3, 5, 5, 9, 9, 9], [[1]] * 6)
+    grid = build_grid(inst)
+    assert brute_force(inst, grid) == _lexicographic_reference(inst, grid) == (27, [(2,)])
+    [(rest, indices, move, result)] = calls
+    assert (rest.num_products, indices, move) == (0, (), None)
+    assert result.chosen == (None,) * 6 and result.revenue == 0
+
+
+@pytest.mark.parametrize("budgets, preferences, expected", [
+    # grid size 1: one level, every vector is the all-zero one
+    ([7, 7, 7], [[1, 2], [2, 1], [None, 1]], (21, [(0, 0)])),
+    # customers 0 and 1 want only product 0: empty rows once it is removed
+    ([5, 8, 8, 8], [[1, None], [1, None], [1, 2], [None, 1]], (26, [(0, 1)])),
+    # product 0 sells 2 at 2 or 1 at 4: two of its levels tie at one walk vector
+    ([2, 4, 4], [[1, None], [1, None], [None, 1]], (8, [(0, 1), (1, 1)])),
+    # customer 2 ranks product 1 above product 0 and buys 0 once 1 is too dear
+    ([4, 6, 6, 9], [[1, None], [2, 1], [1, 2], [None, 1]], (21, [(0, 2), (1, 2)])),
+])
+def test_brute_force_curve_edge_cases(budgets, preferences, expected):
+    inst = _instance(budgets, preferences)
+    grid = build_grid(inst)
+    assert brute_force(inst, grid) == _lexicographic_reference(inst, grid) == expected
 
 
 # SHA-256 of the optimum and full argmax list of brute_force on 200

@@ -514,6 +514,22 @@ def test_elite_selection_order_and_tie_break():
     assert select_elites(pop, 2, among=[0, 3, 4]) == [4, 0]
 
 
+def test_elites_of_batches_equal_full_selection_under_ties():
+    # Revenues from a narrow range tie often; the previous elites go first,
+    # as next_elites passes them, then the slots of one batch.
+    rng = random.Random(16)
+    for _ in range(200):
+        q, size = rng.randint(1, 12), rng.randint(1, 60)
+        pop = [((slot,), rng.randrange(5)) for slot in range(size)]
+        cuts = sorted(rng.choices(range(size + 1), k=rng.randint(1, 4))) + [size]
+        elites, ranked = [], 0
+        for cut in cuts:
+            elites = select_elites(pop, q, [*elites, *range(ranked, cut)])
+            ranked = cut
+            assert elites == select_elites(pop[:cut], q)
+        assert elites == sorted(range(size), key=lambda s: (-pop[s][1], s))[:q]
+
+
 @pytest.mark.parametrize("search", [vns_search, genetic_search])
 @pytest.mark.parametrize("pipeline", ["", "sfrc"])
 @pytest.mark.parametrize("dedup", [False, True])

@@ -109,8 +109,6 @@ def generate_instance(
         preferences.append(tuple(row))
     return Instance(
         name=name or f"gen-I{num_products}-K{num_customers}-seed{seed}",
-        num_products=num_products,
-        num_customers=num_customers,
         budgets=budgets,
         preferences=tuple(preferences),
     )

@@ -50,8 +50,7 @@ def brute_force(
     if total > cap:
         raise SearchSpaceTooLarge(total, cap)
     # Not validated: a customer who wants only product 0 has an empty row here.
-    rest = Instance(inst.name, inst.num_products - 1, inst.num_customers, inst.budgets,
-                    tuple(row[1:] for row in inst.preferences))
+    rest = Instance(inst.name, inst.budgets, tuple(row[1:] for row in inst.preferences))
     values, size = grid.values, grid.size
     levels = range(size - 1, -1, -1)
     # Per customer who wants 0 and affords some level of it: the top level

@@ -36,15 +36,24 @@ class Instance:
     ``preferences[k][i]`` is customer k's score for product i; higher means
     preferred, ``None`` marks a product the customer will never buy. Scores
     are pairwise distinct within a row, so each customer has a strict ranking
-    of the products available to them. All values are immutable after
-    construction; instances can be shared freely across worker processes.
+    of the products available to them. An instance has at least one
+    customer, and its sizes are read from the data: ``num_customers`` is the
+    number of budgets and ``num_products`` the length of a preference row.
+    All values are immutable after construction; instances can be shared
+    freely across worker processes.
     """
 
     name: str
-    num_products: int
-    num_customers: int
     budgets: tuple[int, ...]
     preferences: tuple[tuple[int | None, ...], ...]
+
+    @property
+    def num_products(self) -> int:
+        return len(self.preferences[0])
+
+    @property
+    def num_customers(self) -> int:
+        return len(self.budgets)
 
     @cached_property
     def preference_order(self) -> tuple[tuple[int, ...], ...]:
@@ -180,8 +189,6 @@ def validate_instance(raw: Mapping) -> Instance:
 
     return Instance(
         name=name,
-        num_products=num_products,
-        num_customers=num_customers,
         budgets=tuple(budgets),
         preferences=tuple(tuple(row) for row in preferences),
     )

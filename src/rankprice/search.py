@@ -19,6 +19,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
@@ -173,24 +174,21 @@ def random_price(grid: BudgetGrid, num_products: int, rng: random.Random) -> Pri
 def greedy_init(inst: Instance, grid: BudgetGrid) -> PriceIndices:
     """Deterministic starting vector built from the richest customers down.
 
-    Customers are visited by decreasing budget (ties by index); each prices
-    their most preferred still-unpriced product at their own budget. Products
-    nobody claimed end up at the top of the grid, where they sell to nobody
-    but leave room to be priced down later.
+    Customers are visited by decreasing budget (ties by index); each claims
+    their most preferred unclaimed product and prices it at their own budget.
+    The visit ends once every product is claimed. Products nobody claimed end
+    up at the top of the grid, where they sell to nobody but leave room to be
+    priced down later.
     """
-    order = sorted(range(inst.num_customers), key=lambda k: (-inst.budgets[k], k))
-    prices: list[int | None] = [None] * inst.num_products
-    unpriced = set(range(inst.num_products))
-    for k in order:
-        if not unpriced:
+    claimed: dict[int, int] = {}
+    for k in sorted(range(inst.num_customers), key=lambda k: (-inst.budgets[k], k)):
+        if len(claimed) == inst.num_products:
             break
         for i in inst.preference_order[k]:
-            if i in unpriced:
-                prices[i] = grid.index_of(inst.budgets[k])
-                unpriced.remove(i)
+            if i not in claimed:
+                claimed[i] = grid.index_of(inst.budgets[k])
                 break
-    top = grid.size - 1
-    return tuple(top if m is None else m for m in prices)
+    return tuple(claimed.get(i, grid.size - 1) for i in range(inst.num_products))
 
 
 @dataclass(frozen=True)
@@ -245,6 +243,9 @@ def mutate(grid: BudgetGrid, indices: PriceIndices, rng: random.Random) -> Price
 class _Run:
     """One search run: its population, incumbent, trace and local-search stats.
 
+    Only :meth:`try_insert` grows the population, once per evaluation, so
+    its length is the number of vectors evaluated so far.
+
     In dedup mode ``seen`` holds every vector drawn or refined so far;
     otherwise it is None.
 
@@ -266,7 +267,6 @@ class _Run:
         self.population: list[tuple[PriceIndices, int]] = []
         self.best_indices: PriceIndices | None = None
         self.best_value = -1
-        self.evals = 0
         self.trace: list[TraceEntry] = []
         self.seen: set[PriceIndices] | None = set() if params.dedup else None
         self.stats = LocalSearchStats()
@@ -289,17 +289,17 @@ class _Run:
             return True
         stop = self.params.stop
         if stop.kind == StopRule.POINTS:
-            return self.evals >= stop.limit
+            return len(self.population) >= stop.limit
         if stop.kind == StopRule.ITERATIONS:
             return self.iterations >= stop.limit
         # A time limit is checked after an evaluation, so every run has one.
-        return self.evals > 0 and self.past_deadline()
+        return bool(self.population) and self.past_deadline()
 
     def batch_quota(self, size: int) -> int:
         """Vectors the next batch may add; at least 1 until the stop rule fires."""
         stop = self.params.stop
         if stop.kind == StopRule.POINTS:
-            return min(size, stop.limit - self.evals)
+            return min(size, stop.limit - len(self.population))
         return size
 
     def try_insert(self, indices: PriceIndices):
@@ -314,7 +314,6 @@ class _Run:
             self.seen.add(indices)
         a = assign(self.inst, self.grid, indices)
         self.population.append((indices, a.revenue))
-        self.evals += 1
         return len(self.population) - 1, a
 
     def next_elites(self) -> list[int]:
@@ -384,7 +383,7 @@ class _Run:
         return better
 
     def snapshot(self) -> None:
-        self.trace.append(TraceEntry(self.evals, self.elapsed(), self.best_value))
+        self.trace.append(TraceEntry(len(self.population), self.elapsed(), self.best_value))
 
     def init_population(self) -> None:
         quota = self.batch_quota(self.params.l0)
@@ -425,7 +424,7 @@ class _Run:
             best_prices=self.grid.prices_of(self.best_indices),
             best_value=self.best_value,
             trace=tuple(self.trace),
-            evaluations=self.evals,
+            evaluations=len(self.population),
             elapsed=self.elapsed(),
             iterations=self.iterations,
             ls_stats=self.stats,
@@ -474,17 +473,10 @@ def vns_search(
     def propose():
         elites = run.next_elites()
         # Elite slots and the radius stay fixed while a batch is drawn, and
-        # building a box draws nothing, so each elite's box is built once.
-        boxes: dict[int, Neighborhood] = {}
-
-        def candidate():
-            slot = run.rng.choice(elites)
-            box = boxes.get(slot)
-            if box is None:
-                box = boxes[slot] = neighborhood(grid, pop[slot][0], radius)
-            return box.sample(run.rng)
-
-        return candidate
+        # building a box draws nothing, so a cache that lasts one batch builds
+        # the box of each elite drawn once, and none for an elite not drawn.
+        box = cache(lambda slot: neighborhood(grid, pop[slot][0], radius))
+        return lambda: box(run.rng.choice(elites)).sample(run.rng)
 
     def after_batch(improved):
         nonlocal radius

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from rankprice import load_instance, save_instance
+from rankprice import generate_instance, load_instance, save_instance
 from rankprice.cli import build_parser, main
 from helpers import TABLE1
 
@@ -152,6 +152,15 @@ def test_readme_commands_parse():
     assert len(commands) == 6
     for argv in commands:
         build_parser().parse_args(argv[1:])
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, flags=re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    save_instance(generate_instance(3, 6, (5, 12), 0.8, seed=1), "inst.json")
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_missing_instance_fails_cleanly(capsys):

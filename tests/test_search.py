@@ -128,6 +128,34 @@ def test_greedy_init_leftover_products_at_top():
     assert grid.prices_of(greedy_init(inst, grid)) == (10, 10, 10)
 
 
+def _greedy_reference(inst, grid):
+    """greedy_init as its docstring states it, read off the raw scores."""
+    prices = [None] * inst.num_products
+    for k in sorted(range(inst.num_customers), key=lambda k: (-inst.budgets[k], k)):
+        row = inst.preferences[k]
+        ranked = sorted((i for i, score in enumerate(row) if score is not None),
+                        key=lambda i: -row[i])
+        unpriced = [i for i in ranked if prices[i] is None]
+        if unpriced:
+            prices[unpriced[0]] = grid.index_of(inst.budgets[k])
+    return tuple(grid.size - 1 if m is None else m for m in prices)
+
+
+def test_greedy_init_matches_reference():
+    rng = random.Random(17)
+    seen = Counter()
+    for seed in range(400):
+        lo = rng.randint(5, 30)
+        inst = generate_instance(rng.randint(1, 8), rng.randint(1, 8), (lo, lo + rng.randint(0, 3)),
+                                 rng.choice([1.0, 0.7, 0.4]), seed=seed)
+        grid = build_grid(inst)
+        assert greedy_init(inst, grid) == _greedy_reference(inst, grid)
+        seen["tied"] += len(set(inst.budgets)) < inst.num_customers
+        seen["unavailable"] += any(None in row for row in inst.preferences)
+        seen["unclaimed"] += inst.num_products > inst.num_customers
+    assert min(seen["tied"], seen["unavailable"], seen["unclaimed"]) >= 50
+
+
 # ------------------------------------------------------------ neighborhood
 
 
@@ -446,6 +474,28 @@ def test_vns_time_limit_overrun_is_one_refined_vector(monkeypatch):
     res = vns_search(inst, grid, p, pipeline="o", clock=clock)
     one_scan = inst.num_products * grid.size
     assert 100 <= res.elapsed <= 100 + one_scan
+
+
+@pytest.mark.parametrize("search", [naive_search, vns_search, genetic_search])
+@pytest.mark.parametrize("pipeline", ["", "sfrc"])
+@pytest.mark.parametrize("dedup", [False, True])
+@pytest.mark.parametrize("rule", ["points", "iterations", "time"])
+def test_evaluations_count_the_population(search, pipeline, dedup, rule):
+    # Table 1's grid holds 36 vectors, fewer than the point budget or the
+    # iteration limit lets a run evaluate, so dedup runs on it under those
+    # rules end because the grid runs out.
+    stop = {
+        "points": StopRule.point_budget(90),
+        "iterations": StopRule.iterations(8),
+        "time": StopRule.time_limit(150),
+    }[rule]
+    p = params(l0=10, q=4, t=6, stop=stop, seed=3, dedup=dedup)
+    for inst in (helpers.table1(), generate_instance(4, 9, (5, 30), 0.5, seed=11)):
+        ticks = count()
+        res = search(inst, build_grid(inst), p, pipeline=pipeline, clock=lambda: next(ticks))
+        assert res.evaluations == len(res.population) == res.trace[-1].evals
+        if dedup and inst.name == "table1":
+            assert res.evaluations <= 36
 
 
 # ----------------------------------------------------------------- genetic

@@ -18,13 +18,13 @@ clock is injected).
 from __future__ import annotations
 
 import csv
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from datetime import datetime, timezone
 from itertools import repeat
 from math import ceil
-from os import PathLike
 from pathlib import Path
 from typing import Sequence
 
@@ -134,9 +134,9 @@ class ExperimentConfig:
             if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
                 raise RankPriceError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if not isinstance(self.instance_path, (str, PathLike)):
+        if not isinstance(self.instance_path, (str, os.PathLike)):
             raise RankPriceError(f"instance_path must be a string, got {self.instance_path!r}")
-        if not isinstance(self.out_dir, (str, PathLike, type(None))):
+        if not isinstance(self.out_dir, (str, os.PathLike, type(None))):
             raise RankPriceError(f"out_dir must be a string or null, got {self.out_dir!r}")
         if self.out_dir == "":
             raise RankPriceError("out_dir must not be empty; use null to write no CSVs")
@@ -312,13 +312,12 @@ def _write_csv(path: Path, meta: str, columns, rows) -> None:
 
 
 def write_outputs(
-    out_dir,
     config: ExperimentConfig,
     summaries: Sequence[RunSummary],
     traces: Sequence[Sequence[TraceEntry]],
     checkpoints: Sequence[CheckpointStats],
 ) -> None:
-    out = Path(out_dir)
+    out = Path(config.out_dir)
     meta = _meta_line(config)
     _write_csv(
         out / "summary.csv",
@@ -355,9 +354,9 @@ def run_experiment(
 
     The output directory is created before the first run, so a path that
     cannot be one fails before any search time is spent. ``workers`` > 1
-    spreads runs over at most that many processes, one per run at most; a
-    custom ``clock`` is only meaningful in-process and therefore requires
-    workers=1.
+    spreads runs over at most that many processes, capped at one per run and
+    at the CPU count; a custom ``clock`` is only meaningful in-process and
+    therefore requires workers=1.
     """
     if workers < 1:
         raise InvalidRange(f"workers must be at least 1, got {workers}")
@@ -371,7 +370,8 @@ def run_experiment(
             raise OutputWriteError(f"cannot create {config.out_dir}: {exc}") from exc
     run_ids = range(config.runs)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, config.runs)) as pool:
+        size = min(workers, config.runs, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=size) as pool:
             results = list(pool.map(_run_one, repeat(inst), repeat(config), run_ids))
     else:
         results = [_run_one(inst, config, run_id, clock=clock) for run_id in run_ids]
@@ -379,7 +379,7 @@ def run_experiment(
     traces = [t for _, t in results]
     checkpoints = evolution_stats(traces)
     if config.out_dir is not None:
-        write_outputs(config.out_dir, config, summaries, traces, checkpoints)
+        write_outputs(config, summaries, traces, checkpoints)
     return summaries, checkpoints
 
 

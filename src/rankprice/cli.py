@@ -177,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", default=None)
     p.add_argument("--config", required=True, help="JSON experiment configuration")
     p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes, at most one per run and one per CPU")
     p.add_argument("--out", default=None, help="override the config's output directory")
     p.add_argument("--reference", type=int, default=None,
                    help="reference value for hit rates and ratios")

@@ -5,13 +5,9 @@ preferred affordable product, or nothing if none is affordable. ``assign``
 exploits this directly and is the hot path of every search. Given a vector,
 its assignment and a move of one product to another grid index, it
 re-decides only the customers that one price change can touch and copies
-every other choice. Every local-search trial is evaluated that way, against
-the walk's own vector, and so is every step after the first of
-``brute_force``'s Gray-order walk, which covers products 1..I-1 of a copy
-of the instance without product 0. ``assign_oracle`` re-derives
-the same result by brute enumeration of all purchase options and exists so
-tests can cross-check the closed form against a literal reading of the
-customer problem.
+every other choice. ``assign_oracle`` re-derives the same result by brute
+enumeration of all purchase options and exists so tests can cross-check the
+closed form against a literal reading of the customer problem.
 """
 
 from __future__ import annotations
@@ -55,8 +51,6 @@ def assign(
     afford it scan the products they rank below i, since i was the first
     they could afford and no other price moved. Revenue is updated by the
     difference, and the result equals a full evaluation of the moved vector.
-    Local-search trials and every step of ``brute_force``'s walk over
-    products 1..I-1 after its first vector call it this way.
     """
     if move is None:
         return assign_prices(inst, grid.prices_of(indices))

@@ -90,10 +90,10 @@ class SearchParams:
     was drawn or refined before is discarded and does not count toward a
     point budget. The local search may still refine a vector into one the
     population holds, so with a pipeline the population can repeat vectors.
-    ``vns_reset_radius`` restores the classical VNS reset of the radius to 1
-    on improvement (default keeps the radius unchanged on improvement and
-    grows it only on failure). ``parents_with_replacement`` lets the genetic
-    method pick the same elite twice as both parents.
+    ``vns_reset_radius`` is read by VNS only: it restores the classical reset
+    of the radius to 1 on improvement (default keeps the radius unchanged on
+    improvement and grows it only on failure). ``parents_with_replacement``
+    is read by the genetic method only: it lets one elite be both parents.
     """
 
     l0: int = 1000
@@ -243,6 +243,12 @@ def mutate(grid: BudgetGrid, indices: PriceIndices, rng: random.Random) -> Price
 class _Run:
     """One search run: its population, incumbent, trace and local-search stats.
 
+    A method seeds the population with :meth:`init_population` (naive has
+    none) and then calls :meth:`step` with its candidate maker until
+    :meth:`stop_reached`. Each step is one iteration: a batch drawn,
+    evaluated, refined by the pipeline and folded into the incumbent, then
+    one trace snapshot. Its result tells the VNS whether to grow the radius.
+
     Only :meth:`try_insert` grows the population, once per evaluation, so
     its length is the number of vectors evaluated so far.
 
@@ -353,12 +359,13 @@ class _Run:
                 break
         return batch
 
-    def finish_batch(self, batch: list[tuple[int, Assignment]]) -> bool:
-        """Refine the batch member by member, fold results back, update the best.
+    def step(self, make_candidate) -> bool:
+        """Run one iteration with ``make_candidate``; True when it beat the incumbent.
 
-        Under a time rule refinement stops at the deadline; the remaining
-        members stay as evaluated.
+        The batch is refined member by member. Under a time rule refinement
+        stops at the deadline; the remaining members stay as evaluated.
         """
+        batch = self.fill_batch(self.batch_quota(self.params.t), make_candidate)
         if self.pipeline:
             for slot, a in batch:
                 if self.past_deadline():
@@ -370,7 +377,10 @@ class _Run:
                 self.population[slot] = (indices, a.revenue)
                 if self.seen is not None:
                     self.seen.add(indices)
-        return self.update_best(batch)
+        improved = self.update_best(batch)
+        self.snapshot()
+        self.iterations += 1
+        return improved
 
     def update_best(self, batch: list[tuple[int, Assignment]]) -> bool:
         """Fold the batch's population slots into the incumbent; True when one beats it."""
@@ -397,24 +407,6 @@ class _Run:
         # vectors proposed inside the loop.
         self.update_best(batch)
         self.snapshot()
-
-    def loop(self, propose, after_batch=None) -> SearchResult:
-        """Grow the population batch by batch until the stop rule fires.
-
-        ``propose()`` runs once per batch and returns the candidate maker for
-        that batch; ``after_batch(improved)`` then learns whether the refined
-        batch beat the incumbent.
-        """
-        while not self.stop_reached():
-            batch = self.fill_batch(self.batch_quota(self.params.t), propose())
-            improved = self.finish_batch(batch)
-            if after_batch is not None:
-                after_batch(improved)
-            self.snapshot()
-            self.iterations += 1
-            if not batch:
-                break
-        return self.result()
 
     def result(self) -> SearchResult:
         if self.best_indices is None:
@@ -446,7 +438,9 @@ def naive_search(
     the other methods.
     """
     run = _Run(inst, grid, params, pipeline, clock)
-    return run.loop(lambda: run.random_candidate)
+    while not run.stop_reached():
+        run.step(run.random_candidate)
+    return run.result()
 
 
 def vns_search(
@@ -469,23 +463,17 @@ def vns_search(
     radius_cap = max(1, grid.size - 1)
     radius = 1
     pop = run.population
-
-    def propose():
+    while not run.stop_reached():
         elites = run.next_elites()
         # Elite slots and the radius stay fixed while a batch is drawn, and
         # building a box draws nothing, so a cache that lasts one batch builds
         # the box of each elite drawn once, and none for an elite not drawn.
         box = cache(lambda slot: neighborhood(grid, pop[slot][0], radius))
-        return lambda: box(run.rng.choice(elites)).sample(run.rng)
-
-    def after_batch(improved):
-        nonlocal radius
-        if not improved:
+        if not run.step(lambda: box(run.rng.choice(elites)).sample(run.rng)):
             radius = min(radius + 1, radius_cap)
         elif params.vns_reset_radius:
             radius = 1
-
-    return run.loop(propose, after_batch)
+    return run.result()
 
 
 def genetic_search(
@@ -505,19 +493,18 @@ def genetic_search(
     run = _Run(inst, grid, params, pipeline, clock)
     run.init_population()
     pop = run.population
+    elites: list[int] = []
 
-    def propose():
+    def child():
+        if params.parents_with_replacement:
+            s1 = run.rng.choice(elites)
+            s2 = run.rng.choice(elites)
+        else:
+            s1, s2 = run.rng.sample(elites, 2)
+        crossed = crossover(pop[s1][0], pop[s2][0], run.rng)
+        return mutate(grid, crossed, run.rng)
+
+    while not run.stop_reached():
         elites = run.next_elites()
-
-        def candidate():
-            if params.parents_with_replacement:
-                s1 = run.rng.choice(elites)
-                s2 = run.rng.choice(elites)
-            else:
-                s1, s2 = run.rng.sample(elites, 2)
-            child = crossover(pop[s1][0], pop[s2][0], run.rng)
-            return mutate(grid, child, run.rng)
-
-        return candidate
-
-    return run.loop(propose)
+        run.step(child)
+    return run.result()

@@ -1,5 +1,6 @@
 import csv
 import itertools
+import os
 import random
 from dataclasses import replace
 
@@ -168,6 +169,11 @@ def test_evolution_stats_orders_and_pads():
     assert checkpoints[2].p5 == 7
 
 
+def test_evolution_stats_empty_raises():
+    with pytest.raises(EmptyInput):
+        evolution_stats([])
+
+
 # ------------------------------------------------------------ experiments
 
 
@@ -278,9 +284,9 @@ def test_run_experiment_rejects_non_positive_workers(table1_path, workers):
         run_experiment(make_config(table1_path, None, runs=1), workers=workers)
 
 
-def test_worker_pool_is_capped_at_runs(table1_path, monkeypatch):
-    # A process pool forks all its workers at once, so more workers than
-    # runs would start processes with nothing to do.
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Pool sizes ``run_experiment`` asks for; its runs go in-process, so no process starts."""
     sizes = []
 
     class InProcessPool:
@@ -297,9 +303,42 @@ def test_worker_pool_is_capped_at_runs(table1_path, monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(rankprice.bench, "ProcessPoolExecutor", InProcessPool)
-    summaries, _ = run_experiment(make_config(table1_path, None, runs=3), workers=64)
-    assert sizes == [3]
+    return sizes
+
+
+def test_worker_pool_is_capped_at_runs(table1_path, monkeypatch, pool_sizes):
+    # A process pool forks all its workers at once, so more workers than
+    # runs would start processes with nothing to do.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    summaries, _ = run_experiment(make_config(table1_path, None, runs=3), workers=6)
+    assert pool_sizes == [3]
     assert [s.run_id for s in summaries] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("cpus, size", [(2, 2), (None, 1)])
+def test_worker_pool_is_capped_at_cpu_count(table1_path, monkeypatch, pool_sizes, cpus, size):
+    # More worker processes than CPUs only contend for them; os.cpu_count()
+    # may also be None, which counts as one CPU.
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    config = make_config(table1_path, None, runs=3)
+    pooled, _ = run_experiment(config, workers=6)
+    assert pool_sizes == [size]
+    alone, _ = run_experiment(config, workers=1)
+    untimed = lambda summaries: [replace(s, elapsed_ms=0) for s in summaries]
+    assert untimed(pooled) == untimed(alone)
+
+
+def test_clock_injection_requires_one_worker(table1_path, pool_sizes):
+    with pytest.raises(RankPriceError, match="clock injection requires workers=1"):
+        run_experiment(make_config(table1_path, None, runs=2), workers=2, clock=counting_clock())
+    assert pool_sizes == []
+
+
+def test_unwritable_csv_raises_output_write_error(table1_path, tmp_path):
+    out = tmp_path / "out"
+    (out / "summary.csv").mkdir(parents=True)
+    with pytest.raises(OutputWriteError, match="cannot write .*summary.csv"):
+        run_experiment(make_config(table1_path, out, runs=1))
 
 
 def test_table1_vns_sfrc_experiment_always_optimal(table1_path, tmp_path):
@@ -337,7 +376,8 @@ def test_config_round_trip(table1_path):
 @pytest.mark.parametrize("key, value, message", [
     ("out_dir", 5, "out_dir"), ("instance_path", 5, "instance_path"), ("pipeline", 5, "pipeline"),
     ("pipeline", "sfx", "local-search step"), ("runs", True, "runs"), ("runs", 2.7, "runs"),
-    ("base_seed", 1.5, "base_seed"),
+    ("base_seed", 1.5, "base_seed"), ("method", "tabu", "unknown method"),
+    ("runs", 0, "runs must be at least 1"),
 ])
 def test_config_rejects_ill_typed_fields(table1_path, key, value, message):
     raw = {"instance_path": str(table1_path), "method": "vns", "runs": 1}

@@ -1,10 +1,14 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rankprice
 from rankprice import generate_instance, load_instance, save_instance
 from rankprice.cli import build_parser, main
 from helpers import TABLE1
@@ -47,6 +51,19 @@ def test_eval_wrong_arity(table1_path, capsys):
     code = main(["eval", "--instance", table1_path, "--prices", "50"])
     assert code == 2
     assert "expected 2 prices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prices, code", [("50,34", 0), ("a,b", 2)])
+def test_module_entry_point_exit_code(table1_path, prices, code):
+    # The package may be importable only through pytest's own path setting.
+    path = [str(Path(rankprice.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    argv = [sys.executable, "-m", "rankprice.cli",
+            "eval", "--instance", table1_path, "--prices", prices]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code
+    assert ("revenue: 236" in done.stdout) == (code == 0)
+    assert done.stderr.startswith("error: ") == (code == 2)
 
 
 def test_exact_lists_optima(table1_path, capsys):

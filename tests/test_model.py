@@ -62,6 +62,17 @@ def test_dimension_mismatches_rejected():
                 validate_instance(dict(helpers.TABLE1, **{key: json.loads(text)}))
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"num_products": 0}, "at least one product"),
+    ({"num_customers": 0, "budgets": [], "preferences": []}, "at least one product"),
+    ({"budgets": [18, 66, 27]}, "expected 8 budgets, got 3"),
+    ({"preferences": helpers.TABLE1["preferences"][:7]}, "expected 8 preference rows, got 7"),
+])
+def test_dimension_counts_rejected(edit, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        validate_instance(dict(helpers.TABLE1, **edit))
+
+
 def test_nonpositive_score_rejected():
     raw = dict(helpers.TABLE1, preferences=[[0, 1]] + helpers.TABLE1["preferences"][1:])
     with pytest.raises(DimensionMismatch):
@@ -74,6 +85,12 @@ def test_table1_grid(table1_grid):
     assert table1_grid.index_of(42) == 3
     assert table1_grid.prices_of((4, 2)) == (50, 34)
     assert table1_grid.indices_of((50, 34)) == (4, 2)
+
+
+def test_grid_index_of_rejects_off_grid_value(table1_grid):
+    assert table1_grid.index_of(27) == 1
+    with pytest.raises(ValueError, match="19 is not a budget"):
+        table1_grid.index_of(19)
 
 
 def test_grid_dedups_and_sorts():

@@ -73,6 +73,25 @@ def test_search_params_reject_ill_typed_values(name, value):
         params(**{name: value})
 
 
+@pytest.mark.parametrize("kind, limit, message", [
+    (StopRule.TIME, 0, "positive"), (StopRule.TIME, -0.5, "positive"),
+    ("evaluations", 10, "unknown stop rule"), (StopRule.POINTS, 0, "at least 1"),
+    (StopRule.ITERATIONS, -1, "nonnegative"),
+])
+def test_stop_rule_rejects_out_of_range_limit(kind, limit, message):
+    with pytest.raises(RankPriceError, match=message):
+        StopRule(kind, limit)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("l0", 0, "l0 must be at least 1"), ("q", 0, "q <= l0"), ("q", 11, "q <= l0"),
+    ("t", 0, "t must be at least 1"), ("init", "lazy", "unknown init"),
+])
+def test_search_params_reject_out_of_range_values(name, value, message):
+    with pytest.raises(RankPriceError, match=message):
+        params(**{name: value})  # l0 is 10
+
+
 # ---------------------------------------------------------------- sampling
 
 
@@ -332,6 +351,13 @@ def test_naive_time_limit_still_evaluates_one_vector(table1, table1_grid):
     assert len(res.trace) == 1
 
 
+def test_naive_zero_iterations_has_no_result(table1, table1_grid):
+    # bench configs and solve reject this up front; a direct call evaluates
+    # nothing and says so.
+    with pytest.raises(RankPriceError, match="no evaluated vector"):
+        naive_search(table1, table1_grid, params(stop=StopRule.iterations(0)))
+
+
 def test_naive_same_seed_same_trace(table1, table1_grid):
     p = params(seed=12, stop=StopRule.point_budget(100))
     a = naive_search(table1, table1_grid, p, clock=FROZEN_CLOCK)
@@ -496,6 +522,46 @@ def test_evaluations_count_the_population(search, pipeline, dedup, rule):
         assert res.evaluations == len(res.population) == res.trace[-1].evals
         if dedup and inst.name == "table1":
             assert res.evaluations <= 36
+
+
+# (iterations, trace length, evaluations) of each run of
+# ``test_iterations_and_trace_length_are_pinned``, in its case order.
+PINNED_RUN_LENGTHS = [
+    (15, 15, 90), (8, 8, 48), (19, 19, 114), (7, 7, 36), (7, 7, 36), (6, 6, 34),
+    (15, 15, 90), (8, 8, 48), (11, 11, 66), (6, 6, 31), (6, 6, 31), (5, 5, 29),
+    (14, 15, 90), (8, 9, 58), (18, 19, 114), (5, 6, 36), (5, 6, 36), (4, 5, 29),
+    (14, 15, 90), (8, 9, 58), (10, 11, 70), (2, 3, 20), (2, 3, 20), (2, 3, 20),
+    (14, 15, 90), (8, 9, 58), (18, 19, 114), (5, 6, 36), (5, 6, 36), (5, 6, 35),
+    (14, 15, 90), (8, 9, 58), (10, 11, 70), (5, 6, 34), (5, 6, 34), (4, 5, 31),
+    (15, 15, 90), (8, 8, 48), (19, 19, 114), (15, 15, 90), (8, 8, 48), (19, 19, 111),
+    (15, 15, 90), (8, 8, 48), (11, 11, 66), (15, 15, 90), (8, 8, 48), (11, 11, 66),
+    (14, 15, 90), (8, 9, 58), (18, 19, 114), (14, 15, 90), (8, 9, 58), (17, 18, 112),
+    (14, 15, 90), (8, 9, 58), (10, 11, 70), (14, 15, 90), (8, 9, 58), (10, 11, 70),
+    (14, 15, 90), (8, 9, 58), (18, 19, 114), (14, 15, 90), (8, 9, 58), (13, 14, 85),
+    (14, 15, 90), (8, 9, 58), (10, 11, 70), (14, 15, 90), (8, 9, 58), (8, 9, 56),
+]
+
+
+def test_iterations_and_trace_length_are_pinned():
+    # SEARCH_DIGEST pins traces under point budgets only. This pins the
+    # iteration count too, under every stop rule, including dedup runs that
+    # run Table 1's 36-vector grid out and end on an empty batch.
+    cases = product(
+        [helpers.table1(), generate_instance(4, 9, (5, 30), 0.5, seed=11)],
+        [naive_search, vns_search, genetic_search],
+        ["", "sfrc"],
+        [False, True],
+        [StopRule.point_budget(90), StopRule.iterations(8), StopRule.time_limit(150)],
+    )
+    lengths = []
+    for inst, search, pipeline, dedup, stop in cases:
+        p = params(l0=10, q=4, t=6, stop=stop, seed=3, dedup=dedup)
+        ticks = count()
+        res = search(inst, build_grid(inst), p, pipeline=pipeline, clock=lambda: next(ticks))
+        # Every method but naive snapshots its initial population first.
+        assert len(res.trace) == res.iterations + (0 if search is naive_search else 1)
+        lengths.append((res.iterations, len(res.trace), res.evaluations))
+    assert lengths == PINNED_RUN_LENGTHS
 
 
 # ----------------------------------------------------------------- genetic

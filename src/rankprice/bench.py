@@ -33,8 +33,8 @@ from .local_search import parse_pipeline
 from .model import Instance, build_grid, load_instance
 from .search import (
     GREEDY,
+    RANDOM,
     SearchParams,
-    SearchResult,
     StopRule,
     TraceEntry,
     genetic_search,
@@ -116,7 +116,12 @@ def generate_instance(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One benchmark configuration; run j uses seed ``base_seed + j``."""
+    """One benchmark configuration, checked in full when it is built.
+
+    ``params`` holds the search knobs shared by every run; ``run_params(j)``
+    is the only place that makes run j's ``SearchParams``, with seed
+    ``base_seed + j`` and this config's ``init``.
+    """
 
     instance_path: str
     method: str
@@ -128,12 +133,9 @@ class ExperimentConfig:
     out_dir: str | None
 
     def __post_init__(self):
-        # JSON configs may spell the counts as 2.0 or "3"; store them as ints.
         for name in ("runs", "base_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-                raise RankPriceError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            if type(getattr(self, name)) is not int:
+                raise RankPriceError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not isinstance(self.instance_path, (str, os.PathLike)):
             raise RankPriceError(f"instance_path must be a string, got {self.instance_path!r}")
         if not isinstance(self.out_dir, (str, os.PathLike, type(None))):
@@ -145,23 +147,29 @@ class ExperimentConfig:
         parse_pipeline(self.pipeline)
         if self.method not in METHODS:
             raise RankPriceError(f"unknown method {self.method!r}")
+        # SearchParams checks the init that every run will use.
+        self.run_params(0)
         if self.method == "naive" and self.init == GREEDY:
             raise RankPriceError("method naive draws every vector at random; init greedy is unused")
         if self.method == "naive" and self.params.stop == StopRule.iterations(0):
             raise RankPriceError(
                 "method naive has no initial population; an iterations limit of 0 evaluates nothing"
             )
+        if (self.method == "genetic" and self.params.q < 2
+                and not self.params.parents_with_replacement):
+            raise RankPriceError("method genetic needs q >= 2 to pick two distinct parents")
         if self.runs < 1:
             raise RankPriceError("runs must be at least 1")
+
+    def run_params(self, run_id: int) -> SearchParams:
+        return replace(self.params, seed=self.base_seed + run_id, init=self.init)
 
 
 @dataclass(frozen=True)
 class RunSummary:
+    """What run ``run_id`` produced; its settings are the config's (``run_params``)."""
+
     run_id: int
-    seed: int
-    method: str
-    init: str
-    pipeline: str
     best_value: int
     best_prices: tuple[int, ...]
     evaluations: int
@@ -197,18 +205,12 @@ def _run_one(
     clock=None,
 ) -> tuple[RunSummary, tuple[TraceEntry, ...]]:
     grid = build_grid(inst)
-    seed = config.base_seed + run_id
-    params = replace(config.params, seed=seed, init=config.init)
     search = METHODS[config.method]
-    result: SearchResult = search(
-        inst, grid, params, pipeline=config.pipeline or None, clock=clock
+    result = search(
+        inst, grid, config.run_params(run_id), pipeline=config.pipeline, clock=clock
     )
     summary = RunSummary(
         run_id=run_id,
-        seed=seed,
-        method=config.method,
-        init=config.init,
-        pipeline=config.pipeline,
         best_value=result.best_value,
         best_prices=result.best_prices,
         evaluations=result.evaluations,
@@ -324,8 +326,8 @@ def write_outputs(
         meta,
         SUMMARY_COLUMNS,
         [
-            (s.run_id, s.seed, s.method, s.init, s.pipeline, s.evaluations, s.elapsed_ms,
-             s.best_value, ",".join(map(str, s.best_prices)))
+            (s.run_id, config.base_seed + s.run_id, config.method, config.init, config.pipeline,
+             s.evaluations, s.elapsed_ms, s.best_value, ",".join(map(str, s.best_prices)))
             for s in summaries
         ],
     )
@@ -425,12 +427,11 @@ def config_from_dict(raw: dict, **overrides) -> ExperimentConfig:
         data = {**data, **{k: v for k, v in overrides.items() if v is not None}}
         raw_params = data.get("params", {})
         params = params_from_dict(raw_params, data.get("method"))
-        # Each run sets its own seed and init, so these params keys would be ignored.
-        if "seed" in raw_params:
-            raise RankPriceError("params.seed is unused (run j uses base_seed + j); set base_seed")
-        if "init" in raw_params and "init" in data:
-            raise RankPriceError("init is set twice; keep the top-level init, drop params.init")
-        defaults = {"init": params.init, "pipeline": "", "base_seed": 0, "out_dir": None}
+        # run_params sets each run's seed and init, so these params keys would be ignored.
+        for key, owner in (("seed", "base_seed"), ("init", "init")):
+            if key in raw_params:
+                raise RankPriceError(f"params.{key} is unused; set the top-level {owner}")
+        defaults = {"init": RANDOM, "pipeline": "", "base_seed": 0, "out_dir": None}
         return {**defaults, **data, "params": params}
 
     return _from_json(ExperimentConfig, raw, prepare)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bench import (
@@ -71,7 +72,8 @@ def _cmd_solve(args) -> int:
     })
     summaries, _ = run_experiment(config)
     s = summaries[0]
-    print(f"method: {s.method}  init: {s.init}  pipeline: {s.pipeline or '-'}  seed: {s.seed}")
+    print(f"method: {config.method}  init: {config.init}  pipeline: {config.pipeline or '-'}  "
+          f"seed: {config.base_seed}")
     print(f"best value: {s.best_value}")
     print(f"best prices: {','.join(map(str, s.best_prices))}")
     print(f"evaluations: {s.evaluations}  elapsed_ms: {s.elapsed_ms}  "
@@ -219,6 +221,11 @@ def main(argv=None) -> int:
     except RankPriceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (say, `| head`). Point stdout at devnull so
+        # the interpreter's last flush of it fails silently too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -229,8 +229,10 @@ def export_single_level(inst: Instance, grid: BudgetGrid) -> str:
     by (product, grid index) then (product, customer); rows by family.
     """
     model = build_single_level(inst, grid)
+    # A line break in the name would end the comment and write model lines.
+    name = " ".join(inst.name.splitlines())
     lines = [
-        f"\\ single-level rank pricing model: {inst.name or 'unnamed instance'}",
+        f"\\ single-level rank pricing model: {name or 'unnamed instance'}",
         f"\\ I={inst.num_products} products, K={inst.num_customers} customers, "
         f"M={grid.size} candidate prices",
         "\\ unavailable (customer, product) pairs: x fixed to 0 in Bounds,",

@@ -111,8 +111,8 @@ def _summary(value, run_id=0):
     from rankprice import RunSummary
 
     return RunSummary(
-        run_id=run_id, seed=run_id, method="vns", init="greedy", pipeline="sfrc",
-        best_value=value, best_prices=(1,), evaluations=10, elapsed_ms=1, ls_reverts=0,
+        run_id=run_id, best_value=value, best_prices=(1,), evaluations=10, elapsed_ms=1,
+        ls_reverts=0,
     )
 
 
@@ -274,7 +274,7 @@ def test_workers_do_not_change_results(table1_path, tmp_path):
     config = make_config(table1_path, None, runs=4)
     seq, _ = run_experiment(config, workers=1)
     par, _ = run_experiment(config, workers=2)
-    strip = lambda s: (s.run_id, s.seed, s.best_value, s.best_prices, s.evaluations)
+    strip = lambda s: (s.run_id, s.best_value, s.best_prices, s.evaluations)
     assert [strip(s) for s in seq] == [strip(s) for s in par]
 
 
@@ -368,16 +368,18 @@ def test_config_round_trip(table1_path):
     assert config.params.stop == StopRule.point_budget(200)
     overridden = config_from_dict(raw, runs=9)
     assert overridden.runs == 9
-    # Counts pass through int(), as JSON may spell them 2.0 or "3".
-    assert config_from_dict(dict(raw, runs=2.0)).runs == 2
-    assert config_from_dict(dict(raw, runs="3", base_seed="4")) == replace(config, base_seed=4)
+    assert config_from_dict(dict(raw, base_seed=4)) == replace(config, base_seed=4)
+    # init defaults to random; run j's params take seed base_seed + j and the config's init.
+    assert config_from_dict({k: v for k, v in raw.items() if k != "init"}) == config
+    assert config.run_params(2) == replace(config.params, seed=13, init="random")
 
 
 @pytest.mark.parametrize("key, value, message", [
     ("out_dir", 5, "out_dir"), ("instance_path", 5, "instance_path"), ("pipeline", 5, "pipeline"),
     ("pipeline", "sfx", "local-search step"), ("runs", True, "runs"), ("runs", 2.7, "runs"),
     ("base_seed", 1.5, "base_seed"), ("method", "tabu", "unknown method"),
-    ("runs", 0, "runs must be at least 1"),
+    ("runs", 0, "runs must be at least 1"), ("runs", 2.0, "runs"), ("runs", "3", "runs"),
+    ("base_seed", "4", "base_seed"), ("init", "bogus", "unknown init"),
 ])
 def test_config_rejects_ill_typed_fields(table1_path, key, value, message):
     raw = {"instance_path": str(table1_path), "method": "vns", "runs": 1}

@@ -10,6 +10,7 @@ import pytest
 
 import rankprice
 from rankprice import generate_instance, load_instance, save_instance
+from rankprice.bench import config_from_dict
 from rankprice.cli import build_parser, main
 from helpers import TABLE1
 
@@ -180,6 +181,32 @@ def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
 
 
+def test_readme_bench_config_loads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"JSON form of `ExperimentConfig`:\n\n```json\n(.*?)```",
+                      readme, flags=re.S).group(1)
+    config = config_from_dict(json.loads(block))
+    assert (config.method, config.init, config.pipeline) == ("vns", "greedy", "sfrc")
+    assert config.params.q == 100
+
+
+def test_closed_output_pipe_exits_1_without_traceback(tmp_path):
+    # Over 64 KiB of output fills the pipe, so the CLI is still writing when it closes.
+    path = tmp_path / "many.json"
+    save_instance(generate_instance(2, 4000, (5, 12), 1.0, seed=1), path)
+    package = [str(Path(rankprice.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, package)))
+    argv = [sys.executable, "-m", "rankprice.cli",
+            "eval", "--instance", str(path), "--prices", "5,5"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    assert proc.stdout.readline().startswith("customer 1: ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 def test_missing_instance_fails_cleanly(capsys):
     code = main(["exact", "--instance", "/nonexistent/foo.json"])
     assert code == 2
@@ -222,6 +249,10 @@ BAD_CONFIGS = {
         good, params=dict(good["params"], stop={"kind": "points", "limit": "50"})),
     "fractional-points-limit": lambda good: dict(
         good, params=dict(good["params"], stop={"kind": "points", "limit": 50.9})),
+    "unknown-init": lambda good: dict(good, init="bogus"),
+    "params-init": lambda good: dict(good, params=dict(good["params"], init="greedy")),
+    "genetic-one-elite": lambda good: dict(
+        good, method="genetic", params=dict(good["params"], q=1)),
 }
 
 
@@ -277,6 +308,7 @@ def _bad_instance(tmp_path, num_products, width=2):
                                   "instance-huge-integer", "config-huge-integer",
                                   "instance-too-deep", "negative-prices", "zero-prices",
                                   "solve-naive-greedy", "solve-naive-no-iterations",
+                                  "solve-genetic-one-elite",
                                   "solve-empty-out", "bench-empty-out", "config-empty-out-dir",
                                   *BAD_CONFIGS])
 def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys, monkeypatch):
@@ -326,6 +358,9 @@ def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys, 
             "solve-naive-no-iterations": lambda: ["solve", "--instance", table1_path,
                                                   "--method", "naive", "--iterations", "0",
                                                   "--out", str(tmp_path / "out")],
+            "solve-genetic-one-elite": lambda: ["solve", "--instance", table1_path,
+                                                "--method", "genetic", "--q", "1",
+                                                "--out", str(tmp_path / "out")],
             "unwritable-lp": lambda: ["export-lp", "--instance", table1_path,
                                       "--out", str(missing_dir / "out.lp")],
             "unwritable-instance": lambda: ["gen", "--products", "2", "--customers", "4",

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -314,6 +315,17 @@ def test_export_is_byte_stable(table1, table1_grid, tmp_path):
     write_lp(table1, table1_grid, path_a)
     write_lp(table1, table1_grid, path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
+
+
+def test_export_name_cannot_inject_lp_lines(table1, table1_grid):
+    # The name comes from instance JSON; a line break in it must not end the header comment.
+    text = export_single_level(
+        replace(table1, name="demo\nEnd\nSubject To\n c0: x_1_1 >= 1"), table1_grid
+    )
+    lines = text.splitlines()
+    assert [n for n, line in enumerate(lines) if line == "End"] == [len(lines) - 1]
+    joined = replace(table1, name="demo End Subject To  c0: x_1_1 >= 1")
+    assert text == export_single_level(joined, table1_grid)
 
 
 # SHA-256 of the LP text of each instance, recorded before build_single_level

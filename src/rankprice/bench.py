@@ -295,9 +295,11 @@ def summarize(
 
 def _meta_line(config: ExperimentConfig) -> str:
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    # A line break in the path would end the metadata line and split the header.
+    instance = " ".join(os.fspath(config.instance_path).splitlines())
     return (
         f"# rankprice bench method={config.method} init={config.init} "
-        f"pipeline={config.pipeline or '-'} instance={config.instance_path} "
+        f"pipeline={config.pipeline or '-'} instance={instance} "
         f"runs={config.runs} base_seed={config.base_seed} generated={stamp}"
     )
 
@@ -326,8 +328,9 @@ def write_outputs(
         meta,
         SUMMARY_COLUMNS,
         [
-            (s.run_id, config.base_seed + s.run_id, config.method, config.init, config.pipeline,
-             s.evaluations, s.elapsed_ms, s.best_value, ",".join(map(str, s.best_prices)))
+            (s.run_id, config.run_params(s.run_id).seed, config.method, config.init,
+             config.pipeline, s.evaluations, s.elapsed_ms, s.best_value,
+             ",".join(map(str, s.best_prices)))
             for s in summaries
         ],
     )

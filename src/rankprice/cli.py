@@ -24,52 +24,47 @@ def _add_solve_parser(sub):
     p = sub.add_parser("solve", help="run one seeded search on an instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--method", choices=tuple(METHODS), required=True)
-    p.add_argument("--init", choices=(RANDOM, GREEDY), default=RANDOM)
-    p.add_argument("--local-search", default="", metavar="LETTERS",
+    p.add_argument("--init", choices=(RANDOM, GREEDY))
+    p.add_argument("--local-search", metavar="LETTERS",
                    help="pipeline letters: s=slack f=fill r=reassignment "
                         "c=conditional reassignment o=optimization-based")
-    p.add_argument("--l0", type=int, default=None)
-    p.add_argument("--q", type=int, default=None,
+    p.add_argument("--l0", type=int)
+    p.add_argument("--q", type=int,
                    help="elite set size (default min(100, l0), or min(1000, l0) for genetic)")
-    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--t", type=int)
     stop = p.add_mutually_exclusive_group()
-    stop.add_argument("--max-points", type=int, default=None)
-    stop.add_argument("--time-limit", type=float, default=None)
-    stop.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, metavar="DIR",
+    stop.add_argument("--max-points", type=int)
+    stop.add_argument("--time-limit", type=float)
+    stop.add_argument("--iterations", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", metavar="DIR",
                    help="write summary/trace/percentiles CSVs here")
-    p.add_argument("--dedup", action="store_true",
+    p.add_argument("--dedup", action="store_true", default=None,
                    help="discard vectors drawn or refined before instead of counting them")
-    p.add_argument("--vns-reset-radius", action="store_true",
+    p.add_argument("--vns-reset-radius", action="store_true", default=None,
                    help="reset the VNS radius to 1 after an improvement")
-    p.add_argument("--parents-with-replacement", action="store_true",
+    p.add_argument("--parents-with-replacement", action="store_true", default=None,
                    help="allow the genetic method to pick the same parent twice")
     p.set_defaults(run=_cmd_solve)
 
 
 def _cmd_solve(args) -> int:
-    # The same JSON-shaped config that bench reads; flags the user left unset
-    # are omitted, so config_from_dict applies the defaults.
+    # The same JSON-shaped config that bench reads. Every optional flag
+    # defaults to None, and a flag left unset is omitted, so config_from_dict
+    # applies the defaults.
     limits = {"points": args.max_points, "time": args.time_limit, "iterations": args.iterations}
     stop = next(({"kind": k, "limit": v} for k, v in limits.items() if v is not None), None)
-    given = {"l0": args.l0, "q": args.q, "t": args.t, "stop": stop}
+    # These flags are stored under their SearchParams field names.
+    names = ("l0", "q", "t", "dedup", "vns_reset_radius", "parents_with_replacement")
+    given = {"stop": stop, **{name: getattr(args, name) for name in names}}
     params = {name: value for name, value in given.items() if value is not None}
-    config = config_from_dict({
-        "instance_path": args.instance,
-        "method": args.method,
-        "init": args.init,
-        "pipeline": args.local_search,
-        "params": {
-            **params,
-            "dedup": args.dedup,
-            "vns_reset_radius": args.vns_reset_radius,
-            "parents_with_replacement": args.parents_with_replacement,
-        },
-        "runs": 1,
-        "base_seed": args.seed,
-        "out_dir": args.out,
-    })
+    config = config_from_dict(
+        {"instance_path": args.instance, "method": args.method, "params": params, "runs": 1},
+        init=args.init,
+        pipeline=args.local_search,
+        base_seed=args.seed,
+        out_dir=args.out,
+    )
     summaries, _ = run_experiment(config)
     s = summaries[0]
     print(f"method: {config.method}  init: {config.init}  pipeline: {config.pipeline or '-'}  "

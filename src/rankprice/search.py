@@ -249,8 +249,11 @@ class _Run:
     evaluated, refined by the pipeline and folded into the incumbent, then
     one trace snapshot. Its result tells the VNS whether to grow the radius.
 
-    Only :meth:`try_insert` grows the population, once per evaluation, so
-    its length is the number of vectors evaluated so far.
+    There is one way into the population and one way out of a batch:
+    :meth:`fill_batch` is the only place a vector is drawn, evaluated and
+    appended, once per evaluation, so the population's length is the number
+    of vectors evaluated so far; :meth:`close_batch` is the only place the
+    incumbent and the trace change.
 
     In dedup mode ``seen`` holds every vector drawn or refined so far;
     otherwise it is None.
@@ -301,27 +304,6 @@ class _Run:
         # A time limit is checked after an evaluation, so every run has one.
         return bool(self.population) and self.past_deadline()
 
-    def batch_quota(self, size: int) -> int:
-        """Vectors the next batch may add; at least 1 until the stop rule fires."""
-        stop = self.params.stop
-        if stop.kind == StopRule.POINTS:
-            return min(size, stop.limit - len(self.population))
-        return size
-
-    def try_insert(self, indices: PriceIndices):
-        """Evaluate and append one vector; returns (slot, assignment) or None.
-
-        In dedup mode an already-seen vector is discarded without evaluation
-        and does not count toward the point budget.
-        """
-        if self.seen is not None:
-            if indices in self.seen:
-                return None
-            self.seen.add(indices)
-        a = assign(self.inst, self.grid, indices)
-        self.population.append((indices, a.revenue))
-        return len(self.population) - 1, a
-
     def next_elites(self) -> list[int]:
         """The q best slots of the whole population, as a full re-selection gives them.
 
@@ -337,27 +319,46 @@ class _Run:
     def random_candidate(self) -> PriceIndices:
         return random_price(self.grid, self.inst.num_products, self.rng)
 
-    def fill_batch(self, quota: int, make_candidate) -> list[tuple[int, Assignment]]:
-        """Insert ``quota`` new vectors produced by ``make_candidate``.
+    def fill_batch(self, size: int, make_candidate) -> list[tuple[int, Assignment]]:
+        """Evaluate and append up to ``size`` new vectors produced by ``make_candidate``.
 
-        Under a time rule the batch ends early, after the draw that crosses
-        the deadline.
+        This is the only place the population grows. A point budget caps the
+        batch at the points it has left. In dedup mode an already-seen vector
+        is discarded without evaluation and does not count. Under a time rule
+        the batch ends early, after the draw that crosses the deadline.
         """
+        stop = self.params.stop
+        if stop.kind == StopRule.POINTS:
+            size = min(size, stop.limit - len(self.population))
         batch: list[tuple[int, Assignment]] = []
         draws = 0
-        max_draws = quota * _DEDUP_DRAWS_PER_SLOT
+        max_draws = size * _DEDUP_DRAWS_PER_SLOT
         seen = self.seen
-        while len(batch) < quota:
+        while len(batch) < size:
             if seen is not None and (len(seen) >= self.grid_points or draws >= max_draws):
                 self.exhausted = True
                 break
             draws += 1
-            inserted = self.try_insert(make_candidate())
-            if inserted is not None:
-                batch.append(inserted)
+            indices = make_candidate()
+            if seen is None or indices not in seen:
+                if seen is not None:
+                    seen.add(indices)
+                a = assign(self.inst, self.grid, indices)
+                self.population.append((indices, a.revenue))
+                batch.append((len(self.population) - 1, a))
             if self.past_deadline():
                 break
         return batch
+
+    def close_batch(self, batch: list[tuple[int, Assignment]]) -> bool:
+        """Fold the batch into the incumbent, then snapshot the trace; True when it improved."""
+        before = self.best_value
+        for slot, _ in batch:
+            indices, value = self.population[slot]
+            if value > self.best_value:
+                self.best_indices, self.best_value = indices, value
+        self.trace.append(TraceEntry(len(self.population), self.elapsed(), self.best_value))
+        return self.best_value > before
 
     def step(self, make_candidate) -> bool:
         """Run one iteration with ``make_candidate``; True when it beat the incumbent.
@@ -365,7 +366,7 @@ class _Run:
         The batch is refined member by member. Under a time rule refinement
         stops at the deadline; the remaining members stay as evaluated.
         """
-        batch = self.fill_batch(self.batch_quota(self.params.t), make_candidate)
+        batch = self.fill_batch(self.params.t, make_candidate)
         if self.pipeline:
             for slot, a in batch:
                 if self.past_deadline():
@@ -377,36 +378,19 @@ class _Run:
                 self.population[slot] = (indices, a.revenue)
                 if self.seen is not None:
                     self.seen.add(indices)
-        improved = self.update_best(batch)
-        self.snapshot()
         self.iterations += 1
-        return improved
-
-    def update_best(self, batch: list[tuple[int, Assignment]]) -> bool:
-        """Fold the batch's population slots into the incumbent; True when one beats it."""
-        better = False
-        for slot, _ in batch:
-            indices, value = self.population[slot]
-            if value > self.best_value:
-                self.best_indices, self.best_value = indices, value
-                better = True
-        return better
-
-    def snapshot(self) -> None:
-        self.trace.append(TraceEntry(len(self.population), self.elapsed(), self.best_value))
+        return self.close_batch(batch)
 
     def init_population(self) -> None:
-        quota = self.batch_quota(self.params.l0)
-        batch: list[tuple[int, Assignment]] = []
-        if self.params.init == GREEDY:
-            # The population is still empty, so even dedup mode inserts it.
-            batch.append(self.try_insert(greedy_init(self.inst, self.grid)))
-            quota -= 1
-        batch.extend(self.fill_batch(quota, self.random_candidate))
-        # Initial members are evaluated as-is: the pipeline only refines the
-        # vectors proposed inside the loop.
-        self.update_best(batch)
-        self.snapshot()
+        """Evaluate the first ``l0`` vectors as one batch, the greedy one first if init asks.
+
+        Initial members are evaluated as-is: the pipeline only refines the
+        vectors proposed inside the loop.
+        """
+        # random_candidate never returns None, so the random draws never run out.
+        start = [greedy_init(self.inst, self.grid)] if self.params.init == GREEDY else []
+        draws = chain(start, iter(self.random_candidate, None))
+        self.close_batch(self.fill_batch(self.params.l0, draws.__next__))
 
     def result(self) -> SearchResult:
         if self.best_indices is None:

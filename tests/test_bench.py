@@ -25,7 +25,7 @@ from rankprice import (
     save_instance,
     summarize,
 )
-from rankprice.bench import config_from_dict, params_from_dict
+from rankprice.bench import SUMMARY_COLUMNS, TRACE_COLUMNS, config_from_dict, params_from_dict
 
 
 def counting_clock():
@@ -268,6 +268,24 @@ def test_rerun_reproduces_csv_bytes(table1_path, tmp_path):
         body_a = [l for l in (out_a / name).read_text().splitlines() if not l.startswith("#")]
         body_b = [l for l in (out_b / name).read_text().splitlines() if not l.startswith("#")]
         assert body_a == body_b
+
+
+def test_line_break_in_instance_path_keeps_the_header_on_line_2(table1, tmp_path):
+    # The instance path goes into each file's `#` line; a raw line break
+    # there would start a second line above the column header.
+    path = tmp_path / "in\nst.json"
+    save_instance(table1, path)
+    out = tmp_path / "out"
+    run_experiment(replace(make_config(path, out, runs=1), instance_path=path))
+    headers = {
+        "summary.csv": SUMMARY_COLUMNS,
+        "trace.csv": TRACE_COLUMNS,
+        "percentiles.csv": ("checkpoint", "evals", "elapsed_ms", "p5", "p50", "p95"),
+    }
+    for name, columns in headers.items():
+        lines = (out / name).read_text().splitlines()
+        assert [n for n, line in enumerate(lines) if line.startswith("#")] == [0]
+        assert lines[1] == ",".join(columns)
 
 
 def test_workers_do_not_change_results(table1_path, tmp_path):

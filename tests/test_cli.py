@@ -10,7 +10,7 @@ import pytest
 
 import rankprice
 from rankprice import generate_instance, load_instance, save_instance
-from rankprice.bench import config_from_dict
+from rankprice.bench import RunSummary, config_from_dict
 from rankprice.cli import build_parser, main
 from helpers import TABLE1
 
@@ -134,6 +134,22 @@ def test_solve_naive_dedup_exhausts_grid(table1_path, capsys):
     out = capsys.readouterr().out
     assert "best value: 236" in out
     assert "evaluations: 36" in out
+
+
+@pytest.mark.parametrize("method", ["vns", "genetic"])
+def test_solve_without_options_builds_the_default_config(table1_path, monkeypatch, method):
+    # solve keeps no copy of a config default: with no optional flag it builds
+    # the config that config_from_dict builds from the required keys alone.
+    configs = []
+
+    def fake_run_experiment(config):
+        configs.append(config)
+        return [RunSummary(0, 0, (), 0, 0, 0)], ()
+
+    monkeypatch.setattr(rankprice.cli, "run_experiment", fake_run_experiment)
+    assert main(["solve", "--instance", table1_path, "--method", method]) == 0
+    expected = config_from_dict({"instance_path": table1_path, "method": method, "runs": 1})
+    assert configs == [expected]
 
 
 def test_bench_runs_config(table1_path, tmp_path, capsys):

@@ -48,3 +48,10 @@ def test_traced_counts_match_the_search(harness):
     assert tracer.count("evaluate.assign@search") == res.evaluations
     assert tracer.count("local_search.run_pipeline") == res.evaluations - p.l0
     assert tracer.count("search.Neighborhood.sample") == res.evaluations - p.l0
+    # The initial batch draws through the same module attributes: one greedy
+    # vector, then random ones.
+    p = SearchParams(l0=10, q=4, t=6, stop=StopRule.point_budget(60), seed=1, init="greedy")
+    tracer, res = traced(harness, vns_search, inst, grid, p, pipeline="sfrc")
+    assert tracer.count("search.greedy_init") == 1
+    assert tracer.count("search.random_price") == p.l0 - 1
+    assert tracer.count("evaluate.assign@search") == res.evaluations

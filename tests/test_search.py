@@ -341,12 +341,23 @@ def test_naive_budget_one(table1, table1_grid):
     assert res.best_value == res.population[0][1]
 
 
-def test_naive_time_limit_still_evaluates_one_vector(table1, table1_grid):
-    # Naive search has no initial population; a deadline already passed at
-    # the first read still lets the first draw be evaluated.
+@pytest.mark.parametrize(
+    "search, init",
+    [
+        (naive_search, "random"),
+        (vns_search, "random"),
+        (vns_search, "greedy"),
+        (genetic_search, "random"),
+        (genetic_search, "greedy"),
+    ],
+    ids=["naive-random", "vns-random", "vns-greedy", "genetic-random", "genetic-greedy"],
+)
+def test_time_limit_still_evaluates_one_vector(table1, table1_grid, search, init):
+    # A deadline already passed at the first read still lets the first draw
+    # be evaluated, the greedy start vector included, and nothing after it.
     ticking = count()
-    p = params(stop=StopRule.time_limit(0.5))
-    res = naive_search(table1, table1_grid, p, clock=lambda: float(next(ticking)))
+    p = params(stop=StopRule.time_limit(0.5), init=init)
+    res = search(table1, table1_grid, p, clock=lambda: float(next(ticking)))
     assert res.evaluations == 1
     assert len(res.trace) == 1
 

@@ -19,14 +19,15 @@ every operator here is revenue nondecreasing by construction.
 A state's purchases are its assignment's ``chosen``. Each walk also holds
 the buyer count of every product for the vector it refines, counted over
 ``chosen`` when the walk starts and again after each kept trial
-(:func:`_buyer_counts`). Fill considers only unsold products and both
-reassignments only products with two buyers or more, by that count read
-when the walk reaches the product. Fill, reassignment and
-conditional reassignment find a product's cheapest buyers, or the cheapest
-customer who buys nothing and wants it, by scanning
-``Instance.customers_by_budget`` from the product's price
-(:func:`_cheapest`). Slack finds every cheapest buyer in one pass over the
-customers.
+(:func:`_buyer_counts`). Each step names the buyer counts it acts on, and
+the walk itself skips a product whose count, read when the walk reaches it,
+is not among them: fill acts only on unsold products and both reassignments
+only on products with two buyers or more. Reassignment and conditional
+reassignment find a product's cheapest buyers by scanning
+``Instance.customers_by_budget`` up from the product's price
+(:func:`_cheapest`). Fill looks only at the customers who bought nothing
+when its walk started, and skips the walk when there are none. Slack finds
+every cheapest buyer in one pass over the customers.
 """
 
 from __future__ import annotations
@@ -89,18 +90,20 @@ def _walk(
     assignment: Assignment,
     step: str,
     products: Iterable[int],
-    levels: Callable[[int, list[int], Sequence[int | None], list[int]], Iterable[int]],
+    counts: range,
+    levels: Callable[[int, list[int], Sequence[int | None]], Iterable[int]],
     stats: LocalSearchStats | None,
 ) -> tuple[PriceIndices, Assignment]:
     """Try each product in ``products`` at each of its ``levels``; keep strict improvements.
 
-    ``levels(i, cur, chosen, sold)`` gives the grid indices to try for
-    product i in the current state (price indices, purchases, buyer counts).
-    It is asked when the walk reaches i, so it sees every earlier kept
-    trial, and a step that considers only some products tests ``sold[i]``
-    first. A trial moves product i to grid index m: one ``assign`` call given
-    the move ``(i, m, a, sold[i])`` against the current state decides again
-    only the customers it can touch. It is counted under ``step`` as kept or
+    A product is tried only when its buyer count ``sold[i]``, read when the
+    walk reaches it, is in ``counts``; otherwise it is skipped without asking
+    ``levels``. ``levels(i, cur, chosen)`` gives the grid indices to try for
+    product i in the current state (price indices, purchases). It is asked
+    when the walk reaches i, so it sees every earlier kept trial. A trial
+    moves product i to grid index m: one ``assign`` call given the move
+    ``(i, m, a, sold[i])`` against the current state decides again only the
+    customers it can touch. It is counted under ``step`` as kept or
     reverted; only a kept one sets ``cur[i]`` and recounts ``sold`` over
     ``chosen``. The price already held is skipped without evaluation.
     """
@@ -108,7 +111,9 @@ def _walk(
     cur, a = list(indices), assignment
     sold = _buyer_counts(inst.num_products, a.chosen)
     for i in products:
-        for m in levels(i, cur, a.chosen, sold):
+        if sold[i] not in counts:
+            continue
+        for m in levels(i, cur, a.chosen):
             if m == cur[i]:
                 continue
             after = assign(inst, grid, cur, (i, m, a, sold[i]))
@@ -122,20 +127,18 @@ def _walk(
 
 
 def _cheapest(
-    inst: Instance, chosen: Sequence[int | None], i: int, price: int, of: int | None, count: int
+    inst: Instance, chosen: Sequence[int | None], i: int, price: int, count: int
 ) -> list[int]:
-    """Up to ``count`` customers who want product i and chose ``of``, by ascending budget.
+    """Up to ``count`` buyers of product i, by ascending budget.
 
-    Reads ``inst.customers_by_budget[i]``. When ``of`` is i these are i's
-    buyers, who all afford ``price``, so the scan starts at the first budget
-    not below it. When ``of`` is ``None`` they buy nothing, so none affords
-    ``price`` and the scan stops below it. Equal budgets come in customer order.
+    Reads ``inst.customers_by_budget[i]``. Every buyer affords ``price``, so
+    the scan starts at the first budget not below it. Equal budgets come in
+    customer order.
     """
     budgets, customers = inst.customers_by_budget[i]
-    cut = bisect_left(budgets, price)
     found = []
-    for k in customers[cut:] if of == i else customers[:cut]:
-        if chosen[k] == of:
+    for k in customers[bisect_left(budgets, price):]:
+        if chosen[k] == i:
             found.append(k)
             if len(found) == count:
                 break
@@ -177,15 +180,24 @@ def fill(
     customers away from other products, so the move is kept only when the
     re-evaluated revenue strictly improves. Products handled in ascending
     index order, each seeing the effects of earlier kept moves.
+
+    A price cut never leaves a customer without a purchase, so the
+    unassigned customers are always among ``idle``, those unassigned when
+    the walk starts; with none, the input comes back unchanged and no walk
+    runs. An unassigned customer who wants the product cannot afford its
+    price, so every candidate price lies below it.
     """
+    idle = [k for k, c in enumerate(assignment.chosen) if c is None]
+    if not idle:
+        return tuple(indices), assignment
+    budgets, preferences = inst.budgets, inst.preferences
 
-    def levels(i, cur, chosen, sold):
-        if sold[i]:
-            return []
-        pool = _cheapest(inst, chosen, i, grid.values[cur[i]], None, 1)
-        return [grid.index_of(inst.budgets[pool[0]])] if pool else []
+    def levels(i, cur, chosen):
+        pool = [budgets[k] for k in idle if chosen[k] is None and preferences[k][i] is not None]
+        return [grid.index_of(min(pool))] if pool else []
 
-    return _walk(inst, grid, indices, assignment, "f", range(inst.num_products), levels, stats)
+    products, unsold = range(inst.num_products), range(1)
+    return _walk(inst, grid, indices, assignment, "f", products, unsold, levels, stats)
 
 
 def reassignment(
@@ -202,13 +214,12 @@ def reassignment(
     :func:`slack` first). Products handled in ascending index order.
     """
 
-    def levels(i, cur, chosen, sold):
-        if sold[i] < 2:
-            return []
-        _, second = _cheapest(inst, chosen, i, grid.values[cur[i]], i, 2)
+    def levels(i, cur, chosen):
+        _, second = _cheapest(inst, chosen, i, grid.values[cur[i]], 2)
         return [grid.index_of(inst.budgets[second])]
 
-    return _walk(inst, grid, indices, assignment, "r", range(inst.num_products), levels, stats)
+    products, shared = range(inst.num_products), range(2, inst.num_customers + 1)
+    return _walk(inst, grid, indices, assignment, "r", products, shared, levels, stats)
 
 
 def conditional_reassignment(
@@ -228,23 +239,22 @@ def conditional_reassignment(
     Expects slack-free prices.
     """
 
-    def levels(i, cur, chosen, sold):
-        if sold[i] < 2:
-            return []
+    def levels(i, cur, chosen):
         m = cur[i]
         price = grid.values[m]
-        poorest, second = _cheapest(inst, chosen, i, price, i, 2)
+        poorest, second = _cheapest(inst, chosen, i, price, 2)
         if inst.budgets[poorest] != price:
             return []
         # The poorest buyer affords every product at i's price and bought i,
         # the first affordable one in their ranking, so a fallback priced
         # there ranks below i.
         ranked = inst.preference_order[poorest]
-        if not any(cur[j] == m for j in ranked[ranked.index(i) + 1:]):
+        if m not in map(cur.__getitem__, ranked[ranked.index(i) + 1:]):
             return []
         return [grid.index_of(inst.budgets[second])]
 
-    return _walk(inst, grid, indices, assignment, "c", range(inst.num_products), levels, stats)
+    products, shared = range(inst.num_products), range(2, inst.num_customers + 1)
+    return _walk(inst, grid, indices, assignment, "c", products, shared, levels, stats)
 
 
 def opt_based(
@@ -262,7 +272,8 @@ def opt_based(
     random order.
     """
     every_level = lambda *_: range(grid.size)
-    return _walk(inst, grid, indices, assignment, "o", products, every_level, stats)
+    every_count = range(inst.num_customers + 1)
+    return _walk(inst, grid, indices, assignment, "o", products, every_count, every_level, stats)
 
 
 def run_pipeline(

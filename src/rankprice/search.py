@@ -165,10 +165,25 @@ def select_elites(
     return sorted(slots, key=lambda slot: (-population[slot][1], slot))[:q]
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A draw uniform over ``range(n)``, n >= 1, as ``Random.randrange(n)`` makes it.
+
+    A copy of CPython's ``Random._randbelow_with_getrandbits``: it takes
+    ``n.bit_length()`` bits and draws again while the value is out of range,
+    so it consumes the generator exactly as ``randrange`` does, one draw even
+    when n is 1.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_price(grid: BudgetGrid, num_products: int, rng: random.Random) -> PriceIndices:
-    """One vector with every component uniform over the grid."""
-    size = grid.size
-    return tuple(rng.randrange(size) for _ in range(num_products))
+    """One vector with every component uniform over the grid, as ``rng.randrange`` draws it."""
+    size, bits = grid.size, rng.getrandbits
+    return tuple(_below(bits, size) for _ in range(num_products))
 
 
 def greedy_init(inst: Instance, grid: BudgetGrid) -> PriceIndices:
@@ -200,7 +215,8 @@ class Neighborhood:
 
     def sample(self, rng: random.Random) -> PriceIndices:
         """One vector uniform over the box, drawn as ``rng.randint(lo, hi)`` per axis would."""
-        return tuple(rng.randrange(lo, hi + 1) for lo, hi in zip(self.lo, self.hi))
+        bits = rng.getrandbits
+        return tuple(lo + _below(bits, hi + 1 - lo) for lo, hi in zip(self.lo, self.hi))
 
 
 def neighborhood(grid: BudgetGrid, indices: Sequence[int], radius: int) -> Neighborhood:
@@ -233,7 +249,7 @@ def mutate(grid: BudgetGrid, indices: PriceIndices, rng: random.Random) -> Price
     out = list(indices)
     for i in range(n):
         if rng.random() < rate:
-            draw = rng.randrange(size - 1)
+            draw = _below(rng.getrandbits, size - 1)
             if draw >= out[i]:
                 draw += 1
             out[i] = draw

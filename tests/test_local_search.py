@@ -76,6 +76,30 @@ def test_fill_no_interested_unassigned_customer():
     assert fill(inst, grid, indices, a) == (indices, a)
 
 
+def test_fill_with_every_customer_buying_returns_its_input(monkeypatch):
+    # Nobody is left to attract: no trial is made, even for unsold products.
+    calls = []
+    real_assign = rankprice.local_search.assign
+    monkeypatch.setattr(rankprice.local_search, "assign",
+                        lambda *args: calls.append(args) or real_assign(*args))
+    rng = random.Random(61)
+    unsold = states = 0
+    while states < 100:
+        inst = helpers.random_instance(rng.randrange(10**6))
+        grid = build_grid(inst)
+        indices = helpers.random_indices(grid, inst.num_products, rng)
+        a = assign(inst, grid, indices)
+        if None in a.chosen:
+            continue
+        states += 1
+        unsold += len(set(a.chosen)) < inst.num_products
+        stats = LocalSearchStats()
+        out, out_a = fill(inst, grid, indices, a, stats=stats)
+        assert out is indices and out_a is a
+        assert calls == [] and stats == LocalSearchStats()
+    assert unsold > 0
+
+
 def test_reassignment_worked_example(table1, table1_grid):
     indices, a = state_for(table1, table1_grid, (18, 27))
     out, out_a = reassignment(table1, table1_grid, indices, a)
@@ -182,15 +206,24 @@ def test_all_steps_keep_revenue_and_consistency():
 def _levels_tried(op, inst, grid, indices, a, monkeypatch):
     """Per product, the levels ``op`` would try in the state ``(indices, a)``.
 
-    ``levels`` applies the step's buyer-count test first, on the counts a
-    walk starting from this state holds.
+    A product whose buyer count, on the counts a walk starting from this
+    state holds, is outside the step's ``counts`` tries nothing, as in
+    ``_walk``; so does every product of a step that returns without walking.
     """
+    walks = []
+
+    def walk(inst, grid, indices, assignment, step, products, counts, levels, stats):
+        walks.append((counts, levels))
+
     with monkeypatch.context() as patch:
-        patch.setattr(rankprice.local_search, "_walk",
-                      lambda inst, grid, indices, assignment, step, products, levels, stats: levels)
-        levels = op(inst, grid, indices, a)
+        patch.setattr(rankprice.local_search, "_walk", walk)
+        op(inst, grid, indices, a)
+    if not walks:
+        return [[] for _ in range(inst.num_products)]
+    [(counts, levels)] = walks
     sold = rankprice.local_search._buyer_counts(inst.num_products, a.chosen)
-    return [list(levels(i, list(indices), a.chosen, sold)) for i in range(inst.num_products)]
+    return [list(levels(i, list(indices), a.chosen)) if sold[i] in counts else []
+            for i in range(inst.num_products)]
 
 
 def _literal_levels(inst, grid, indices, a, i):
@@ -214,6 +247,7 @@ def test_scan_bounds_match_a_literal_reading_of_chosen(monkeypatch):
     rng = random.Random(1618)
     at_price = states = 0
     fallback = Counter()  # c's fallback test, when it is asked: fires or blocks
+    idle = Counter()  # fill with nobody idle, so no walk, and fill trying a level
     while states < 300:
         inst = helpers.random_instance(rng.randrange(10**6), max_products=5, max_customers=12,
                                        budget=(5, 12))
@@ -227,6 +261,8 @@ def test_scan_bounds_match_a_literal_reading_of_chosen(monkeypatch):
             tried = [_levels_tried(op, inst, grid, indices, a, monkeypatch)
                      for op in (fill, reassignment, conditional_reassignment)]
             slacked = slack(inst, grid, indices, a)[0]
+            idle["none"] += None not in a.chosen
+            idle["tries"] += any(tried[0])
             for i in range(inst.num_products):
                 f, r, c = _literal_levels(inst, grid, indices, a, i)
                 assert tuple(step[i] for step in tried) == (f, r, c)
@@ -238,6 +274,7 @@ def test_scan_bounds_match_a_literal_reading_of_chosen(monkeypatch):
                     fallback["fires" if c else "blocks"] += 1
     assert at_price > states
     assert fallback["fires"] > 0 and fallback["blocks"] > 0
+    assert idle["none"] > 0 and idle["tries"] > 0
 
 
 def test_walk_state_matches_a_recount(monkeypatch):

@@ -10,7 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from rankprice import SearchParams, StopRule, build_grid, generate_instance, vns_search
+from rankprice import (
+    SearchParams,
+    StopRule,
+    build_grid,
+    generate_instance,
+    genetic_search,
+    vns_search,
+)
 from rankprice import local_search, search
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -55,3 +62,7 @@ def test_traced_counts_match_the_search(harness):
     assert tracer.count("search.greedy_init") == 1
     assert tracer.count("search.random_price") == p.l0 - 1
     assert tracer.count("evaluate.assign@search") == res.evaluations
+    # The genetic method breeds every child through crossover, then mutate.
+    tracer, res = traced(harness, genetic_search, inst, grid, p)
+    assert tracer.count("search.mutate") == res.evaluations - p.l0 > 0
+    assert tracer.count("search.crossover") == res.evaluations - p.l0

@@ -219,6 +219,43 @@ def test_neighborhood_sample_draws_like_randint(table1_grid):
         assert box.sample(a) == tuple(b.randint(lo, hi) for lo, hi in zip(box.lo, box.hi))
 
 
+def test_draw_helper_equals_randrange():
+    # Every width up to 300, with 1, the powers of two and 2^k + 1 also far
+    # beyond it: the same values and the same generator state afterwards.
+    widths = [*range(1, 301), *(2**k + d for k in range(9, 21) for d in (-1, 0, 1))]
+    for seed in (0, 1, 99, 2024):
+        mine, ref = random.Random(seed), random.Random(seed)
+        for n in widths:
+            for _ in range(3):
+                assert rankprice.search._below(mine.getrandbits, n) == ref.randrange(n)
+        assert mine.getstate() == ref.getstate()
+
+
+def test_draws_match_randrange_references():
+    # random_price, Neighborhood.sample and mutate, each against the
+    # randrange formula it replaces, on 1,000 draws over grids of 1 to 40 levels.
+    mine, ref, sizes = random.Random(5), random.Random(5), random.Random(6)
+    for _ in range(1000):
+        size = sizes.randint(1, 40)
+        grid = build_grid(validate_instance(
+            {"name": "g", "num_products": 1, "num_customers": size,
+             "budgets": list(range(1, size + 1)), "preferences": [[1]] * size}))
+        n = 1 + size % 7
+        vec = random_price(grid, n, mine)
+        assert vec == tuple(ref.randrange(size) for _ in range(n))
+        box = neighborhood(grid, vec, 1 + size % 3)
+        assert box.sample(mine) == tuple(ref.randrange(lo, hi + 1)
+                                         for lo, hi in zip(box.lo, box.hi))
+        out = list(vec)
+        if size > 1:
+            for i in range(n):
+                if ref.random() < 1.0 / n:
+                    draw = ref.randrange(size - 1)
+                    out[i] = draw + (draw >= out[i])
+        assert mutate(grid, vec, mine) == tuple(out)
+        assert mine.getstate() == ref.getstate()
+
+
 def test_neighborhood_rejects_zero_radius(table1_grid):
     with pytest.raises(RankPriceError):
         neighborhood(table1_grid, (0, 0), 0)

@@ -35,11 +35,9 @@ from .errors import (
 from .evaluate import assign, assign_oracle, assign_prices
 from .exact import (
     DEFAULT_ENUMERATION_CAP,
-    MilpModel,
     brute_force,
     build_single_level,
     export_single_level,
-    variable_values,
     write_lp,
 )
 from .local_search import (

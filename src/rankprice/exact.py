@@ -10,17 +10,25 @@ product 0 off that product's revenue curve. For anything
 larger, ``export_single_level`` writes the equivalent single-level binary
 program (quadratic objective, linear constraints) in LP format for an
 external solver; this package never solves that model itself.
+
+``build_single_level`` writes the model's text directly, in one pass over
+the customers: the fragments that repeat (variable names, each product's
+objective prefixes and link tails, each customer's pref left-hand side) are
+formatted once, and each objective block and row is one ``str.join``. The
+objective keeps the terms at prices above a customer's budget, which that
+customer's link row forces to zero; they are kept on purpose, because
+dropping them would change the exported text. That text is byte-identical
+to what earlier versions wrote, and tests pin it by SHA-256 digests.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import accumulate, chain
 
 from .errors import OutputWriteError, SearchSpaceTooLarge
 from .evaluate import assign
-from .model import Assignment, BudgetGrid, Instance, PriceIndices
+from .model import BudgetGrid, Instance, PriceIndices
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -97,17 +105,8 @@ def brute_force(
     return best, argmax
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
-    name: str
-    terms: tuple[tuple[int, str], ...]
-    sense: str  # "<=" or ">="
-    rhs: int
-
-
-@dataclass(frozen=True)
-class MilpModel:
-    """Single-level reformulation: binary price-choice and purchase variables.
+def build_single_level(inst: Instance, grid: BudgetGrid) -> list[str]:
+    """The LP body of the single-level model, ``Maximize`` to ``End``.
 
     ``v_{i}_{m}`` = 1 when product i is priced at the m-th grid value,
     ``x_{i}_{k}`` = 1 when customer k buys product i (all names 1-based).
@@ -115,110 +114,58 @@ class MilpModel:
     one-price-per-product (onep), one-purchase-per-customer (onec),
     buy-only-affordably-priced-products (link) and buy-your-best-affordable
     (pref). In the link and pref rows of customer k, price-choice variables
-    are summed only over grid values within k's budget: that restriction is
-    what encodes affordability, and without it the model would let customers
-    buy products priced beyond their budget.
-    """
-
-    v_names: tuple[str, ...]
-    x_names: tuple[str, ...]
-    objective: tuple[tuple[int, str, str], ...]  # (price of level m, v_{i}_{m}, x_{i}_{k})
-    rows: tuple[ConstraintRow, ...]
-    fixed_zero: tuple[str, ...]
-
-    def family_counts(self) -> dict[str, int]:
-        counts = {"onep": 0, "onec": 0, "link": 0, "pref": 0}
-        for row in self.rows:
-            counts[row.name.split("_", 1)[0]] += 1
-        return counts
-
-    def objective_value(self, values: Mapping[str, int]) -> int:
-        return sum(
-            price * values.get(v, 0) * values.get(x, 0) for price, v, x in self.objective
-        )
-
-    def violated_rows(self, values: Mapping[str, int]) -> list[str]:
-        """Names of constraints (and fixed bounds) the 0/1 point violates."""
-        bad = []
-        for row in self.rows:
-            lhs = sum(coef * values.get(name, 0) for coef, name in row.terms)
-            ok = lhs <= row.rhs if row.sense == "<=" else lhs >= row.rhs
-            if not ok:
-                bad.append(row.name)
-        bad.extend(name for name in self.fixed_zero if values.get(name, 0) != 0)
-        return bad
-
-
-def _v_name(i: int, m: int) -> str:
-    return f"v_{i + 1}_{m + 1}"
-
-
-def _x_name(i: int, k: int) -> str:
-    return f"x_{i + 1}_{k + 1}"
-
-
-def build_single_level(inst: Instance, grid: BudgetGrid) -> MilpModel:
-    """Assemble the single-level model for an instance.
+    are summed only over the grid values within k's budget: that restriction
+    is what encodes affordability, and without it the model would let
+    customers buy products priced beyond their budget.
 
     Purchases a customer can never make are fixed to zero instead of being
     constrained: their x variable gets a zero bound, their pref row and their
-    objective terms are omitted. Everything else is emitted in full, so the
-    link family always has K*I rows. One pass over the customers emits each
-    customer's objective terms, onec, link and pref rows; every variable name
-    is formatted once, in the tables ``v[i][m]`` and ``x[i][k]``.
+    objective terms are omitted. Everything else is written in full: the
+    link family always has K*I rows, and k's objective keeps its terms at
+    prices above k's budget, which k's link row forces to zero. They are
+    kept on purpose, because dropping them changes the exported text.
+
+    One pass over the customers writes the text, and every fragment that
+    repeats is formatted once beforehand: the names ``v[i][m]`` and
+    ``x[i][k]``, each product's objective prefixes ``+ 2*value v_{i}_{m} *``
+    and its link tails ``- 1 v_{i}_{1} ... - 1 v_{i}_{L}`` for every L. In
+    the pass, each customer's pref left-hand side is formatted once, and
+    each of their objective blocks (one per available product) and rows is
+    one ``str.join``. The result is the list of those blocks in file order,
+    each one or more lines without the final line break.
     """
     num_i, num_k = inst.num_products, inst.num_customers
-    v = [[_v_name(i, m) for m in range(grid.size)] for i in range(num_i)]
-    x = [[_x_name(i, k) for k in range(num_k)] for i in range(num_i)]
+    v = [[f"v_{i + 1}_{m + 1}" for m in range(grid.size)] for i in range(num_i)]
+    x = [[f"x_{i + 1}_{k + 1}" for k in range(num_k)] for i in range(num_i)]
+    prefixes = [[f"   + {2 * value} {name} * " for value, name in zip(grid.values, names)]
+                for names in v]
+    tails = [list(accumulate((f" - 1 {name}" for name in names), initial="")) for names in v]
 
     objective, onec, link, pref = [], [], [], []
     for k, scores in enumerate(inst.preferences):
+        own = [names[k] for names in x]
         available = [i for i in range(num_i) if scores[i] is not None]
         # The grid ascends, so the levels within k's budget are a prefix of it.
-        levels = range(bisect_right(grid.values, inst.budgets[k]))
-        objective.extend(
-            (value, v[i][m], x[i][k]) for i in available for m, value in enumerate(grid.values)
-        )
-        onec.append(ConstraintRow(f"onec_{k + 1}", tuple((1, x[i][k]) for i in range(num_i)),
-                                  "<=", 1))
-        link.extend(
-            ConstraintRow(f"link_{k + 1}_{i + 1}",
-                          ((1, x[i][k]), *((-1, v[i][m]) for m in levels)), "<=", 0)
-            for i in range(num_i)
-        )
-        lhs = tuple((scores[j], x[j][k]) for j in available)
+        top = bisect_right(grid.values, inst.budgets[k])
+        objective.extend((own[i] + "\n").join(prefixes[i]) + own[i] for i in available)
+        onec.append(f" onec_{k + 1}: 1 {' + 1 '.join(own)} <= 1")
+        link.extend(f" link_{k + 1}_{i + 1}: 1 {own[i]}{tails[i][top]} <= 0"
+                    for i in range(num_i))
+        lhs = " + ".join(f"{scores[i]} {own[i]}" for i in available)
         pref.extend(
-            ConstraintRow(f"pref_{k + 1}_{i + 1}",
-                          lhs + tuple((-scores[i], v[i][m]) for m in levels), ">=", 0)
+            f" pref_{k + 1}_{i + 1}: {lhs}{f' - {scores[i]} '.join(['', *v[i][:top]])} >= 0"
             for i in available
         )
 
-    onep = [ConstraintRow(f"onep_{i + 1}", tuple((1, name) for name in v[i]), "<=", 1)
-            for i in range(num_i)]
-    return MilpModel(
-        v_names=tuple(name for row in v for name in row),
-        x_names=tuple(name for row in x for name in row),
-        objective=tuple(objective),
-        rows=(*onep, *onec, *link, *pref),
-        fixed_zero=tuple(x[i][k] for i in range(num_i) for k in range(num_k)
-                         if inst.preferences[k][i] is None),
-    )
-
-
-def variable_values(
-    inst: Instance, grid: BudgetGrid, indices: Sequence[int], assignment: Assignment
-) -> dict[str, int]:
-    """0/1 values of every model variable encoding the given prices/purchases."""
-    values = {_v_name(i, m): 1 for i, m in enumerate(indices)}
-    values.update(
-        (_x_name(i, k), 1) for k, i in enumerate(assignment.chosen) if i is not None
-    )
-    return values
-
-
-def _render_terms(terms: Sequence[tuple[int, str]]) -> str:
-    text = " ".join(f"{'-' if coef < 0 else '+'} {abs(coef)} {name}" for coef, name in terms)
-    return text.removeprefix("+ ")
+    fixed = [x[i][k] for i in range(num_i) for k in range(num_k)
+             if inst.preferences[k][i] is None]
+    return [
+        "Maximize", " obj: [", *objective, "   ] / 2", "Subject To",
+        *(f" onep_{i + 1}: 1 {' + 1 '.join(names)} <= 1" for i, names in enumerate(v)),
+        *onec, *link, *pref,
+        *(["Bounds", " " + " = 0\n ".join(fixed) + " = 0"] if fixed else []),
+        "Binaries", " " + "\n ".join([*chain(*v), *chain(*x)]), "End",
+    ]
 
 
 def export_single_level(inst: Instance, grid: BudgetGrid) -> str:
@@ -226,12 +173,12 @@ def export_single_level(inst: Instance, grid: BudgetGrid) -> str:
 
     The bilinear objective uses the LP quadratic convention: terms are listed
     inside ``[ ... ] / 2`` with doubled coefficients. Variables are ordered
-    by (product, grid index) then (product, customer); rows by family.
+    by (product, grid index) then (product, customer); rows by family. The
+    body comes from ``build_single_level``; this adds the comment header.
     """
-    model = build_single_level(inst, grid)
     # A line break in the name would end the comment and write model lines.
     name = " ".join(inst.name.splitlines())
-    lines = [
+    return "\n".join([
         f"\\ single-level rank pricing model: {name or 'unnamed instance'}",
         f"\\ I={inst.num_products} products, K={inst.num_customers} customers, "
         f"M={grid.size} candidate prices",
@@ -239,20 +186,8 @@ def export_single_level(inst: Instance, grid: BudgetGrid) -> str:
         "\\ matching pref row and objective terms omitted",
         "\\ link/pref rows sum price choices only over values within the",
         "\\ customer's budget, which encodes affordability",
-        "Maximize",
-        " obj: [",
-    ]
-    lines.extend(f"   + {2 * price} {v} * {x}" for price, v, x in model.objective)
-    lines += ["   ] / 2", "Subject To"]
-    lines.extend(f" {row.name}: {_render_terms(row.terms)} {row.sense} {row.rhs}"
-                 for row in model.rows)
-    if model.fixed_zero:
-        lines.append("Bounds")
-        lines.extend(f" {name} = 0" for name in model.fixed_zero)
-    lines.append("Binaries")
-    lines.extend(f" {name}" for name in model.v_names + model.x_names)
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+        *build_single_level(inst, grid),
+    ]) + "\n"
 
 
 def write_lp(inst: Instance, grid: BudgetGrid, path) -> None:

@@ -24,7 +24,6 @@ from rankprice import (
     assign_prices,
     brute_force,
     build_grid,
-    build_single_level,
     conditional_reassignment,
     crossover,
     export_single_level,
@@ -297,10 +296,10 @@ def test_criterion_10_paper_instances():
 
 def test_criterion_11_lp_export_shape(table1, table1_grid):
     with criterion(11, "LP export variable/row counts and byte stability", 1.0):
-        model = build_single_level(table1, table1_grid)
-        assert len(model.v_names) == 12
-        assert len(model.x_names) == 16
-        counts = model.family_counts()
+        model = helpers.read_lp(export_single_level(table1, table1_grid))
+        assert len([name for name in model.binaries if name.startswith("v_")]) == 12
+        assert len([name for name in model.binaries if name.startswith("x_")]) == 16
+        counts = helpers.family_counts(model)
         assert (counts["onep"], counts["onec"], counts["link"], counts["pref"]) == (
             2, 8, 16, 16,
         )

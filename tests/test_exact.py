@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-import re
 from dataclasses import replace
 from itertools import product
 
@@ -10,6 +9,7 @@ import pytest
 import helpers
 import rankprice.exact
 from rankprice import (
+    BudgetGrid,
     SearchSpaceTooLarge,
     assign,
     assign_oracle,
@@ -20,7 +20,6 @@ from rankprice import (
     export_single_level,
     generate_instance,
     validate_instance,
-    variable_values,
     write_lp,
 )
 
@@ -230,11 +229,19 @@ def test_brute_force_results_are_pinned():
 # ----------------------------------------------------------------- LP model
 
 
+def _read_export(inst, grid):
+    return helpers.read_lp(export_single_level(inst, grid))
+
+
+def _named(names, prefix):
+    return [name for name in names if name.startswith(prefix)]
+
+
 def test_model_shape_table1(table1, table1_grid):
-    model = build_single_level(table1, table1_grid)
-    assert len(model.v_names) == 12
-    assert len(model.x_names) == 16
-    assert model.family_counts() == {"onep": 2, "onec": 8, "link": 16, "pref": 16}
+    model = _read_export(table1, table1_grid)
+    assert len(_named(model.binaries, "v_")) == 12
+    assert len(_named(model.binaries, "x_")) == 16
+    assert helpers.family_counts(model) == {"onep": 2, "onec": 8, "link": 16, "pref": 16}
     assert model.fixed_zero == ()
     assert len(model.objective) == 8 * 2 * 6
 
@@ -244,36 +251,36 @@ def test_model_minimal_instance():
         {"name": "unit", "num_products": 1, "num_customers": 1,
          "budgets": [4], "preferences": [[1]]}
     )
-    model = build_single_level(inst, build_grid(inst))
-    assert len(model.v_names) == 1
-    assert len(model.x_names) == 1
-    assert model.family_counts() == {"onep": 1, "onec": 1, "link": 1, "pref": 1}
+    model = _read_export(inst, build_grid(inst))
+    assert len(_named(model.binaries, "v_")) == 1
+    assert len(_named(model.binaries, "x_")) == 1
+    assert helpers.family_counts(model) == {"onep": 1, "onec": 1, "link": 1, "pref": 1}
 
 
 def test_model_absent_preferences(table1_mod):
     grid = build_grid(table1_mod)
-    model = build_single_level(table1_mod, grid)
+    model = _read_export(table1_mod, grid)
     # customer 5 cannot buy product 2: x fixed, pref row and objective terms gone
     assert model.fixed_zero == ("x_2_5",)
-    assert model.family_counts()["pref"] == 15
-    assert model.family_counts()["link"] == 16
+    assert helpers.family_counts(model)["pref"] == 15
+    assert helpers.family_counts(model)["link"] == 16
     assert len(model.objective) == (16 - 1) * 6
 
 
 def test_optimum_point_feasible_in_model(table1, table1_grid):
-    model = build_single_level(table1, table1_grid)
+    model = _read_export(table1, table1_grid)
     indices = table1_grid.indices_of((50, 34))
     a = assign(table1, table1_grid, indices)
-    values = variable_values(table1, table1_grid, indices, a)
-    assert model.violated_rows(values) == []
-    assert model.objective_value(values) == 236
+    values = helpers.variable_values(indices, a)
+    assert helpers.violated_rows(model, values) == []
+    assert helpers.objective_value(model, values) == 236
 
 
 def test_infeasible_point_is_caught(table1, table1_grid):
-    model = build_single_level(table1, table1_grid)
+    model = _read_export(table1, table1_grid)
     # pricing product 1 at two budgets at once violates its onep row
     values = {"v_1_1": 1, "v_1_2": 1}
-    assert "onep_1" in model.violated_rows(values)
+    assert "onep_1" in helpers.violated_rows(model, values)
 
 
 def test_model_choices_match_evaluator():
@@ -286,12 +293,12 @@ def test_model_choices_match_evaluator():
     ]
     for inst in cases:
         grid = build_grid(inst)
-        model = build_single_level(inst, grid)
+        model = _read_export(inst, grid)
         for indices in product(range(grid.size), repeat=inst.num_products):
             a = assign(inst, grid, indices)
-            base = variable_values(inst, grid, indices, a)
-            assert model.violated_rows(base) == []
-            assert model.objective_value(base) == a.revenue
+            base = helpers.variable_values(indices, a)
+            assert helpers.violated_rows(model, base) == []
+            assert helpers.objective_value(model, base) == a.revenue
             for k in range(inst.num_customers):
                 for option in [None] + list(range(inst.num_products)):
                     if option == a.chosen[k]:
@@ -304,7 +311,37 @@ def test_model_choices_match_evaluator():
                     }
                     if option is not None:
                         deviant[f"x_{option + 1}_{k + 1}"] = 1
-                    assert model.violated_rows(deviant) != []
+                    assert helpers.violated_rows(model, deviant) != []
+
+
+def test_export_is_well_formed():
+    # Names are declared, used and unique; bounds fix exactly the unavailable
+    # purchases; and the body is what build_single_level writes.
+    rng = random.Random(53)
+    for _ in range(50):
+        lo = rng.randint(1, 40)
+        inst = generate_instance(rng.randint(1, 8), rng.randint(1, 12), (lo, rng.randint(lo, 40)),
+                                 rng.choice([0.2, 0.5, 1.0]), seed=rng.randrange(10**6))
+        grid = build_grid(inst)
+        text = export_single_level(inst, grid)
+        assert text.endswith("\n" + "\n".join(build_single_level(inst, grid)) + "\n")
+        model = helpers.read_lp(text)
+        declared = set(model.binaries)
+        assert len(declared) == len(model.binaries)
+        used = {name for _, v, x in model.objective for name in (v, x)}
+        used.update(name for _, terms, _, _ in model.rows for _, name in terms)
+        used.update(model.fixed_zero)
+        assert used == declared
+        names = [name for name, *_ in model.rows]
+        assert len(set(names)) == len(names)
+        unavailable = {
+            f"x_{i + 1}_{k + 1}"
+            for k, row in enumerate(inst.preferences)
+            for i, score in enumerate(row)
+            if score is None
+        }
+        assert set(model.fixed_zero) == unavailable
+        assert len(model.fixed_zero) == len(unavailable)
 
 
 def test_export_is_byte_stable(table1, table1_grid, tmp_path):
@@ -349,48 +386,66 @@ def test_export_bytes_are_pinned(name):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == EXPORT_DIGESTS[name]
 
 
-def _parse_lp(text):
-    """Minimal LP reader: section split, row names, binaries, objective terms."""
-    body = [line for line in text.splitlines() if not line.startswith("\\")]
-    section = None
-    rows, binaries, bounds, quad_terms = [], [], [], 0
-    for line in body:
-        stripped = line.strip()
-        if stripped in ("Maximize", "Subject To", "Bounds", "Binaries", "End"):
-            section = stripped
-            continue
-        if section == "Maximize" and "*" in stripped:
-            quad_terms += 1
-        elif section == "Subject To":
-            match = re.match(r"(\w+):", stripped)
-            if match:
-                rows.append(match.group(1))
-        elif section == "Bounds":
-            bounds.append(stripped.split(" = ")[0])
-        elif section == "Binaries" and stripped:
-            binaries.append(stripped)
-    return rows, binaries, bounds, quad_terms
+def _sweep_exports(seed, count):
+    """LP texts of ``count`` generated instances and of the two benchmark shapes.
+
+    I 1-8, K 1-12, budgets within 1-40. Every fifth name carries line breaks,
+    and every fourth instance is exported on a grid drawn apart from its
+    budgets, so that some customers afford no level and others afford levels
+    strictly below their budget.
+    """
+    rng = random.Random(seed)
+    for n in range(count):
+        lo = rng.randint(1, 40)
+        inst = generate_instance(
+            num_products=rng.randint(1, 8),
+            num_customers=rng.randint(1, 12),
+            budget_range=(lo, rng.randint(lo, 40)),
+            availability_prob=rng.choice([0.2, 0.5, 1.0]),
+            seed=rng.randrange(10**6),
+            name=f"sweep {n}\nEnd\r\n c0: x_1_1 >= 1" if n % 5 == 0 else None,
+        )
+        grid = build_grid(inst)
+        if n % 4 == 0:
+            grid = BudgetGrid(tuple(sorted(rng.sample(range(1, 41), rng.randint(1, 8)))))
+        yield export_single_level(inst, grid)
+    for inst in (generate_instance(50, 60, (18, 66), 0.5, seed=1),
+                 generate_instance(25, 30, (18, 66), 0.3, seed=1)):
+        yield export_single_level(inst, build_grid(inst))
+
+
+# SHA-256 of the concatenated LP texts of ``_sweep_exports(22, 200)``, recorded
+# before the export was rewritten as one pass of string joins per customer.
+EXPORT_SWEEP_DIGEST = "41bbb3f462f0c3fc9c98d84a7a498ba9efa16a2f202300e27d7a811276affec4"
+
+
+def test_export_sweep_is_pinned():
+    digest = hashlib.sha256()
+    for text in _sweep_exports(22, 200):
+        digest.update(text.encode("utf-8"))
+    assert digest.hexdigest() == EXPORT_SWEEP_DIGEST
 
 
 def test_export_round_trips_counts(table1, table1_grid):
     text = export_single_level(table1, table1_grid)
-    rows, binaries, bounds, quad_terms = _parse_lp(text)
-    assert len([r for r in rows if r.startswith("onep")]) == 2
-    assert len([r for r in rows if r.startswith("onec")]) == 8
-    assert len([r for r in rows if r.startswith("link")]) == 16
-    assert len([r for r in rows if r.startswith("pref")]) == 16
-    assert len([b for b in binaries if b.startswith("v_")]) == 12
-    assert len([b for b in binaries if b.startswith("x_")]) == 16
-    assert bounds == []
-    assert quad_terms == 96
+    model = helpers.read_lp(text)
+    rows = [name for name, *_ in model.rows]
+    assert len(_named(rows, "onep")) == 2
+    assert len(_named(rows, "onec")) == 8
+    assert len(_named(rows, "link")) == 16
+    assert len(_named(rows, "pref")) == 16
+    assert len(_named(model.binaries, "v_")) == 12
+    assert len(_named(model.binaries, "x_")) == 16
+    assert model.fixed_zero == ()
+    assert len(model.objective) == 96
     assert text.rstrip().endswith("End")
 
 
 def test_export_fixed_bounds_for_absent(table1_mod):
     grid = build_grid(table1_mod)
-    text = export_single_level(table1_mod, grid)
-    rows, binaries, bounds, _ = _parse_lp(text)
-    assert bounds == ["x_2_5"]
+    model = _read_export(table1_mod, grid)
+    rows = [name for name, *_ in model.rows]
+    assert model.fixed_zero == ("x_2_5",)
     assert "pref_5_2" not in rows
     assert "link_5_2" in rows
-    assert len(binaries) == 12 + 16
+    assert len(model.binaries) == 12 + 16

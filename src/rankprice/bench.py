@@ -8,16 +8,18 @@ making the output independent of scheduling.
 
 Three CSV files are written per experiment: ``summary.csv`` (one row per
 run), ``trace.csv`` (one row per batch snapshot per run) and
-``percentiles.csv`` (P5/P50/P95 of best-so-far per checkpoint). Each file
-starts with one ``#`` metadata line; that line carries the only timestamp,
-so re-running a configuration with the same base seed reproduces the
-remaining bytes exactly (elapsed columns included, when a deterministic
-clock is injected).
+``percentiles.csv`` (P5/P50/P95 of best-so-far per checkpoint). Each is
+built in memory and written whole by ``model.write_text``, with every line
+ending in a line feed. Each file starts with one ``#`` metadata line; that
+line carries the only timestamp, so re-running a configuration with the
+same base seed reproduces the remaining bytes exactly (elapsed columns
+included, when a deterministic clock is injected).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -30,7 +32,7 @@ from typing import Sequence
 
 from .errors import EmptyInput, InvalidRange, OutputWriteError, RankPriceError
 from .local_search import parse_pipeline
-from .model import Instance, build_grid, load_instance
+from .model import Instance, build_grid, load_instance, write_text
 from .search import (
     GREEDY,
     RANDOM,
@@ -304,52 +306,33 @@ def _meta_line(config: ExperimentConfig) -> str:
     )
 
 
-def _write_csv(path: Path, meta: str, columns, rows) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(meta + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise OutputWriteError(f"cannot write {path}: {exc}") from exc
-
-
 def write_outputs(
     config: ExperimentConfig,
     summaries: Sequence[RunSummary],
     traces: Sequence[Sequence[TraceEntry]],
     checkpoints: Sequence[CheckpointStats],
 ) -> None:
-    out = Path(config.out_dir)
     meta = _meta_line(config)
-    _write_csv(
-        out / "summary.csv",
-        meta,
-        SUMMARY_COLUMNS,
-        [
+    tables = {
+        "summary.csv": (SUMMARY_COLUMNS, (
             (s.run_id, config.run_params(s.run_id).seed, config.method, config.init,
              config.pipeline, s.evaluations, s.elapsed_ms, s.best_value,
              ",".join(map(str, s.best_prices)))
             for s in summaries
-        ],
-    )
-    _write_csv(
-        out / "trace.csv",
-        meta,
-        TRACE_COLUMNS,
-        [
+        )),
+        "trace.csv": (TRACE_COLUMNS, (
             (s.run_id, e.evals, int(round(e.elapsed * 1000)), e.best)
             for s, trace in zip(summaries, traces)
             for e in trace
-        ],
-    )
-    _write_csv(
-        out / "percentiles.csv",
-        meta,
-        [f.name for f in fields(CheckpointStats)],
-        map(astuple, checkpoints),
-    )
+        )),
+        "percentiles.csv": ([f.name for f in fields(CheckpointStats)], map(astuple, checkpoints)),
+    }
+    for name, (columns, rows) in tables.items():
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        write_text(Path(config.out_dir) / name, f"{meta}\n{buffer.getvalue()}")
 
 
 def run_experiment(

@@ -26,9 +26,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate, chain
 
-from .errors import OutputWriteError, SearchSpaceTooLarge
+from .errors import SearchSpaceTooLarge
 from .evaluate import assign
-from .model import BudgetGrid, Instance, PriceIndices
+from .model import BudgetGrid, Instance, PriceIndices, write_text
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -191,9 +191,4 @@ def export_single_level(inst: Instance, grid: BudgetGrid) -> str:
 
 
 def write_lp(inst: Instance, grid: BudgetGrid, path) -> None:
-    text = export_single_level(inst, grid)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OutputWriteError(f"cannot write {path}: {exc}") from exc
+    write_text(path, export_single_level(inst, grid))

@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     EmptyPreferenceRow,
     InstanceReadError,
+    InvalidRange,
     NonPositiveBudget,
     OutputWriteError,
     RankPriceError,
@@ -96,9 +97,22 @@ class Instance:
 
 @dataclass(frozen=True)
 class BudgetGrid:
-    """The strictly increasing distinct budget values of an instance."""
+    """The strictly increasing distinct budget values of an instance.
+
+    ``values`` must be a nonempty, strictly increasing tuple of integers
+    >= 1 (``bool`` is not an integer here); anything else raises
+    ``InvalidRange``, because the draws, the enumeration and the LP export
+    all read the grid as ascending, and an empty one has no price to draw.
+    """
 
     values: tuple[int, ...]
+
+    def __post_init__(self):
+        values = self.values
+        if not (type(values) is tuple and values and all(type(v) is int for v in values)
+                and values[0] >= 1 and all(a < b for a, b in zip(values, values[1:]))):
+            raise InvalidRange(f"grid values must be a nonempty, strictly increasing tuple"
+                               f" of integers >= 1, got {values!r}")
 
     @cached_property
     def _index(self) -> dict[int, int]:
@@ -218,10 +232,19 @@ def load_instance(path) -> Instance:
     return validate_instance(read_json(path, "instance", InstanceReadError))
 
 
-def save_instance(inst: Instance, path) -> None:
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, line ends as given.
+
+    The one place this package opens a file for writing: the instance JSON,
+    the LP export and the bench CSVs all go through it. An ``OSError``
+    raises ``OutputWriteError`` naming the file.
+    """
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(inst.to_dict(), fh, indent=1)
-            fh.write("\n")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     except OSError as exc:
         raise OutputWriteError(f"cannot write {path}: {exc}") from exc
+
+
+def save_instance(inst: Instance, path) -> None:
+    write_text(path, json.dumps(inst.to_dict(), indent=1) + "\n")

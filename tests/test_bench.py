@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import os
 import random
@@ -268,6 +269,27 @@ def test_rerun_reproduces_csv_bytes(table1_path, tmp_path):
         body_a = [l for l in (out_a / name).read_text().splitlines() if not l.startswith("#")]
         body_b = [l for l in (out_b / name).read_text().splitlines() if not l.startswith("#")]
         assert body_a == body_b
+
+
+# SHA-256 of the three CSVs of a seeded 3-run experiment, each without its
+# ``#`` line, recorded before the CSVs were written through ``write_text``;
+# the rows written then ended in "\r\n", which the recording turned into "\n".
+CSV_BYTES_DIGEST = "81753e36365a3e7ed1efe1bccac6468c5993a5d5d409b49d961ab0fccfa09a25"
+
+
+def test_csv_bytes_are_pinned(table1_path, tmp_path):
+    out = tmp_path / "out"
+    config = make_config(table1_path, out, runs=3, l0=10, q=3, t=5,
+                         stop=StopRule.point_budget(40))
+    run_experiment(config, clock=counting_clock())
+    digest = hashlib.sha256()
+    for name in ("summary.csv", "trace.csv", "percentiles.csv"):
+        data = (out / name).read_bytes()
+        assert b"\r" not in data
+        meta, body = data.split(b"\n", 1)
+        assert meta.startswith(b"# rankprice bench ")
+        digest.update(body)
+    assert digest.hexdigest() == CSV_BYTES_DIGEST
 
 
 def test_line_break_in_instance_path_keeps_the_header_on_line_2(table1, tmp_path):

@@ -354,6 +354,16 @@ def test_export_is_byte_stable(table1, table1_grid, tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
+def test_written_lp_is_the_export_in_utf8(tmp_path):
+    # A non-ASCII name reaches the header comment; line ends are written as exported.
+    for inst in (helpers.table1(),
+                 generate_instance(3, 5, (5, 30), 0.5, seed=4, name="caf\u00e9\r\nEnd")):
+        grid = build_grid(inst)
+        path = tmp_path / "model.lp"
+        write_lp(inst, grid, path)
+        assert path.read_bytes() == export_single_level(inst, grid).encode("utf-8")
+
+
 def test_export_name_cannot_inject_lp_lines(table1, table1_grid):
     # The name comes from instance JSON; a line break in it must not end the header comment.
     text = export_single_level(

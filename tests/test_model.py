@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -7,12 +8,15 @@ from hypothesis import strategies as st
 
 import helpers
 from rankprice import (
+    BudgetGrid,
     DimensionMismatch,
     EmptyPreferenceRow,
     InstanceReadError,
+    InvalidRange,
     NonPositiveBudget,
     TiedPreferences,
     build_grid,
+    generate_instance,
     load_instance,
     save_instance,
     validate_instance,
@@ -102,6 +106,16 @@ def test_grid_dedups_and_sorts():
     assert build_grid(validate_instance(raw)).values == (3, 7, 9)
 
 
+@pytest.mark.parametrize(
+    "values", [(), (9, 5), (5, 5), (0, 5), (5.0,), (True,), [5, 9]], ids=repr
+)
+def test_grid_rejects_values_that_are_not_increasing_positive_integers(values):
+    # An empty grid has no price to draw, and every solver reads the grid as
+    # ascending: on (9, 5) brute_force would report revenue no vector earns.
+    with pytest.raises(InvalidRange):
+        BudgetGrid(values)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     budgets=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=10),
@@ -124,6 +138,30 @@ def test_json_round_trip(tmp_path, table1):
     save_instance(table1, path)
     again = load_instance(path)
     assert again == table1
+
+
+def _saved_instances():
+    """The instances whose ``save_instance`` bytes ``INSTANCE_BYTES_DIGEST`` pins."""
+    yield helpers.table1()
+    yield helpers.table1_mod()
+    for s in range(30):
+        yield generate_instance(1 + s % 6, 1 + s % 9, (5, 30), (0.3, 0.6, 1.0)[s % 3], seed=s)
+    yield generate_instance(3, 4, (5, 30), 0.6, seed=30, name="prix d'\u00e9t\u00e9\nligne 2")
+
+
+# SHA-256 of the concatenated ``save_instance`` files of ``_saved_instances()``,
+# recorded before the file writers were merged into ``write_text``.
+INSTANCE_BYTES_DIGEST = "88572034b3b00b5cbbd13eca02bc46451e2c6f886cfe6b0771d322216bb06904"
+
+
+def test_saved_instance_bytes_are_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for n, inst in enumerate(_saved_instances()):
+        path = tmp_path / f"{n}.json"
+        save_instance(inst, path)
+        digest.update(path.read_bytes())
+        assert load_instance(path) == inst
+    assert digest.hexdigest() == INSTANCE_BYTES_DIGEST
 
 
 def test_load_rejects_garbage(tmp_path):

@@ -50,3 +50,21 @@ def test_every_imported_name_is_read():
         }
         unread += [f"{path.relative_to(PACKAGE)}: {name}" for name in imported if name not in read]
     assert unread == []
+
+
+def _open_names(node, where):
+    """``where`` for each use of the name ``open`` under ``node``, by innermost function."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        if isinstance(child, ast.Name) and child.id == "open":
+            yield where
+        yield from _open_names(child, inner)
+
+
+def test_files_are_opened_only_by_the_model_reader_and_writer():
+    # One way in and one way out to disk: ``model.read_json`` and ``model.write_text``.
+    openers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        openers.update((path.name, where) for where in _open_names(tree, None))
+    assert sorted(openers) == [("model.py", "read_json"), ("model.py", "write_text")]

@@ -22,7 +22,6 @@ import csv
 import io
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from datetime import datetime, timezone
 from itertools import repeat
@@ -157,8 +156,7 @@ class ExperimentConfig:
             raise RankPriceError(
                 "method naive has no initial population; an iterations limit of 0 evaluates nothing"
             )
-        if (self.method == "genetic" and self.params.q < 2
-                and not self.params.parents_with_replacement):
+        if self.method == "genetic" and self.params.q < 2:
             raise RankPriceError("method genetic needs q >= 2 to pick two distinct parents")
         if self.runs < 1:
             raise RankPriceError("runs must be at least 1")
@@ -358,6 +356,9 @@ def run_experiment(
             raise OutputWriteError(f"cannot create {config.out_dir}: {exc}") from exc
     run_ids = range(config.runs)
     if workers > 1:
+        # Imported here: it costs about 30 ms, and only a multi-process run needs it.
+        from concurrent.futures import ProcessPoolExecutor
+
         size = min(workers, config.runs, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=size) as pool:
             results = list(pool.map(_run_one, repeat(inst), repeat(config), run_ids))

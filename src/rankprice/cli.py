@@ -41,10 +41,6 @@ def _add_solve_parser(sub):
                    help="write summary/trace/percentiles CSVs here")
     p.add_argument("--dedup", action="store_true", default=None,
                    help="discard vectors drawn or refined before instead of counting them")
-    p.add_argument("--vns-reset-radius", action="store_true", default=None,
-                   help="reset the VNS radius to 1 after an improvement")
-    p.add_argument("--parents-with-replacement", action="store_true", default=None,
-                   help="allow the genetic method to pick the same parent twice")
     p.set_defaults(run=_cmd_solve)
 
 
@@ -55,7 +51,7 @@ def _cmd_solve(args) -> int:
     limits = {"points": args.max_points, "time": args.time_limit, "iterations": args.iterations}
     stop = next(({"kind": k, "limit": v} for k, v in limits.items() if v is not None), None)
     # These flags are stored under their SearchParams field names.
-    names = ("l0", "q", "t", "dedup", "vns_reset_radius", "parents_with_replacement")
+    names = ("l0", "q", "t", "dedup")
     given = {"stop": stop, **{name: getattr(args, name) for name in names}}
     params = {name: value for name, value in given.items() if value is not None}
     config = config_from_dict(

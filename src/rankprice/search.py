@@ -90,10 +90,6 @@ class SearchParams:
     was drawn or refined before is discarded and does not count toward a
     point budget. The local search may still refine a vector into one the
     population holds, so with a pipeline the population can repeat vectors.
-    ``vns_reset_radius`` is read by VNS only: it restores the classical reset
-    of the radius to 1 on improvement (default keeps the radius unchanged on
-    improvement and grows it only on failure). ``parents_with_replacement``
-    is read by the genetic method only: it lets one elite be both parents.
     """
 
     l0: int = 1000
@@ -103,16 +99,13 @@ class SearchParams:
     init: str = RANDOM
     seed: int = 0
     dedup: bool = False
-    vns_reset_radius: bool = False
-    parents_with_replacement: bool = False
 
     def __post_init__(self):
         for name in ("l0", "q", "t", "seed"):
             if type(getattr(self, name)) is not int:
                 raise RankPriceError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("dedup", "vns_reset_radius", "parents_with_replacement"):
-            if type(getattr(self, name)) is not bool:
-                raise RankPriceError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if type(self.dedup) is not bool:
+            raise RankPriceError(f"dedup must be true or false, got {self.dedup!r}")
         if self.l0 < 1:
             raise RankPriceError("l0 must be at least 1")
         if not 1 <= self.q <= self.l0:
@@ -208,10 +201,18 @@ def greedy_init(inst: Instance, grid: BudgetGrid) -> PriceIndices:
 
 @dataclass(frozen=True)
 class Neighborhood:
-    """Axis-aligned box of grid indices around a vector, clamped to the grid."""
+    """Axis-aligned box of grid indices around a vector, clamped to the grid.
+
+    ``lo`` and ``hi`` must have one length and ``lo[i] <= hi[i]`` on every
+    axis; the check runs once, when the box is built, not on every draw.
+    """
 
     lo: tuple[int, ...]
     hi: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.lo) != len(self.hi) or any(a > b for a, b in zip(self.lo, self.hi)):
+            raise RankPriceError(f"a box needs lo <= hi, of one length: lo={self.lo} hi={self.hi}")
 
     def sample(self, rng: random.Random) -> PriceIndices:
         """One vector uniform over the box, drawn as ``rng.randint(lo, hi)`` per axis would."""
@@ -271,6 +272,10 @@ class _Run:
     of vectors evaluated so far; :meth:`close_batch` is the only place the
     incumbent and the trace change.
 
+    Steps s, f, r and c and the greedy start price products at customer
+    budgets, so a run that uses any of them rejects a grid, such as one built
+    by hand, that misses a budget of the instance, before any evaluation.
+
     In dedup mode ``seen`` holds every vector drawn or refined so far;
     otherwise it is None.
 
@@ -287,6 +292,10 @@ class _Run:
         self.params = params
         self.rng = random.Random(params.seed)
         self.pipeline = parse_pipeline(pipeline or "")
+        off_grid = sorted(set(inst.budgets) - set(grid.values))
+        if off_grid and (params.init == GREEDY or set(self.pipeline) & set("sfrc")):
+            raise RankPriceError(f"budgets {off_grid} are off the grid, and greedy init and steps"
+                                 " s, f, r and c price at budgets; build the grid with build_grid")
         self.clock: Callable[[], float] = clock if clock is not None else time.perf_counter
         self.t0 = self.clock()
         self.population: list[tuple[PriceIndices, int]] = []
@@ -455,8 +464,7 @@ def vns_search(
     Each iteration samples ``t`` vectors by picking an elite uniformly and
     then a point uniformly from the box of the current radius around it. When
     no sampled vector beats the incumbent the radius grows by one, capped
-    where the box already covers the whole grid; on improvement it stays put
-    (or resets to 1 with ``vns_reset_radius``).
+    where the box already covers the whole grid; on improvement it stays put.
     """
     run = _Run(inst, grid, params, pipeline, clock)
     run.init_population()
@@ -471,8 +479,6 @@ def vns_search(
         box = cache(lambda slot: neighborhood(grid, pop[slot][0], radius))
         if not run.step(lambda: box(run.rng.choice(elites)).sample(run.rng)):
             radius = min(radius + 1, radius_cap)
-        elif params.vns_reset_radius:
-            radius = 1
     return run.result()
 
 
@@ -485,10 +491,9 @@ def genetic_search(
 ) -> SearchResult:
     """Genetic search: elites breed batches by uniform crossover and mutation.
 
-    Parents default to two distinct elites per child; with
-    ``parents_with_replacement`` both may coincide.
+    Each child has two distinct elite parents, so ``q`` must be at least 2.
     """
-    if not params.parents_with_replacement and params.q < 2:
+    if params.q < 2:
         raise RankPriceError("genetic search needs q >= 2 to pick two distinct parents")
     run = _Run(inst, grid, params, pipeline, clock)
     run.init_population()
@@ -496,11 +501,7 @@ def genetic_search(
     elites: list[int] = []
 
     def child():
-        if params.parents_with_replacement:
-            s1 = run.rng.choice(elites)
-            s2 = run.rng.choice(elites)
-        else:
-            s1, s2 = run.rng.sample(elites, 2)
+        s1, s2 = run.rng.sample(elites, 2)
         crossed = crossover(pop[s1][0], pop[s2][0], run.rng)
         return mutate(grid, crossed, run.rng)
 

@@ -342,7 +342,8 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(rankprice.bench, "ProcessPoolExecutor", InProcessPool)
+    # run_experiment imports the pool class when it needs one, so patch it at its source.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     return sizes
 
 

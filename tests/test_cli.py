@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -186,6 +187,18 @@ def test_readme_commands_parse():
     assert len(commands) == 6
     for argv in commands:
         build_parser().parse_args(argv[1:])
+
+
+def test_readme_command_line_flags_exist():
+    # A flag the README names but no subcommand takes is one a change left behind.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("## File formats", 1)[0]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsers = commands.choices.values()
+    known = {flag for p in parsers for action in p._actions for flag in action.option_strings}
+    assert len(flags) >= 20
+    assert sorted(flags - known) == []
 
 
 def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
@@ -391,3 +404,23 @@ def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys, 
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["vns_reset_radius", "parents_with_replacement"])
+def test_removed_search_keys_are_unknown(key, table1_path, tmp_path, capsys):
+    # VNS always keeps its radius on improvement; genetic always draws two distinct parents.
+    argv = _bench_argv(tmp_path, table1_path,
+                       lambda good: dict(good, params=dict(good["params"], **{key: True})))
+    assert main(argv) == 2
+    assert f"unknown SearchParams keys: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--vns-reset-radius", "--parents-with-replacement"])
+def test_removed_solve_flags_exit_2(flag, table1_path, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--instance", table1_path, "--method", "vns", flag,
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -1,6 +1,7 @@
 """The runtime stays pure standard library: no module of the package imports anything else."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -68,3 +69,12 @@ def test_files_are_opened_only_by_the_model_reader_and_writer():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         openers.update((path.name, where) for where in _open_names(tree, None))
     assert sorted(openers) == [("model.py", "read_json"), ("model.py", "write_text")]
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # Only a multi-process bench run needs concurrent.futures, about 30 ms of import time.
+    code = "import sys, rankprice; print('concurrent.futures' in sys.modules)"
+    src = str(PACKAGE.parent)
+    out = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "False\n"

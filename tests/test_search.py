@@ -10,7 +10,9 @@ import helpers
 import rankprice.local_search
 import rankprice.search
 from rankprice import (
+    BudgetGrid,
     LengthMismatch,
+    Neighborhood,
     RankPriceError,
     SearchParams,
     StopRule,
@@ -66,8 +68,7 @@ def test_stop_rule_rejects_ill_typed_limit(kind, limit):
 
 
 @pytest.mark.parametrize("name, value", [("t", 2.5), ("l0", 10.7), ("seed", 1.0), ("q", True),
-                                         ("dedup", "false"), ("vns_reset_radius", 1),
-                                         ("parents_with_replacement", None)])
+                                         ("dedup", "false")])
 def test_search_params_reject_ill_typed_values(name, value):
     with pytest.raises(RankPriceError, match=name):
         params(**{name: value})
@@ -261,6 +262,14 @@ def test_neighborhood_rejects_zero_radius(table1_grid):
         neighborhood(table1_grid, (0, 0), 0)
 
 
+@pytest.mark.parametrize("lo, hi", [((5,), (3,)), ((0, 1), (2,))])
+def test_box_is_checked_when_built(lo, hi):
+    # Unchecked, sampling the first box never returns and the second is cut
+    # to one axis; the check fails at construction, before any draw.
+    with pytest.raises(RankPriceError, match="lo <= hi"):
+        Neighborhood(lo, hi)
+
+
 # ------------------------------------------------------- genetic operators
 
 
@@ -412,6 +421,35 @@ def test_naive_same_seed_same_trace(table1, table1_grid):
     b = naive_search(table1, table1_grid, p, clock=FROZEN_CLOCK)
     assert a.trace == b.trace
     assert a.best_indices == b.best_indices
+
+
+# ------------------------------------------------------- hand-made grids
+
+
+HAND_GRID_INST = generate_instance(4, 12, (5, 30), 0.7, seed=3)
+HAND_GRID = BudgetGrid((4, 10, 20, 40))
+
+
+@pytest.mark.parametrize("search", [naive_search, vns_search, genetic_search])
+@pytest.mark.parametrize("pipeline, init", [("s", "random"), ("f", "random"), ("r", "random"),
+                                            ("c", "random"), ("", "greedy")])
+def test_grid_missing_a_budget_is_rejected_up_front(search, pipeline, init, monkeypatch):
+    # Steps s f r c and the greedy start price at customer budgets, which
+    # this grid misses; unchecked, a run failed partway with a bare ValueError.
+    assert not set(HAND_GRID_INST.budgets) <= set(HAND_GRID.values)
+    monkeypatch.setattr(rankprice.search, "assign", None)  # any evaluation would fail
+    p = params(l0=10, q=4, t=5, stop=StopRule.point_budget(40), init=init)
+    with pytest.raises(RankPriceError, match="build_grid"):
+        search(HAND_GRID_INST, HAND_GRID, p, pipeline=pipeline)
+
+
+@pytest.mark.parametrize("pipeline", ["", "o"])
+@pytest.mark.parametrize("search", [naive_search, vns_search, genetic_search])
+def test_grid_missing_a_budget_runs_without_budget_steps(search, pipeline):
+    p = params(l0=10, q=4, t=5, stop=StopRule.point_budget(40))
+    res = search(HAND_GRID_INST, HAND_GRID, p, pipeline=pipeline)
+    assert res.evaluations == 40
+    assert set(res.best_prices) <= set(HAND_GRID.values)
 
 
 # --------------------------------------------------------------------- vns
@@ -627,9 +665,6 @@ def test_genetic_requires_two_parents():
     grid = build_grid(inst)
     with pytest.raises(RankPriceError):
         genetic_search(inst, grid, params(q=1, seed=0))
-    # with replacement a single elite is allowed
-    p = params(q=1, seed=0, parents_with_replacement=True, stop=StopRule.iterations(2))
-    genetic_search(inst, grid, p)
 
 
 def test_genetic_hit_rate_table1(table1, table1_grid):
@@ -783,7 +818,7 @@ def test_pipeline_results_replace_population_members(table1, table1_grid):
 
 # SHA-256 over the seeded runs of ``_pinned_runs``. A change that keeps
 # seeded results keeps this digest; one that changes them must say so.
-SEARCH_DIGEST = "b9dfc431af14ba6ed6792e234801299906abede381fd85607df5480904a006f6"
+SEARCH_DIGEST = "6111c9b83a6d6d7c1862f2555b1a0d76ae211c5ffa2fabefa3da51106ed4c561"
 
 
 def _pinned_runs():
@@ -796,7 +831,7 @@ def _pinned_runs():
         [naive_search, vns_search, genetic_search],
         ["", "sfrc", "rc", "o"],
         ["random", "greedy"],
-        [{}, {"dedup": True}, {"vns_reset_radius": True}, {"parents_with_replacement": True}],
+        [{}, {"dedup": True}],
     )
     for seed, (inst, search, pipeline, init, variant) in enumerate(cases):
         p = params(l0=10, q=4, stop=StopRule.point_budget(90), init=init, seed=seed, **variant)

@@ -2,11 +2,14 @@
 
 The optimum of an instance always sits on the budget grid, so exhaustive
 enumeration of the M^I grid vectors is an exact oracle whenever that count
-is affordable. ``brute_force`` walks the M^(I-1) price vectors of products
-1..I-1 in reflected Gray order, one product one level per step, so that
+is affordable. ``brute_force`` walks the M^(I-2) price vectors of products
+2..I-1 in reflected Gray order, one product one level per step, so that
 every vector after the first is a one-product delta ``assign`` against the
-one before it. At each of them it reads the revenue of all M prices of
-product 0 off that product's revenue curve. For anything
+one before it. At each of them it reads the revenue of all M^2 prices of
+products 0 and 1 off one revenue surface: given the walk's choices, each
+customer adds a curve term in one of the two prices, or two terms split
+where the first choice becomes too dear, and a sweep over product 0's
+price builds the surface row by row. For anything
 larger, ``export_single_level`` writes the equivalent single-level binary
 program (quadratic objective, linear constraints) in LP format for an
 external solver; this package never solves that model itself.
@@ -38,41 +41,28 @@ def brute_force(
 ) -> tuple[int, list[PriceIndices]]:
     """Maximum revenue over the whole grid and every vector attaining it.
 
-    Products 1..I-1 are walked in reflected mixed-radix Gray order from the
-    all-zero vector: product 1 sweeps its levels up and down, and whenever it
+    Products 2..I-1 are walked in reflected mixed-radix Gray order from the
+    all-zero vector: product 2 sweeps its levels up and down, and whenever it
     reaches an end the lowest product that can still move in its own
     direction moves by one level. The walk runs on ``rest``, the instance
-    with product 0 removed: only its first vector gets a full ``assign``,
-    every later one is a one-product move against the walk's own vector and
-    assignment. In ``rest`` customer k chooses ``other(k)``, the product k
-    picks when 0 is not on sale; k buys 0 at level m exactly when k affords
-    it and ``other(k)`` is none or ranked below 0, and then k's payment
-    changes from the price of ``other(k)`` to the m-th grid value. One pass
-    over the customers who want 0 and a suffix sum over the levels give
-    product 0's revenue curve, so each walk vector settles M grid vectors.
-    The argmax list is sorted at the end, so it comes out lexicographically
-    sorted (index order, which matches price order). Refuses to enumerate
-    more than ``cap`` vectors.
+    with products 0 and 1 removed: only its first vector gets a full
+    ``assign``, every later one is a one-product move against the walk's own
+    vector and assignment. At each walk vector ``_pair_surface`` gives the
+    revenue at all M^2 prices of products 0 and 1, so each walk vector
+    settles M^2 grid vectors; with I = 1 or 2 the walk is the one empty
+    vector. The argmax list is sorted at the end, so it comes out
+    lexicographically sorted (index order, which matches price order).
+    Refuses to enumerate more than ``cap`` vectors.
     """
     total = grid.size**inst.num_products
     if total > cap:
         raise SearchSpaceTooLarge(total, cap)
-    # Not validated: a customer who wants only product 0 has an empty row here.
-    rest = Instance(inst.name, inst.budgets, tuple(row[1:] for row in inst.preferences))
-    values, size = grid.values, grid.size
-    levels = range(size - 1, -1, -1)
-    # Per customer who wants 0 and affords some level of it: the top level
-    # they afford, and the products of ``rest`` they rank above 0.
-    wanting = [
-        (k, top, {j - 1 for j, score in enumerate(row) if score is not None and score > row[0]})
-        for k, (budget, row) in enumerate(zip(inst.budgets, inst.preferences))
-        if row[0] is not None and (top := bisect_right(values, budget) - 1) >= 0
-    ]
+    # Not validated: a customer who wants only products 0 and 1 has an empty row here.
+    rest = Instance(inst.name, inst.budgets, tuple(row[2:] for row in inst.preferences))
+    surface = _pair_surface(inst, grid)
+    size, num = grid.size, inst.num_products
     cur = [0] * rest.num_products
     step = [1] * rest.num_products
-    # The price of each product of ``rest`` under ``cur``; no purchase pays 0.
-    paid: dict[int | None, int] = {j: values[0] for j in range(rest.num_products)}
-    paid[None] = 0
     best, argmax = -1, []
     a = assign(rest, grid, cur)
     for n in range(size**rest.num_products):
@@ -84,25 +74,94 @@ def brute_force(
             m = cur[i] + step[i]
             a = assign(rest, grid, cur, (i, m, a, a.chosen.count(i)))
             cur[i] = m
-            paid[i] = values[m]
-        buyers, lost = [0] * size, [0] * size
-        chosen = a.chosen
-        for k, top, above in wanting:
-            c = chosen[k]
-            if c not in above:
-                buyers[top] += 1
-                lost[top] += paid[c]
-        count = loss = 0
-        for m in levels:
-            count += buyers[m]
-            loss += lost[m]
-            revenue = a.revenue + values[m] * count - loss
-            if revenue > best:
-                best, argmax = revenue, [(m, *cur)]
-            elif revenue == best:
-                argmax.append((m, *cur))
+        rows = surface(cur, a)
+        top = max(map(max, rows))
+        if top >= best:
+            if top > best:
+                best, argmax = top, []
+            # With I = 1 each row has one cell and the vector drops m1.
+            argmax.extend((m0, m1, *cur)[:num] for m0, row in enumerate(rows)
+                          for m1, r in enumerate(row) if r == top)
     argmax.sort()
     return best, argmax
+
+
+def _pair_surface(inst: Instance, grid: BudgetGrid):
+    """The revenue at every pair of prices of products 0 and 1.
+
+    Returns ``rows(cur, a)``: given the levels ``cur`` of products 2..I-1 and
+    their assignment ``a`` in the instance without products 0 and 1, the M
+    rows ``rows[m0][m1]``, each the revenue of the full vector
+    ``(m0, m1, *cur)``. With I = 1 each row has the one cell m1 = 0.
+
+    Customer k, whose choice c in ``a`` pays p, affords the levels up to t of
+    both products (they share k's budget), and can take product 0 or 1 only
+    if k wants it and ranks it above c. To ``a.revenue`` k then adds nothing;
+    or a curve term [m <= t](v[m] - p) in the one coordinate k can take; or,
+    if k can take both, the term of the one k ranks first plus the other's
+    term on the rectangle where the first is too dear. The rows are swept
+    from m0 = M-1 down. Row m0 is a constant, v[m0] - p from each k who buys
+    product 0 throughout it, plus one suffix-sum curve in m1 over the curve
+    terms, plus a tail [m1 > t](v[m0] - p) from each k with t >= m0 who
+    ranks 1 first. A k who ranks 0 first moves from the curve to the
+    constant at m0 = t, so the curve and the tails change only at the t of
+    customers who can take both.
+    """
+    values, size = grid.values, grid.size
+    width = size if inst.num_products > 1 else 1
+    # Per customer who can buy from the pair: for each choice c k can make
+    # in the walk, the slot kind * M + t, where kind is 0 (k takes neither),
+    # 1 (only 1), 2 (only 0), 3 (both, 0 first) or 4 (both, 1 first).
+    pair = []
+    for k, (budget, row) in enumerate(zip(inst.budgets, inst.preferences)):
+        t = bisect_right(values, budget) - 1
+        # A product k does not want scores 0, as does buying nothing.
+        s0, s1 = [score or 0 for score in (*row, None)[:2]]
+        slots = {}
+        for c, score in [(None, 0), *((j, s) for j, s in enumerate(row[2:]) if s is not None)]:
+            take0, take1 = s0 > score, s1 > score
+            slots[c] = (2 * take0 + take1 + (take0 and take1 and s1 > s0)) * size + t
+        if t >= 0 and any(slot >= size for slot in slots.values()):
+            pair.append((k, slots))
+
+    def rows(cur, a):
+        paid = {j: values[m] for j, m in enumerate(cur)}
+        paid[None] = 0
+        chosen = a.chosen
+        n, lost = [0] * (5 * size), [0] * (5 * size)
+        for k, slots in pair:
+            c = chosen[k]
+            slot = slots[c]
+            n[slot] += 1
+            lost[slot] += paid[c]
+        only1, only0, first0, first1 = size, 2 * size, 3 * size, 4 * size
+        # The curve of the top row: every kind 1, 3 and 4 term.
+        base, tails = [0] * width, [0] * width
+        count = loss = 0
+        for m1 in range(width - 1, -1, -1):
+            count += n[only1 + m1] + n[first0 + m1] + n[first1 + m1]
+            loss += lost[only1 + m1] + lost[first0 + m1] + lost[first1 + m1]
+            base[m1] = values[m1] * count - loss
+        out = []
+        count = loss = 0
+        for t in range(size - 1, -1, -1):
+            count += n[only0 + t] + n[first0 + t]
+            loss += lost[only0 + t] + lost[first0 + t]
+            if n[first0 + t]:
+                for m1 in range(t + 1):
+                    base[m1] -= values[m1] * n[first0 + t] - lost[first0 + t]
+            if n[first1 + t]:
+                for m1 in range(t + 1, width):
+                    tails[m1] += n[first1 + t]
+                    base[m1] -= lost[first1 + t]
+            v0 = values[t]
+            const = a.revenue + v0 * count - loss
+            out.append([const + b + v0 * q for b, q in zip(base, tails)] if tails[-1]
+                       else [const + b for b in base])
+        out.reverse()
+        return out
+
+    return rows
 
 
 def build_single_level(inst: Instance, grid: BudgetGrid) -> list[str]:

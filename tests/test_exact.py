@@ -148,16 +148,18 @@ def _recording_assign(monkeypatch):
 
 
 def test_brute_force_walk_moves_one_product_one_level(monkeypatch):
-    # The walk covers products 1..I-1 on the instance without product 0;
-    # product 0 is read off its revenue curve at each walk vector.
+    # The walk covers products 2..I-1 on the instance without products 0 and
+    # 1; the pair (0, 1) is read off its revenue surface at each walk vector.
     calls = _recording_assign(monkeypatch)
+    walked = set()
     for inst in _small_instances(152, 40):
         grid = build_grid(inst)
         calls.clear()
         brute_force(inst, grid)
         rest = calls[0][0]
-        assert rest.num_products == inst.num_products - 1
-        assert rest.preferences == tuple(row[1:] for row in inst.preferences)
+        walked.add(rest.num_products)
+        assert rest.num_products == max(inst.num_products - 2, 0)
+        assert rest.preferences == tuple(row[2:] for row in inst.preferences)
         assert all(call[0] is rest for call in calls)
         _, first_indices, first_move, first_result = calls[0]
         assert first_move is None
@@ -174,8 +176,9 @@ def test_brute_force_walk_moves_one_product_one_level(monkeypatch):
             assert result == assign_oracle(rest, grid, moved)
             visited.append(moved)
             before = result
-        assert len(calls) == grid.size ** (inst.num_products - 1)
+        assert len(calls) == grid.size ** max(inst.num_products - 2, 0)
         assert sorted(visited) == list(product(range(grid.size), repeat=rest.num_products))
+    assert walked == {0, 1, 2}
 
 
 def _instance(budgets, preferences):
@@ -186,13 +189,95 @@ def _instance(budgets, preferences):
 
 
 def test_brute_force_one_product_reads_everything_off_the_curve(monkeypatch):
+    # With I = 1 or 2 nothing is walked: one full assign of the empty vector,
+    # and the surface gives every grid vector.
     calls = _recording_assign(monkeypatch)
     inst = _instance([3, 5, 5, 9, 9, 9], [[1]] * 6)
     grid = build_grid(inst)
     assert brute_force(inst, grid) == _lexicographic_reference(inst, grid) == (27, [(2,)])
-    [(rest, indices, move, result)] = calls
-    assert (rest.num_products, indices, move) == (0, (), None)
-    assert result.chosen == (None,) * 6 and result.revenue == 0
+    inst = _instance([3, 5, 5, 9, 9, 9], [[1, 2], [2, 1], [1, None], [None, 1], [2, 1], [1, 2]])
+    assert brute_force(inst, grid) == _lexicographic_reference(inst, grid)
+    for rest, indices, move, result in calls:
+        assert (rest.num_products, indices, move) == (0, (), None)
+        assert result.chosen == (None,) * 6 and result.revenue == 0
+    assert len(calls) == 2
+
+
+def _surface_states(seed, count):
+    """Random (instance, grid, walk levels) for cell checks of the pair surface.
+
+    I 2-5, K 1-12, availability 0.2-1.0. Every fourth state uses a hand-made
+    grid instead of the instance's: one value, values drawn apart from the
+    budgets, or values above every budget.
+    """
+    rng = random.Random(seed)
+    for n in range(count):
+        lo = rng.randint(1, 30)
+        inst = generate_instance(
+            num_products=rng.randint(2, 5),
+            num_customers=rng.randint(1, 12),
+            budget_range=(lo, rng.randint(lo, 30)),
+            availability_prob=rng.choice([0.2, 0.4, 0.6, 0.8, 1.0]),
+            seed=rng.randrange(10**6),
+        )
+        grid = build_grid(inst)
+        if n % 4 == 0:
+            top = max(inst.budgets)
+            grid = BudgetGrid(rng.choice([
+                (rng.randint(1, 40),),
+                tuple(sorted(rng.sample(range(1, 41), rng.randint(1, 8)))),
+                tuple(range(top + 1, top + 1 + rng.randint(1, 4))),
+            ]))
+        yield inst, grid, helpers.random_indices(grid, inst.num_products - 2, rng)
+
+
+def test_pair_surface_matches_oracle_cell_by_cell():
+    # Every one of the M^2 cells is the revenue of its full vector.
+    cases = [*_surface_states(25, 400),
+             (helpers.table1(), helpers.grid_of(helpers.table1()), ()),
+             (_instance([4], [[1]]), BudgetGrid((2, 4, 6)), ())]
+    for inst, grid, cur in cases:
+        rest = replace(inst, preferences=tuple(row[2:] for row in inst.preferences))
+        rows = rankprice.exact._pair_surface(inst, grid)(cur, assign_oracle(rest, grid, cur))
+        width = grid.size if inst.num_products > 1 else 1
+        assert [len(row) for row in rows] == [width] * grid.size
+        for m0, m1 in product(range(grid.size), range(width)):
+            vector = (m0, m1, *cur)[:inst.num_products]
+            assert rows[m0][m1] == assign_oracle(inst, grid, vector).revenue, (inst, grid, vector)
+
+
+@pytest.mark.parametrize("budgets, preferences, expected", [
+    # customer 0 ranks product 0 first and buys 1 once 0 is too dear
+    ([6, 9, 9], [[2, 1], [None, 1], [1, None]], (21, [(0, 1), (1, 0)])),
+    # customer 0 ranks product 1 first and buys 0 once 1 is too dear
+    ([6, 9, 9], [[1, 2], [1, None], [None, 1]], (21, [(0, 1), (1, 0)])),
+    # customers 2 and 3 afford every level: where their first choice is too dear is empty
+    ([4, 7, 9, 9], [[1, None], [None, 1], [2, 1], [1, 2]], (23, [(2, 1)])),
+    # customers 0, 1 and 3 want only products 0 and 1: their rows in the walk want nothing
+    ([5, 8, 8, 3], [[2, 1, None], [1, 2, None], [None, None, 1], [1, None, 2]],
+     (22, [(0, 2, 2)])),
+    # the optima differ in both read products at one walk vector
+    ([9, 6, 6], [[None, None, 3], [3, 1, 2], [3, 2, None]],
+     (21, [(0, 0, 1), (0, 1, 1), (1, 0, 1)])),
+])
+def test_brute_force_pair_surface_cases(budgets, preferences, expected):
+    inst = _instance(budgets, preferences)
+    grid = build_grid(inst)
+    assert brute_force(inst, grid) == _lexicographic_reference(inst, grid) == expected
+
+
+def test_brute_force_matches_lexicographic_reference_at_five_products():
+    # Every customer wants every product, so most customers can take both
+    # read products and the surface's cross terms are densest.
+    rng = random.Random(251)
+    sizes = set()
+    for _ in range(16):
+        inst = generate_instance(5, rng.randint(1, 8), rng.choice([(5, 5), (5, 12), (5, 30)]),
+                                 1.0, seed=rng.randrange(10**6))
+        grid = build_grid(inst)
+        sizes.add(grid.size)
+        assert brute_force(inst, grid) == _lexicographic_reference(inst, grid)
+    assert 1 in sizes and max(sizes) >= 7
 
 
 @pytest.mark.parametrize("budgets, preferences, expected", [

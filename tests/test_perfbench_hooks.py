@@ -18,7 +18,7 @@ from rankprice import (
     genetic_search,
     vns_search,
 )
-from rankprice import local_search, search
+from rankprice import exact, local_search, search
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -66,3 +66,14 @@ def test_traced_counts_match_the_search(harness):
     tracer, res = traced(harness, genetic_search, inst, grid, p)
     assert tracer.count("search.mutate") == res.evaluations - p.l0 > 0
     assert tracer.count("search.crossover") == res.evaluations - p.l0
+
+
+def test_traced_brute_force_walks_products_two_and_up(harness):
+    # One full assign and M^(I-2) - 1 delta moves: products 0 and 1 are read
+    # off the pair surface, so evaluate.assign.calls.exact counts walk vectors.
+    for num_products in (1, 2, 3, 5):
+        inst = generate_instance(num_products, 9, (5, 30), 0.5, seed=11)
+        grid = build_grid(inst)
+        tracer, _ = traced(harness, lambda: exact.brute_force(inst, grid))
+        assert tracer.count("exact.brute_force") == 1
+        assert tracer.count("evaluate.assign@exact") == grid.size ** max(num_products - 2, 0)

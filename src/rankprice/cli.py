@@ -39,8 +39,6 @@ def _add_solve_parser(sub):
     p.add_argument("--seed", type=int)
     p.add_argument("--out", metavar="DIR",
                    help="write summary/trace/percentiles CSVs here")
-    p.add_argument("--dedup", action="store_true", default=None,
-                   help="discard vectors drawn or refined before instead of counting them")
     p.set_defaults(run=_cmd_solve)
 
 
@@ -51,7 +49,7 @@ def _cmd_solve(args) -> int:
     limits = {"points": args.max_points, "time": args.time_limit, "iterations": args.iterations}
     stop = next(({"kind": k, "limit": v} for k, v in limits.items() if v is not None), None)
     # These flags are stored under their SearchParams field names.
-    names = ("l0", "q", "t", "dedup")
+    names = ("l0", "q", "t")
     given = {"stop": stop, **{name: getattr(args, name) for name in names}}
     params = {name: value for name, value in given.items() if value is not None}
     config = config_from_dict(

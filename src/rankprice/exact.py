@@ -33,7 +33,7 @@ from .errors import SearchSpaceTooLarge
 from .evaluate import assign
 from .model import BudgetGrid, Instance, PriceIndices, write_text
 
-DEFAULT_ENUMERATION_CAP = 10_000_000
+DEFAULT_ENUMERATION_CAP = 100_000_000
 
 
 def brute_force(

@@ -31,10 +31,6 @@ from .model import Assignment, BudgetGrid, Instance, PriceIndices
 RANDOM = "random"
 GREEDY = "greedy"
 
-# Safety valve for dedup mode, where a batch may need many draws to produce
-# enough unseen vectors: give up on a batch after this many draws per slot.
-_DEDUP_DRAWS_PER_SLOT = 1000
-
 
 @dataclass(frozen=True)
 class StopRule:
@@ -86,10 +82,7 @@ class SearchParams:
     """Knobs shared by all searches.
 
     ``l0`` initial population size, ``q`` elite set size, ``t`` batch size
-    per iteration. ``dedup`` evaluates no vector twice: a drawn vector that
-    was drawn or refined before is discarded and does not count toward a
-    point budget. The local search may still refine a vector into one the
-    population holds, so with a pipeline the population can repeat vectors.
+    per iteration.
     """
 
     l0: int = 1000
@@ -98,14 +91,11 @@ class SearchParams:
     stop: StopRule = StopRule.point_budget(24000)
     init: str = RANDOM
     seed: int = 0
-    dedup: bool = False
 
     def __post_init__(self):
         for name in ("l0", "q", "t", "seed"):
             if type(getattr(self, name)) is not int:
                 raise RankPriceError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if type(self.dedup) is not bool:
-            raise RankPriceError(f"dedup must be true or false, got {self.dedup!r}")
         if self.l0 < 1:
             raise RankPriceError("l0 must be at least 1")
         if not 1 <= self.q <= self.l0:
@@ -276,9 +266,6 @@ class _Run:
     budgets, so a run that uses any of them rejects a grid, such as one built
     by hand, that misses a budget of the instance, before any evaluation.
 
-    In dedup mode ``seen`` holds every vector drawn or refined so far;
-    otherwise it is None.
-
     ``elites`` are the slots :meth:`next_elites` last selected and ``ranked``
     the population length it ranked. A slot's revenue is final once the batch
     that appended it has been refined, which happens before the next
@@ -302,11 +289,8 @@ class _Run:
         self.best_indices: PriceIndices | None = None
         self.best_value = -1
         self.trace: list[TraceEntry] = []
-        self.seen: set[PriceIndices] | None = set() if params.dedup else None
         self.stats = LocalSearchStats()
-        self.exhausted = False
         self.iterations = 0
-        self.grid_points = grid.size**inst.num_products
         self.elites: list[int] = []
         self.ranked = 0
 
@@ -319,8 +303,6 @@ class _Run:
         return stop.kind == StopRule.TIME and self.elapsed() >= stop.limit
 
     def stop_reached(self) -> bool:
-        if self.exhausted:
-            return True
         stop = self.params.stop
         if stop.kind == StopRule.POINTS:
             return len(self.population) >= stop.limit
@@ -348,29 +330,18 @@ class _Run:
         """Evaluate and append up to ``size`` new vectors produced by ``make_candidate``.
 
         This is the only place the population grows. A point budget caps the
-        batch at the points it has left. In dedup mode an already-seen vector
-        is discarded without evaluation and does not count. Under a time rule
-        the batch ends early, after the draw that crosses the deadline.
+        batch at the points it has left. Under a time rule the batch ends
+        early, after the vector that crosses the deadline.
         """
         stop = self.params.stop
         if stop.kind == StopRule.POINTS:
             size = min(size, stop.limit - len(self.population))
         batch: list[tuple[int, Assignment]] = []
-        draws = 0
-        max_draws = size * _DEDUP_DRAWS_PER_SLOT
-        seen = self.seen
-        while len(batch) < size:
-            if seen is not None and (len(seen) >= self.grid_points or draws >= max_draws):
-                self.exhausted = True
-                break
-            draws += 1
+        for _ in range(size):
             indices = make_candidate()
-            if seen is None or indices not in seen:
-                if seen is not None:
-                    seen.add(indices)
-                a = assign(self.inst, self.grid, indices)
-                self.population.append((indices, a.revenue))
-                batch.append((len(self.population) - 1, a))
+            a = assign(self.inst, self.grid, indices)
+            self.population.append((indices, a.revenue))
+            batch.append((len(self.population) - 1, a))
             if self.past_deadline():
                 break
         return batch
@@ -401,8 +372,6 @@ class _Run:
                     self.rng, self.stats,
                 )
                 self.population[slot] = (indices, a.revenue)
-                if self.seen is not None:
-                    self.seen.add(indices)
         self.iterations += 1
         return self.close_batch(batch)
 

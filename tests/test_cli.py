@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import rankprice
-from rankprice import generate_instance, load_instance, save_instance
+from rankprice import SearchParams, generate_instance, load_instance, save_instance
 from rankprice.bench import RunSummary, config_from_dict
 from rankprice.cli import build_parser, main
 from helpers import TABLE1
@@ -126,17 +127,6 @@ def test_solve_naive_tiny_time_limit_evaluates_one_vector(table1_path, capsys):
     assert "evaluations: 1 " in capsys.readouterr().out
 
 
-def test_solve_naive_dedup_exhausts_grid(table1_path, capsys):
-    # 36 grid points in total: deduplicated sampling must cover them all
-    code = main(["solve", "--instance", table1_path, "--method", "naive",
-                 "--l0", "10", "--t", "10", "--max-points", "36",
-                 "--seed", "0", "--dedup"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "best value: 236" in out
-    assert "evaluations: 36" in out
-
-
 @pytest.mark.parametrize("method", ["vns", "genetic"])
 def test_solve_without_options_builds_the_default_config(table1_path, monkeypatch, method):
     # solve keeps no copy of a config default: with no optional flag it builds
@@ -199,6 +189,19 @@ def test_readme_command_line_flags_exist():
     known = {flag for p in parsers for action in p._actions for flag in action.option_strings}
     assert len(flags) >= 20
     assert sorted(flags - known) == []
+
+
+def test_solve_flags_match_search_params():
+    # stop, seed and init come from the stop flags, --seed and --init; every
+    # other SearchParams field needs a flag stored under its name, and no flag
+    # outside the others may be left behind by a removed field.
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {action.dest for action in commands.choices["solve"]._actions}
+    others = {"help", "instance", "method", "init", "local_search", "max_points", "time_limit",
+              "iterations", "seed", "out"}
+    fields = {f.name for f in dataclasses.fields(SearchParams)}
+    assert others <= dests
+    assert dests - others == fields - {"stop", "seed", "init"}
 
 
 def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
@@ -265,7 +268,7 @@ BAD_CONFIGS = {
     "nan-time-limit": lambda good: dict(
         good, params=dict(good["params"], stop={"kind": "time", "limit": float("nan")})),
     "infinite-runs": lambda good: dict(good, runs=float("inf")),
-    "string-flag": lambda good: dict(good, params=dict(good["params"], dedup="false")),
+    "removed-dedup-key": lambda good: dict(good, params=dict(good["params"], dedup=False)),
     "float-size": lambda good: dict(good, params=dict(good["params"], t=2.5)),
     "pipeline-not-a-string": lambda good: dict(good, pipeline=5),
     "unknown-pipeline-letter": lambda good: dict(good, pipeline="sfx"),
@@ -406,9 +409,10 @@ def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys, 
     assert not (tmp_path / "summary.csv").exists()
 
 
-@pytest.mark.parametrize("key", ["vns_reset_radius", "parents_with_replacement"])
+@pytest.mark.parametrize("key", ["vns_reset_radius", "parents_with_replacement", "dedup"])
 def test_removed_search_keys_are_unknown(key, table1_path, tmp_path, capsys):
-    # VNS always keeps its radius on improvement; genetic always draws two distinct parents.
+    # VNS always keeps its radius on improvement; genetic always draws two distinct parents;
+    # every drawn vector is evaluated, a repeat included.
     argv = _bench_argv(tmp_path, table1_path,
                        lambda good: dict(good, params=dict(good["params"], **{key: True})))
     assert main(argv) == 2
@@ -416,7 +420,7 @@ def test_removed_search_keys_are_unknown(key, table1_path, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("flag", ["--vns-reset-radius", "--parents-with-replacement"])
+@pytest.mark.parametrize("flag", ["--vns-reset-radius", "--parents-with-replacement", "--dedup"])
 def test_removed_solve_flags_exit_2(flag, table1_path, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--instance", table1_path, "--method", "vns", flag,

@@ -55,6 +55,16 @@ def test_brute_force_respects_cap(table1, table1_grid):
     assert err.value.size == 36
 
 
+def test_brute_force_default_cap_admits_the_paper_30x5_grid():
+    # The paper's 30x5 instances have M=27 budget levels: 27^5 = 14,348,907 vectors.
+    inst = generate_instance(5, 30, (18, 66), 0.5, seed=17)
+    grid = build_grid(inst)
+    assert grid.size**inst.num_products == 27**5
+    optimum, optima = brute_force(inst, grid)
+    assert optimum == 989
+    assert len(optima) == 1
+
+
 def test_midpoint_prices_never_beat_grid():
     # enumerate candidate prices over budgets plus the gaps between them:
     # the off-grid candidates never win

@@ -67,8 +67,7 @@ def test_stop_rule_rejects_ill_typed_limit(kind, limit):
         StopRule(kind, limit)
 
 
-@pytest.mark.parametrize("name, value", [("t", 2.5), ("l0", 10.7), ("seed", 1.0), ("q", True),
-                                         ("dedup", "false")])
+@pytest.mark.parametrize("name, value", [("t", 2.5), ("l0", 10.7), ("seed", 1.0), ("q", True)])
 def test_search_params_reject_ill_typed_values(name, value):
     with pytest.raises(RankPriceError, match=name):
         params(**{name: value})
@@ -347,39 +346,6 @@ def test_mutate_change_frequency_and_exclusion(table1_grid):
 # ------------------------------------------------------------------- naive
 
 
-def test_naive_exhaustive_dedup_finds_optimum(table1, table1_grid):
-    p = params(t=10, stop=StopRule.point_budget(36), dedup=True)
-    res = naive_search(table1, table1_grid, p)
-    assert res.best_value == 236
-    assert res.evaluations == 36
-    assert len(res.population) == 36
-
-
-@pytest.mark.parametrize("search", [naive_search, vns_search, genetic_search])
-def test_dedup_evaluates_no_vector_twice(monkeypatch, search):
-    # The local search may refine a vector into one the population already
-    # holds, so dedup does not make the population a set. It does keep every
-    # vector from a second full evaluation.
-    inst = generate_instance(4, 9, (5, 30), 0.5, seed=11)
-    grid = build_grid(inst)
-    evaluated = []
-    real_assign = rankprice.search.assign
-
-    def recorded(inst, grid, indices):
-        evaluated.append(indices)
-        return real_assign(inst, grid, indices)
-
-    monkeypatch.setattr(rankprice.search, "assign", recorded)
-    repeats = 0
-    for seed in range(20):
-        evaluated.clear()
-        p = params(l0=10, q=4, t=6, stop=StopRule.point_budget(90), seed=seed, dedup=True)
-        res = search(inst, grid, p, pipeline="sfrc", clock=FROZEN_CLOCK)
-        assert len(set(evaluated)) == len(evaluated) == res.evaluations
-        repeats += len({indices for indices, _ in res.population}) < len(res.population)
-    assert repeats > 0
-
-
 def test_naive_budget_one(table1, table1_grid):
     p = params(stop=StopRule.point_budget(1))
     res = naive_search(table1, table1_grid, p)
@@ -590,58 +556,44 @@ def test_vns_time_limit_overrun_is_one_refined_vector(monkeypatch):
 
 @pytest.mark.parametrize("search", [naive_search, vns_search, genetic_search])
 @pytest.mark.parametrize("pipeline", ["", "sfrc"])
-@pytest.mark.parametrize("dedup", [False, True])
 @pytest.mark.parametrize("rule", ["points", "iterations", "time"])
-def test_evaluations_count_the_population(search, pipeline, dedup, rule):
-    # Table 1's grid holds 36 vectors, fewer than the point budget or the
-    # iteration limit lets a run evaluate, so dedup runs on it under those
-    # rules end because the grid runs out.
+def test_evaluations_count_the_population(search, pipeline, rule):
     stop = {
         "points": StopRule.point_budget(90),
         "iterations": StopRule.iterations(8),
         "time": StopRule.time_limit(150),
     }[rule]
-    p = params(l0=10, q=4, t=6, stop=stop, seed=3, dedup=dedup)
+    p = params(l0=10, q=4, t=6, stop=stop, seed=3)
     for inst in (helpers.table1(), generate_instance(4, 9, (5, 30), 0.5, seed=11)):
         ticks = count()
         res = search(inst, build_grid(inst), p, pipeline=pipeline, clock=lambda: next(ticks))
         assert res.evaluations == len(res.population) == res.trace[-1].evals
-        if dedup and inst.name == "table1":
-            assert res.evaluations <= 36
 
 
 # (iterations, trace length, evaluations) of each run of
 # ``test_iterations_and_trace_length_are_pinned``, in its case order.
 PINNED_RUN_LENGTHS = [
-    (15, 15, 90), (8, 8, 48), (19, 19, 114), (7, 7, 36), (7, 7, 36), (6, 6, 34),
-    (15, 15, 90), (8, 8, 48), (11, 11, 66), (6, 6, 31), (6, 6, 31), (5, 5, 29),
-    (14, 15, 90), (8, 9, 58), (18, 19, 114), (5, 6, 36), (5, 6, 36), (4, 5, 29),
-    (14, 15, 90), (8, 9, 58), (10, 11, 70), (2, 3, 20), (2, 3, 20), (2, 3, 20),
-    (14, 15, 90), (8, 9, 58), (18, 19, 114), (5, 6, 36), (5, 6, 36), (5, 6, 35),
-    (14, 15, 90), (8, 9, 58), (10, 11, 70), (5, 6, 34), (5, 6, 34), (4, 5, 31),
-    (15, 15, 90), (8, 8, 48), (19, 19, 114), (15, 15, 90), (8, 8, 48), (19, 19, 111),
-    (15, 15, 90), (8, 8, 48), (11, 11, 66), (15, 15, 90), (8, 8, 48), (11, 11, 66),
-    (14, 15, 90), (8, 9, 58), (18, 19, 114), (14, 15, 90), (8, 9, 58), (17, 18, 112),
-    (14, 15, 90), (8, 9, 58), (10, 11, 70), (14, 15, 90), (8, 9, 58), (10, 11, 70),
-    (14, 15, 90), (8, 9, 58), (18, 19, 114), (14, 15, 90), (8, 9, 58), (13, 14, 85),
-    (14, 15, 90), (8, 9, 58), (10, 11, 70), (14, 15, 90), (8, 9, 58), (8, 9, 56),
+    (15, 15, 90), (8, 8, 48), (19, 19, 114), (15, 15, 90), (8, 8, 48), (11, 11, 66),
+    (14, 15, 90), (8, 9, 58), (18, 19, 114), (14, 15, 90), (8, 9, 58), (10, 11, 70),
+    (14, 15, 90), (8, 9, 58), (18, 19, 114), (14, 15, 90), (8, 9, 58), (10, 11, 70),
+    (15, 15, 90), (8, 8, 48), (19, 19, 114), (15, 15, 90), (8, 8, 48), (11, 11, 66),
+    (14, 15, 90), (8, 9, 58), (18, 19, 114), (14, 15, 90), (8, 9, 58), (10, 11, 70),
+    (14, 15, 90), (8, 9, 58), (18, 19, 114), (14, 15, 90), (8, 9, 58), (10, 11, 70),
 ]
 
 
 def test_iterations_and_trace_length_are_pinned():
     # SEARCH_DIGEST pins traces under point budgets only. This pins the
-    # iteration count too, under every stop rule, including dedup runs that
-    # run Table 1's 36-vector grid out and end on an empty batch.
+    # iteration count too, under every stop rule.
     cases = product(
         [helpers.table1(), generate_instance(4, 9, (5, 30), 0.5, seed=11)],
         [naive_search, vns_search, genetic_search],
         ["", "sfrc"],
-        [False, True],
         [StopRule.point_budget(90), StopRule.iterations(8), StopRule.time_limit(150)],
     )
     lengths = []
-    for inst, search, pipeline, dedup, stop in cases:
-        p = params(l0=10, q=4, t=6, stop=stop, seed=3, dedup=dedup)
+    for inst, search, pipeline, stop in cases:
+        p = params(l0=10, q=4, t=6, stop=stop, seed=3)
         ticks = count()
         res = search(inst, build_grid(inst), p, pipeline=pipeline, clock=lambda: next(ticks))
         # Every method but naive snapshots its initial population first.
@@ -731,10 +683,8 @@ def test_elites_of_batches_equal_full_selection_under_ties():
 
 @pytest.mark.parametrize("search", [vns_search, genetic_search])
 @pytest.mark.parametrize("pipeline", ["", "sfrc"])
-@pytest.mark.parametrize("dedup", [False, True])
 @pytest.mark.parametrize("rule", ["points", "iterations", "time"])
-def test_incremental_elites_equal_full_selection(monkeypatch, search, pipeline, dedup, rule):
-    # 6 products on an 11-level grid: dedup runs stay far from exhausting it.
+def test_incremental_elites_equal_full_selection(monkeypatch, search, pipeline, rule):
     inst = generate_instance(6, 12, (5, 40), 0.7, seed=4)
     grid = build_grid(inst)
     stop = {
@@ -743,7 +693,7 @@ def test_incremental_elites_equal_full_selection(monkeypatch, search, pipeline, 
         "time": StopRule.time_limit(450),
     }[rule]
     clock = _ticking_assign(monkeypatch) if rule == "time" else FROZEN_CLOCK
-    p = params(l0=10, q=4, t=6, stop=stop, seed=7, dedup=dedup)
+    p = params(l0=10, q=4, t=6, stop=stop, seed=7)
     sizes = []
 
     def checked_elites(population, q, *args):
@@ -818,7 +768,7 @@ def test_pipeline_results_replace_population_members(table1, table1_grid):
 
 # SHA-256 over the seeded runs of ``_pinned_runs``. A change that keeps
 # seeded results keeps this digest; one that changes them must say so.
-SEARCH_DIGEST = "6111c9b83a6d6d7c1862f2555b1a0d76ae211c5ffa2fabefa3da51106ed4c561"
+SEARCH_DIGEST = "946a5ed6ab30aea29a2b4957493845f8a928a712fc45e011a600840c1b4e6993"
 
 
 def _pinned_runs():
@@ -831,10 +781,9 @@ def _pinned_runs():
         [naive_search, vns_search, genetic_search],
         ["", "sfrc", "rc", "o"],
         ["random", "greedy"],
-        [{}, {"dedup": True}],
     )
-    for seed, (inst, search, pipeline, init, variant) in enumerate(cases):
-        p = params(l0=10, q=4, stop=StopRule.point_budget(90), init=init, seed=seed, **variant)
+    for n, (inst, search, pipeline, init) in enumerate(cases):
+        p = params(l0=10, q=4, stop=StopRule.point_budget(90), init=init, seed=2 * n)
         ticks = count()
         res = search(inst, build_grid(inst), p, pipeline=pipeline, clock=lambda: next(ticks))
         stats = res.ls_stats

@@ -554,9 +554,15 @@ def test_vns_time_limit_overrun_is_one_refined_vector(monkeypatch):
     assert 100 <= res.elapsed <= 100 + one_scan
 
 
+# The "-False" in these ids is the dedup=False case of the retired dedup
+# parameter; keeping it keeps each test's name unchanged.
+def _rule_id(rule):
+    return f"{rule}-False"
+
+
 @pytest.mark.parametrize("search", [naive_search, vns_search, genetic_search])
 @pytest.mark.parametrize("pipeline", ["", "sfrc"])
-@pytest.mark.parametrize("rule", ["points", "iterations", "time"])
+@pytest.mark.parametrize("rule", ["points", "iterations", "time"], ids=_rule_id)
 def test_evaluations_count_the_population(search, pipeline, rule):
     stop = {
         "points": StopRule.point_budget(90),
@@ -683,7 +689,7 @@ def test_elites_of_batches_equal_full_selection_under_ties():
 
 @pytest.mark.parametrize("search", [vns_search, genetic_search])
 @pytest.mark.parametrize("pipeline", ["", "sfrc"])
-@pytest.mark.parametrize("rule", ["points", "iterations", "time"])
+@pytest.mark.parametrize("rule", ["points", "iterations", "time"], ids=_rule_id)
 def test_incremental_elites_equal_full_selection(monkeypatch, search, pipeline, rule):
     inst = generate_instance(6, 12, (5, 40), 0.7, seed=4)
     grid = build_grid(inst)

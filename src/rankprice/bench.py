@@ -152,10 +152,6 @@ class ExperimentConfig:
         self.run_params(0)
         if self.method == "naive" and self.init == GREEDY:
             raise RankPriceError("method naive draws every vector at random; init greedy is unused")
-        if self.method == "naive" and self.params.stop == StopRule.iterations(0):
-            raise RankPriceError(
-                "method naive has no initial population; an iterations limit of 0 evaluates nothing"
-            )
         if self.method == "genetic" and self.params.q < 2:
             raise RankPriceError("method genetic needs q >= 2 to pick two distinct parents")
         if self.runs < 1:
@@ -341,8 +337,9 @@ def run_experiment(
     The output directory is created before the first run, so a path that
     cannot be one fails before any search time is spent. ``workers`` > 1
     spreads runs over at most that many processes, capped at one per run and
-    at the CPU count; a custom ``clock`` is only meaningful in-process and
-    therefore requires workers=1.
+    at the CPU count; when the cap leaves one, the runs go in-process. A
+    custom ``clock`` is only meaningful in-process and therefore requires
+    workers=1.
     """
     if workers < 1:
         raise InvalidRange(f"workers must be at least 1, got {workers}")
@@ -355,11 +352,11 @@ def run_experiment(
         except OSError as exc:
             raise OutputWriteError(f"cannot create {config.out_dir}: {exc}") from exc
     run_ids = range(config.runs)
-    if workers > 1:
+    size = min(workers, config.runs, os.cpu_count() or 1)
+    if size > 1:
         # Imported here: it costs about 30 ms, and only a multi-process run needs it.
         from concurrent.futures import ProcessPoolExecutor
 
-        size = min(workers, config.runs, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=size) as pool:
             results = list(pool.map(_run_one, repeat(inst), repeat(config), run_ids))
     else:

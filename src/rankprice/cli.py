@@ -35,7 +35,6 @@ def _add_solve_parser(sub):
     stop = p.add_mutually_exclusive_group()
     stop.add_argument("--max-points", type=int)
     stop.add_argument("--time-limit", type=float)
-    stop.add_argument("--iterations", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", metavar="DIR",
                    help="write summary/trace/percentiles CSVs here")
@@ -46,7 +45,7 @@ def _cmd_solve(args) -> int:
     # The same JSON-shaped config that bench reads. Every optional flag
     # defaults to None, and a flag left unset is omitted, so config_from_dict
     # applies the defaults.
-    limits = {"points": args.max_points, "time": args.time_limit, "iterations": args.iterations}
+    limits = {"points": args.max_points, "time": args.time_limit}
     stop = next(({"kind": k, "limit": v} for k, v in limits.items() if v is not None), None)
     # These flags are stored under their SearchParams field names.
     names = ("l0", "q", "t")

@@ -34,10 +34,11 @@ GREEDY = "greedy"
 
 @dataclass(frozen=True)
 class StopRule:
-    """When a search run ends: population size, wall-clock, or iterations.
+    """When a search run ends: population size or wall-clock.
 
-    A points or iterations limit is an int and is used as given (50.9 and
-    "50" are errors, not 50 points); a time limit is an int or float.
+    A points limit is an int and is used as given (50.9 and "50" are errors,
+    not 50 points); a time limit is an int or float. N batches after the
+    initial population are the points limit ``l0 + N*t`` (``N*t`` for naive).
     """
 
     kind: str
@@ -45,7 +46,6 @@ class StopRule:
 
     POINTS = "points"
     TIME = "time"
-    ITERATIONS = "iterations"
 
     def __post_init__(self):
         if isinstance(self.limit, float) and not math.isfinite(self.limit):
@@ -55,14 +55,12 @@ class StopRule:
                 raise RankPriceError(f"time limit must be a number, got {self.limit!r}")
             if self.limit <= 0:
                 raise RankPriceError("time limit must be positive")
-        elif self.kind not in (self.POINTS, self.ITERATIONS):
+        elif self.kind != self.POINTS:
             raise RankPriceError(f"unknown stop rule {self.kind!r}")
         elif type(self.limit) is not int:
-            raise RankPriceError(f"{self.kind} limit must be an integer, got {self.limit!r}")
-        elif self.kind == self.POINTS and self.limit < 1:
+            raise RankPriceError(f"points limit must be an integer, got {self.limit!r}")
+        elif self.limit < 1:
             raise RankPriceError("point budget must be at least 1")
-        elif self.kind == self.ITERATIONS and self.limit < 0:
-            raise RankPriceError("iteration limit must be nonnegative")
 
     @classmethod
     def point_budget(cls, n: int) -> "StopRule":
@@ -71,10 +69,6 @@ class StopRule:
     @classmethod
     def time_limit(cls, seconds: float) -> "StopRule":
         return cls(cls.TIME, seconds)
-
-    @classmethod
-    def iterations(cls, n: int) -> "StopRule":
-        return cls(cls.ITERATIONS, n)
 
 
 @dataclass(frozen=True)
@@ -306,8 +300,6 @@ class _Run:
         stop = self.params.stop
         if stop.kind == StopRule.POINTS:
             return len(self.population) >= stop.limit
-        if stop.kind == StopRule.ITERATIONS:
-            return self.iterations >= stop.limit
         # A time limit is checked after an evaluation, so every run has one.
         return bool(self.population) and self.past_deadline()
 
@@ -387,8 +379,6 @@ class _Run:
         self.close_batch(self.fill_batch(self.params.l0, draws.__next__))
 
     def result(self) -> SearchResult:
-        if self.best_indices is None:
-            raise RankPriceError("search produced no evaluated vector")
         return SearchResult(
             best_indices=self.best_indices,
             best_prices=self.grid.prices_of(self.best_indices),

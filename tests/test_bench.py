@@ -356,14 +356,22 @@ def test_worker_pool_is_capped_at_runs(table1_path, monkeypatch, pool_sizes):
     assert [s.run_id for s in summaries] == [0, 1, 2]
 
 
+def test_one_run_starts_no_pool(table1_path, monkeypatch, pool_sizes):
+    # A pool of one process would only add its start-up to the one run.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    summaries, _ = run_experiment(make_config(table1_path, None, runs=1), workers=6)
+    assert pool_sizes == []
+    assert [s.run_id for s in summaries] == [0]
+
+
 @pytest.mark.parametrize("cpus, size", [(2, 2), (None, 1)])
 def test_worker_pool_is_capped_at_cpu_count(table1_path, monkeypatch, pool_sizes, cpus, size):
     # More worker processes than CPUs only contend for them; os.cpu_count()
-    # may also be None, which counts as one CPU.
+    # may also be None, which counts as one CPU, and one process runs in-process.
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     config = make_config(table1_path, None, runs=3)
     pooled, _ = run_experiment(config, workers=6)
-    assert pool_sizes == [size]
+    assert pool_sizes == ([size] if size > 1 else [])
     alone, _ = run_experiment(config, workers=1)
     untimed = lambda summaries: [replace(s, elapsed_ms=0) for s in summaries]
     assert untimed(pooled) == untimed(alone)
@@ -426,16 +434,6 @@ def test_config_rejects_ill_typed_fields(table1_path, key, value, message):
     raw = {"instance_path": str(table1_path), "method": "vns", "runs": 1}
     with pytest.raises(RankPriceError, match=message):
         config_from_dict(dict(raw, **{key: value}))
-
-
-def test_config_rejects_naive_with_no_iterations(table1_path):
-    # naive has no initial population, so zero iterations would evaluate nothing
-    raw = {"instance_path": str(table1_path), "method": "naive", "runs": 1,
-           "params": {"stop": {"kind": "iterations", "limit": 0}}}
-    with pytest.raises(RankPriceError, match="iterations limit of 0"):
-        config_from_dict(raw)
-    raw["params"]["stop"]["limit"] = 1
-    assert config_from_dict(raw).params.stop == StopRule.iterations(1)
 
 
 def test_params_from_dict_defaults():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import rankprice
-from rankprice import SearchParams, generate_instance, load_instance, save_instance
+from rankprice import SearchParams, StopRule, generate_instance, load_instance, save_instance
 from rankprice.bench import RunSummary, config_from_dict
 from rankprice.cli import build_parser, main
 from helpers import TABLE1
@@ -106,9 +106,9 @@ def test_solve_genetic_default_q(table1_path, capsys):
     assert "best value:" in capsys.readouterr().out
 
 
-def test_solve_iterations_stop(table1_path, capsys):
+def test_solve_max_points_stop(table1_path, capsys):
     code = main(["solve", "--instance", table1_path, "--method", "naive",
-                 "--l0", "10", "--t", "20", "--iterations", "3", "--seed", "0"])
+                 "--l0", "10", "--t", "20", "--max-points", "60", "--seed", "0"])
     assert code == 0
     assert "evaluations: 60" in capsys.readouterr().out
 
@@ -191,6 +191,16 @@ def test_readme_command_line_flags_exist():
     assert sorted(flags - known) == []
 
 
+def test_readme_stop_kinds_build_stop_rules():
+    # The flag check above cannot see a stop kind that the JSON text still names.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    alternatives = re.search(r'`\{"kind": ("[^`]*"), "limit": N\}`', readme).group(1)
+    kinds = re.findall(r'"(\w+)"', alternatives)
+    assert len(kinds) >= 2
+    for kind in kinds:
+        assert StopRule(kind, 1).kind == kind
+
+
 def test_solve_flags_match_search_params():
     # stop, seed and init come from the stop flags, --seed and --init; every
     # other SearchParams field needs a flag stored under its name, and no flag
@@ -198,7 +208,7 @@ def test_solve_flags_match_search_params():
     commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     dests = {action.dest for action in commands.choices["solve"]._actions}
     others = {"help", "instance", "method", "init", "local_search", "max_points", "time_limit",
-              "iterations", "seed", "out"}
+              "seed", "out"}
     fields = {f.name for f in dataclasses.fields(SearchParams)}
     assert others <= dests
     assert dests - others == fields - {"stop", "seed", "init"}
@@ -339,7 +349,7 @@ def _bad_instance(tmp_path, num_products, width=2):
                                   "instance-not-utf8", "config-not-utf8",
                                   "instance-huge-integer", "config-huge-integer",
                                   "instance-too-deep", "negative-prices", "zero-prices",
-                                  "solve-naive-greedy", "solve-naive-no-iterations",
+                                  "solve-naive-greedy",
                                   "solve-genetic-one-elite",
                                   "solve-empty-out", "bench-empty-out", "config-empty-out-dir",
                                   *BAD_CONFIGS])
@@ -387,9 +397,6 @@ def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys, 
             "solve-naive-greedy": lambda: ["solve", "--instance", table1_path,
                                            "--method", "naive", "--init", "greedy",
                                            "--out", str(tmp_path / "out")],
-            "solve-naive-no-iterations": lambda: ["solve", "--instance", table1_path,
-                                                  "--method", "naive", "--iterations", "0",
-                                                  "--out", str(tmp_path / "out")],
             "solve-genetic-one-elite": lambda: ["solve", "--instance", table1_path,
                                                 "--method", "genetic", "--q", "1",
                                                 "--out", str(tmp_path / "out")],
@@ -420,7 +427,18 @@ def test_removed_search_keys_are_unknown(key, table1_path, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("flag", ["--vns-reset-radius", "--parents-with-replacement", "--dedup"])
+def test_removed_stop_kind_is_unknown(table1_path, tmp_path, capsys):
+    # N iterations were the point budget l0 + N*t (N*t for naive), so points spells them.
+    stop = {"kind": "iterations", "limit": 3}
+    argv = _bench_argv(tmp_path, table1_path,
+                       lambda good: dict(good, params=dict(good["params"], stop=stop)))
+    assert main(argv) == 2
+    assert "unknown stop rule 'iterations'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--vns-reset-radius", "--parents-with-replacement", "--dedup",
+                                  "--iterations"])
 def test_removed_solve_flags_exit_2(flag, table1_path, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--instance", table1_path, "--method", "vns", flag,

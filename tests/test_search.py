@@ -51,7 +51,7 @@ def params(**kw):
 
 
 @pytest.mark.parametrize("limit", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize("kind", [StopRule.POINTS, StopRule.TIME, StopRule.ITERATIONS])
+@pytest.mark.parametrize("kind", [StopRule.POINTS, StopRule.TIME])
 def test_stop_rule_rejects_non_finite_limit(kind, limit):
     with pytest.raises(RankPriceError, match="finite"):
         StopRule(kind, limit)
@@ -59,8 +59,7 @@ def test_stop_rule_rejects_non_finite_limit(kind, limit):
 
 @pytest.mark.parametrize("kind, limit", [
     (StopRule.POINTS, "30"), (StopRule.POINTS, 50.9), (StopRule.POINTS, 30.0),
-    (StopRule.POINTS, True), (StopRule.ITERATIONS, 2.5), (StopRule.ITERATIONS, "3"),
-    (StopRule.TIME, True), (StopRule.TIME, "5"),
+    (StopRule.POINTS, True), (StopRule.TIME, True), (StopRule.TIME, "5"),
 ])
 def test_stop_rule_rejects_ill_typed_limit(kind, limit):
     with pytest.raises(RankPriceError, match="limit must be"):
@@ -75,8 +74,8 @@ def test_search_params_reject_ill_typed_values(name, value):
 
 @pytest.mark.parametrize("kind, limit, message", [
     (StopRule.TIME, 0, "positive"), (StopRule.TIME, -0.5, "positive"),
-    ("evaluations", 10, "unknown stop rule"), (StopRule.POINTS, 0, "at least 1"),
-    (StopRule.ITERATIONS, -1, "nonnegative"),
+    ("evaluations", 10, "unknown stop rule"), ("iterations", 3, "unknown stop rule"),
+    (StopRule.POINTS, 0, "at least 1"),
 ])
 def test_stop_rule_rejects_out_of_range_limit(kind, limit, message):
     with pytest.raises(RankPriceError, match=message):
@@ -374,13 +373,6 @@ def test_time_limit_still_evaluates_one_vector(table1, table1_grid, search, init
     assert len(res.trace) == 1
 
 
-def test_naive_zero_iterations_has_no_result(table1, table1_grid):
-    # bench configs and solve reject this up front; a direct call evaluates
-    # nothing and says so.
-    with pytest.raises(RankPriceError, match="no evaluated vector"):
-        naive_search(table1, table1_grid, params(stop=StopRule.iterations(0)))
-
-
 def test_naive_same_seed_same_trace(table1, table1_grid):
     p = params(seed=12, stop=StopRule.point_budget(100))
     a = naive_search(table1, table1_grid, p, clock=FROZEN_CLOCK)
@@ -434,7 +426,7 @@ def test_vns_replays_worked_episode(table1, table1_grid):
     assert elite_prices == {(27, 66), (50, 18), (66, 27)}
     assert max(revenue for _, revenue in pop) == 228
 
-    p = params(l0=10, q=3, t=6, stop=StopRule.iterations(2), seed=seed)
+    p = params(l0=10, q=3, t=6, stop=StopRule.point_budget(10 + 2 * 6), seed=seed)
     res = vns_search(table1, table1_grid, p)
     assert res.trace[0].best == 228
     assert res.trace[1].best == 236
@@ -443,8 +435,9 @@ def test_vns_replays_worked_episode(table1, table1_grid):
 
 
 def test_vns_zero_iterations_returns_init_best(table1, table1_grid):
-    p = params(seed=4, stop=StopRule.iterations(0))
+    p = params(seed=4, stop=StopRule.point_budget(10))
     res = vns_search(table1, table1_grid, p)
+    assert res.iterations == 0
     assert res.evaluations == 10
     assert len(res.trace) == 1
     assert res.best_value == max(revenue for _, revenue in res.population)
@@ -481,7 +474,7 @@ def test_vns_radius_grows_then_caps(table1, table1_grid, monkeypatch):
         return neighborhood(grid, indices, radius)
 
     monkeypatch.setattr(rankprice.search, "neighborhood", recording)
-    p = params(l0=1, q=1, t=3, stop=StopRule.iterations(30), seed=2)
+    p = params(l0=1, q=1, t=3, stop=StopRule.point_budget(1 + 30 * 3), seed=2)
     vns_search(table1, table1_grid, p)
     assert radii == sorted(radii)
     assert sorted(set(radii)) == list(range(1, table1_grid.size))
@@ -555,21 +548,27 @@ def test_vns_time_limit_overrun_is_one_refined_vector(monkeypatch):
 
 
 # The "-False" in these ids is the dedup=False case of the retired dedup
-# parameter; keeping it keeps each test's name unchanged.
+# parameter; keeping it keeps each test's name unchanged. The "iterations"
+# case is a point budget of whole batches, which is what an iterations limit was.
 def _rule_id(rule):
     return f"{rule}-False"
+
+
+def _stop(rule, search):
+    """The stop rule of runs with l0 = 10 and t = 6 under each rule id."""
+    return {
+        "points": StopRule.point_budget(90),
+        # Eight whole batches, after the l0 vectors that naive does not draw.
+        "iterations": StopRule.point_budget(8 * 6 + (0 if search is naive_search else 10)),
+        "time": StopRule.time_limit(150),
+    }[rule]
 
 
 @pytest.mark.parametrize("search", [naive_search, vns_search, genetic_search])
 @pytest.mark.parametrize("pipeline", ["", "sfrc"])
 @pytest.mark.parametrize("rule", ["points", "iterations", "time"], ids=_rule_id)
 def test_evaluations_count_the_population(search, pipeline, rule):
-    stop = {
-        "points": StopRule.point_budget(90),
-        "iterations": StopRule.iterations(8),
-        "time": StopRule.time_limit(150),
-    }[rule]
-    p = params(l0=10, q=4, t=6, stop=stop, seed=3)
+    p = params(l0=10, q=4, t=6, stop=_stop(rule, search), seed=3)
     for inst in (helpers.table1(), generate_instance(4, 9, (5, 30), 0.5, seed=11)):
         ticks = count()
         res = search(inst, build_grid(inst), p, pipeline=pipeline, clock=lambda: next(ticks))
@@ -590,16 +589,16 @@ PINNED_RUN_LENGTHS = [
 
 def test_iterations_and_trace_length_are_pinned():
     # SEARCH_DIGEST pins traces under point budgets only. This pins the
-    # iteration count too, under every stop rule.
+    # iteration count too, under both stop rules.
     cases = product(
         [helpers.table1(), generate_instance(4, 9, (5, 30), 0.5, seed=11)],
         [naive_search, vns_search, genetic_search],
         ["", "sfrc"],
-        [StopRule.point_budget(90), StopRule.iterations(8), StopRule.time_limit(150)],
+        ["points", "iterations", "time"],
     )
     lengths = []
-    for inst, search, pipeline, stop in cases:
-        p = params(l0=10, q=4, t=6, stop=stop, seed=3)
+    for inst, search, pipeline, rule in cases:
+        p = params(l0=10, q=4, t=6, stop=_stop(rule, search), seed=3)
         ticks = count()
         res = search(inst, build_grid(inst), p, pipeline=pipeline, clock=lambda: next(ticks))
         # Every method but naive snapshots its initial population first.
@@ -612,8 +611,9 @@ def test_iterations_and_trace_length_are_pinned():
 
 
 def test_genetic_zero_iterations(table1, table1_grid):
-    p = params(q=10, stop=StopRule.iterations(0), seed=3)
+    p = params(q=10, stop=StopRule.point_budget(10), seed=3)
     res = genetic_search(table1, table1_grid, p)
+    assert res.iterations == 0
     assert res.evaluations == 10
     assert res.best_value == max(r for _, r in res.population)
 
@@ -695,7 +695,8 @@ def test_incremental_elites_equal_full_selection(monkeypatch, search, pipeline, 
     grid = build_grid(inst)
     stop = {
         "points": StopRule.point_budget(120),
-        "iterations": StopRule.iterations(15),
+        # Fifteen whole batches of t = 6 after the l0 = 10 initial vectors.
+        "iterations": StopRule.point_budget(10 + 15 * 6),
         "time": StopRule.time_limit(450),
     }[rule]
     clock = _ticking_assign(monkeypatch) if rule == "time" else FROZEN_CLOCK

@@ -19,18 +19,12 @@ from .bench import (
     summarize,
 )
 from .errors import (
-    DimensionMismatch,
-    EmptyInput,
-    EmptyPreferenceRow,
     InstanceReadError,
     InvalidInstance,
     InvalidRange,
-    LengthMismatch,
-    NonPositiveBudget,
     OutputWriteError,
     RankPriceError,
     SearchSpaceTooLarge,
-    TiedPreferences,
 )
 from .evaluate import assign, assign_oracle, assign_prices
 from .exact import (
@@ -38,7 +32,6 @@ from .exact import (
     brute_force,
     build_single_level,
     export_single_level,
-    write_lp,
 )
 from .local_search import (
     LocalSearchStats,

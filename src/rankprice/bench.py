@@ -29,7 +29,7 @@ from math import ceil
 from pathlib import Path
 from typing import Sequence
 
-from .errors import EmptyInput, InvalidRange, OutputWriteError, RankPriceError
+from .errors import InvalidRange, OutputWriteError, RankPriceError
 from .local_search import parse_pipeline
 from .model import Instance, build_grid, load_instance, write_text
 from .search import (
@@ -186,7 +186,7 @@ class CheckpointStats:
 def percentile(values: Sequence[float], q: float):
     """Nearest-rank percentile of a nonempty sample (q in (0, 100])."""
     if not values:
-        raise EmptyInput("percentile of an empty sample")
+        raise InvalidRange("percentile of an empty sample")
     if not 0 < q <= 100:
         raise InvalidRange(f"percentile q must be in (0, 100], got {q}")
     ordered = sorted(values)
@@ -223,7 +223,7 @@ def evolution_stats(traces: Sequence[Sequence[TraceEntry]]) -> tuple[CheckpointS
     entry; evals and elapsed per checkpoint are the medians across runs.
     """
     if not traces:
-        raise EmptyInput("no traces to aggregate")
+        raise InvalidRange("no traces to aggregate")
     depth = max(len(t) for t in traces)
     rows = []
     for c in range(depth):
@@ -250,11 +250,7 @@ class DistributionReport:
     median: int
     q3: int
     maximum: int
-    variance: float
     hit_rate: float | None
-    ratio_min: float | None
-    ratio_median: float | None
-    ratio_max: float | None
 
 
 def summarize(
@@ -263,17 +259,14 @@ def summarize(
     """Distribution of per-run best values, optionally against a reference.
 
     ``hit_rate`` is the fraction of runs whose best value reaches (or
-    exceeds) the reference; ratios divide each run's best by the reference.
+    exceeds) the reference.
     """
     if not summaries:
-        raise EmptyInput("summarize needs at least one run")
+        raise InvalidRange("summarize needs at least one run")
     if reference is not None and reference <= 0:
         raise InvalidRange(f"reference must be positive, got {reference}")
     values = [s.best_value for s in summaries]
     n = len(values)
-    mean = sum(values) / n
-    compared = reference is not None
-    ratios = sorted(v / reference for v in values) if compared else []
     return DistributionReport(
         count=n,
         minimum=min(values),
@@ -281,11 +274,7 @@ def summarize(
         median=percentile(values, 50),
         q3=percentile(values, 75),
         maximum=max(values),
-        variance=sum((v - mean) ** 2 for v in values) / n,
-        hit_rate=sum(1 for v in values if v >= reference) / n if compared else None,
-        ratio_min=ratios[0] if compared else None,
-        ratio_median=percentile(ratios, 50) if compared else None,
-        ratio_max=ratios[-1] if compared else None,
+        hit_rate=None if reference is None else sum(v >= reference for v in values) / n,
     )
 
 

@@ -15,8 +15,8 @@ from .bench import (
 )
 from .errors import InvalidRange, RankPriceError
 from .evaluate import assign_prices
-from .exact import DEFAULT_ENUMERATION_CAP, brute_force, write_lp
-from .model import build_grid, load_instance, read_json, save_instance
+from .exact import DEFAULT_ENUMERATION_CAP, brute_force, export_single_level
+from .model import build_grid, load_instance, read_json, save_instance, write_text
 from .search import GREEDY, RANDOM
 
 
@@ -87,8 +87,9 @@ def _cmd_bench(args) -> int:
           f"q3={report.q3} max={report.maximum}")
     if report.hit_rate is not None:
         print(f"hit rate vs {args.reference}: {report.hit_rate:.3f}  "
-              f"ratios: min={report.ratio_min:.4f} median={report.ratio_median:.4f} "
-              f"max={report.ratio_max:.4f}")
+              f"ratios: min={report.minimum / args.reference:.4f} "
+              f"median={report.median / args.reference:.4f} "
+              f"max={report.maximum / args.reference:.4f}")
     if config.out_dir:
         print(f"wrote CSVs to {config.out_dir}")
     return 0
@@ -121,7 +122,7 @@ def _cmd_exact(args) -> int:
 
 def _cmd_export_lp(args) -> int:
     inst = load_instance(args.instance)
-    write_lp(inst, build_grid(inst), args.out)
+    write_text(args.out, export_single_level(inst, build_grid(inst)))
     print(f"wrote {args.out}")
     return 0
 

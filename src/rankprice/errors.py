@@ -9,39 +9,8 @@ class InvalidInstance(RankPriceError):
     """Instance data violates a structural invariant."""
 
 
-class NonPositiveBudget(InvalidInstance):
-    def __init__(self, customer: int, value):
-        super().__init__(f"budgets[{customer}] = {value!r}; budgets must be positive integers")
-        self.customer = customer
-        self.value = value
-
-
-class TiedPreferences(InvalidInstance):
-    def __init__(self, customer: int, score):
-        super().__init__(
-            f"preferences[{customer}] contains the score {score!r} more than once; "
-            "scores must be pairwise distinct within a row"
-        )
-        self.customer = customer
-        self.score = score
-
-
-class EmptyPreferenceRow(InvalidInstance):
-    def __init__(self, customer: int):
-        super().__init__(f"preferences[{customer}] has no available product")
-        self.customer = customer
-
-
-class DimensionMismatch(InvalidInstance):
-    pass
-
-
-class LengthMismatch(RankPriceError):
-    """Two vectors that must have equal length do not."""
-
-
 class InvalidRange(RankPriceError):
-    """A numeric range or probability parameter is out of bounds."""
+    """An argument value is outside what the call accepts."""
 
 
 class SearchSpaceTooLarge(RankPriceError):
@@ -57,7 +26,3 @@ class InstanceReadError(RankPriceError):
 
 class OutputWriteError(RankPriceError):
     """An output file or directory could not be written."""
-
-
-class EmptyInput(RankPriceError):
-    """An aggregate operation received no data."""

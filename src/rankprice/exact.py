@@ -31,7 +31,7 @@ from itertools import accumulate, chain
 
 from .errors import SearchSpaceTooLarge
 from .evaluate import assign
-from .model import BudgetGrid, Instance, PriceIndices, write_text
+from .model import BudgetGrid, Instance, PriceIndices
 
 DEFAULT_ENUMERATION_CAP = 100_000_000
 
@@ -247,7 +247,3 @@ def export_single_level(inst: Instance, grid: BudgetGrid) -> str:
         "\\ customer's budget, which encodes affordability",
         *build_single_level(inst, grid),
     ]) + "\n"
-
-
-def write_lp(inst: Instance, grid: BudgetGrid, path) -> None:
-    write_text(path, export_single_level(inst, grid))

@@ -16,14 +16,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import (
-    DimensionMismatch,
-    EmptyPreferenceRow,
-    InstanceReadError,
-    InvalidRange,
-    NonPositiveBudget,
-    OutputWriteError,
-    RankPriceError,
-    TiedPreferences,
+    InstanceReadError, InvalidInstance, InvalidRange, OutputWriteError, RankPriceError,
 )
 
 # One budget-grid index per product.
@@ -126,7 +119,7 @@ class BudgetGrid:
         try:
             return self._index[value]
         except KeyError:
-            raise ValueError(f"{value} is not a budget of this instance") from None
+            raise InvalidRange(f"{value} is not a budget of this instance") from None
 
     def prices_of(self, indices: Sequence[int]) -> tuple[int, ...]:
         return tuple(map(self.values.__getitem__, indices))
@@ -161,30 +154,30 @@ def validate_instance(raw: Mapping) -> Instance:
         budgets = list(raw["budgets"])
         preferences = [list(row) for row in raw["preferences"]]
     except (KeyError, TypeError) as exc:
-        raise DimensionMismatch(f"instance data is missing or malformed: {exc}") from exc
+        raise InvalidInstance(f"instance data is missing or malformed: {exc}") from exc
     name = str(raw.get("name", ""))
 
     for key, value in (("num_products", num_products), ("num_customers", num_customers)):
         if not isinstance(value, int) or isinstance(value, bool):
-            raise DimensionMismatch(f"{key} must be an integer, got {value!r}")
+            raise InvalidInstance(f"{key} must be an integer, got {value!r}")
     if num_products < 1 or num_customers < 1:
-        raise DimensionMismatch(
+        raise InvalidInstance(
             f"need at least one product and one customer, got I={num_products}, K={num_customers}"
         )
     if len(budgets) != num_customers:
-        raise DimensionMismatch(f"expected {num_customers} budgets, got {len(budgets)}")
+        raise InvalidInstance(f"expected {num_customers} budgets, got {len(budgets)}")
     if len(preferences) != num_customers:
-        raise DimensionMismatch(
+        raise InvalidInstance(
             f"expected {num_customers} preference rows, got {len(preferences)}"
         )
 
     for k, value in enumerate(budgets):
         if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-            raise NonPositiveBudget(k, value)
+            raise InvalidInstance(f"budgets[{k}] = {value!r}; budgets must be positive integers")
 
     for k, row in enumerate(preferences):
         if len(row) != num_products:
-            raise DimensionMismatch(
+            raise InvalidInstance(
                 f"preferences[{k}] has {len(row)} entries, expected {num_products}"
             )
         seen = set()
@@ -192,14 +185,17 @@ def validate_instance(raw: Mapping) -> Instance:
             if score is None:
                 continue
             if not isinstance(score, int) or isinstance(score, bool) or score <= 0:
-                raise DimensionMismatch(
+                raise InvalidInstance(
                     f"preferences[{k}][{i}] = {score!r}; scores are positive integers or null"
                 )
             if score in seen:
-                raise TiedPreferences(k, score)
+                raise InvalidInstance(
+                    f"preferences[{k}] contains the score {score!r} more than once; "
+                    "scores must be pairwise distinct within a row"
+                )
             seen.add(score)
         if not seen:
-            raise EmptyPreferenceRow(k)
+            raise InvalidInstance(f"preferences[{k}] has no available product")
 
     return Instance(
         name=name,

@@ -23,7 +23,7 @@ from functools import cache
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
-from .errors import LengthMismatch, RankPriceError
+from .errors import InvalidRange, RankPriceError
 from .evaluate import assign
 from .local_search import LocalSearchStats, parse_pipeline, run_pipeline
 from .model import Assignment, BudgetGrid, Instance, PriceIndices
@@ -220,7 +220,7 @@ def neighborhood(grid: BudgetGrid, indices: Sequence[int], radius: int) -> Neigh
 def crossover(p1: PriceIndices, p2: PriceIndices, rng: random.Random) -> PriceIndices:
     """Each component copied from either parent with equal probability."""
     if len(p1) != len(p2):
-        raise LengthMismatch(f"parents have lengths {len(p1)} and {len(p2)}")
+        raise InvalidRange(f"parents have lengths {len(p1)} and {len(p2)}")
     return tuple(a if rng.random() < 0.5 else b for a, b in zip(p1, p2))
 
 

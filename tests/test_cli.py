@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -166,6 +167,30 @@ def test_bench_runs_config(table1_path, tmp_path, capsys):
     assert (out / "summary.csv").exists()
 
 
+def test_bench_reference_ratios_are_order_statistics(table1_path, tmp_path, capsys):
+    # Six random points per run leave the nine runs at different best values.
+    config = {
+        "instance_path": table1_path,
+        "method": "naive",
+        "init": "random",
+        "params": {"l0": 6, "q": 1, "t": 6, "stop": {"kind": "points", "limit": 6}},
+        "runs": 9,
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "bench-out"
+    code = main(["bench", "--config", str(cfg_path), "--workers", "1", "--out", str(out),
+                 "--reference", "236"])
+    assert code == 0
+    lines = (out / "summary.csv").read_text(encoding="utf-8").splitlines()
+    values = sorted(int(row["best_value"]) for row in csv.DictReader(lines[1:]))
+    assert len(values) == 9 and len(set(values)) >= 2
+    printed = re.search(r"ratios: min=(\S+) median=(\S+) max=(\S+)\n",
+                        capsys.readouterr().out).groups()
+    # Nearest-rank minimum, median (rank ceil(9 / 2) = 5) and maximum.
+    assert printed == tuple(f"{v / 236:.4f}" for v in (values[0], values[4], values[-1]))
+
+
 def test_readme_commands_parse():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     commands = [
@@ -199,6 +224,17 @@ def test_readme_stop_kinds_build_stop_rules():
     assert len(kinds) >= 2
     for kind in kinds:
         assert StopRule(kind, 1).kind == kind
+
+
+def test_readme_error_types_match_errors_module():
+    # A class added to or deleted from rankprice.errors needs its README line.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = re.search(r"\nErrors: ((?:.+\n)+\n(?:- .+\n)+)", readme).group(1)
+    named = set(re.findall(r"`(\w+)`", paragraph))
+    defined = {name for name, value in vars(rankprice.errors).items()
+               if isinstance(value, type) and value.__module__ == rankprice.errors.__name__}
+    assert len(defined) == 6
+    assert named == defined
 
 
 def test_solve_flags_match_search_params():

@@ -19,9 +19,11 @@ from rankprice import (
     build_single_level,
     export_single_level,
     generate_instance,
+    save_instance,
     validate_instance,
-    write_lp,
 )
+from rankprice.cli import main
+from rankprice.model import write_text
 
 
 def test_brute_force_table1(table1, table1_grid):
@@ -444,8 +446,8 @@ def test_export_is_byte_stable(table1, table1_grid, tmp_path):
     text_b = export_single_level(table1, table1_grid)
     assert text_a == text_b
     path_a, path_b = tmp_path / "a.lp", tmp_path / "b.lp"
-    write_lp(table1, table1_grid, path_a)
-    write_lp(table1, table1_grid, path_b)
+    write_text(path_a, text_a)
+    write_text(path_b, text_b)
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
@@ -453,10 +455,11 @@ def test_written_lp_is_the_export_in_utf8(tmp_path):
     # A non-ASCII name reaches the header comment; line ends are written as exported.
     for inst in (helpers.table1(),
                  generate_instance(3, 5, (5, 30), 0.5, seed=4, name="caf\u00e9\r\nEnd")):
-        grid = build_grid(inst)
+        save_instance(inst, tmp_path / "inst.json")
         path = tmp_path / "model.lp"
-        write_lp(inst, grid, path)
-        assert path.read_bytes() == export_single_level(inst, grid).encode("utf-8")
+        assert main(["export-lp", "--instance", str(tmp_path / "inst.json"),
+                     "--out", str(path)]) == 0
+        assert path.read_bytes() == export_single_level(inst, build_grid(inst)).encode("utf-8")
 
 
 def test_export_name_cannot_inject_lp_lines(table1, table1_grid):

@@ -9,16 +9,20 @@ from hypothesis import strategies as st
 import helpers
 from rankprice import (
     BudgetGrid,
-    DimensionMismatch,
-    EmptyPreferenceRow,
     InstanceReadError,
+    InvalidInstance,
     InvalidRange,
-    NonPositiveBudget,
-    TiedPreferences,
+    RankPriceError,
+    RunSummary,
     build_grid,
+    crossover,
+    evolution_stats,
     generate_instance,
+    greedy_init,
     load_instance,
+    percentile,
     save_instance,
+    summarize,
     validate_instance,
 )
 
@@ -31,39 +35,42 @@ def test_table1_validates(table1):
 
 def test_tied_preferences_rejected():
     raw = dict(helpers.TABLE1, preferences=[[2, 2]] + helpers.TABLE1["preferences"][1:])
-    with pytest.raises(TiedPreferences) as err:
+    message = (r"^preferences\[0\] contains the score 2 more than once; "
+               r"scores must be pairwise distinct within a row$")
+    with pytest.raises(InvalidInstance, match=message):
         validate_instance(raw)
-    assert err.value.customer == 0
 
 
 def test_zero_budget_rejected():
     raw = dict(helpers.TABLE1, budgets=[18, 66, 27, 0, 66, 50, 42, 42])
-    with pytest.raises(NonPositiveBudget) as err:
+    message = r"^budgets\[3\] = 0; budgets must be positive integers$"
+    with pytest.raises(InvalidInstance, match=message):
         validate_instance(raw)
-    assert err.value.customer == 3
 
 
 def test_empty_row_rejected():
     raw = dict(helpers.TABLE1, preferences=[[None, None]] + helpers.TABLE1["preferences"][1:])
-    with pytest.raises(EmptyPreferenceRow):
+    with pytest.raises(InvalidInstance, match=r"^preferences\[0\] has no available product$"):
         validate_instance(raw)
 
 
 def test_dimension_mismatches_rejected():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidInstance, match=r"^expected 8 budgets, got 2$"):
         validate_instance(dict(helpers.TABLE1, budgets=[18, 66]))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidInstance, match=r"^preferences\[0\] has 3 entries, expected 2$"):
         validate_instance(dict(helpers.TABLE1, preferences=[[1, 2, 3]] * 8))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidInstance,
+                       match=r"^instance data is missing or malformed: 'num_customers'$"):
         validate_instance({"num_products": 2})
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidInstance, match=r"^num_products must be an integer, got 'abc'$"):
         validate_instance(dict(helpers.TABLE1, num_products="abc"))
     # Dimensions are JSON integers: 1e400 reads as an infinite float, and
     # int() would accept 2.5, 2.0 and true.
     for key in ("num_products", "num_customers"):
         for text in ("1e400", "2.5", "2.0", "true"):
-            with pytest.raises(DimensionMismatch, match=key):
-                validate_instance(dict(helpers.TABLE1, **{key: json.loads(text)}))
+            value = json.loads(text)
+            with pytest.raises(InvalidInstance, match=rf"^{key} must be an integer, got {value}$"):
+                validate_instance(dict(helpers.TABLE1, **{key: value}))
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -73,14 +80,71 @@ def test_dimension_mismatches_rejected():
     ({"preferences": helpers.TABLE1["preferences"][:7]}, "expected 8 preference rows, got 7"),
 ])
 def test_dimension_counts_rejected(edit, message):
-    with pytest.raises(DimensionMismatch, match=message):
+    with pytest.raises(InvalidInstance, match=message):
         validate_instance(dict(helpers.TABLE1, **edit))
 
 
 def test_nonpositive_score_rejected():
     raw = dict(helpers.TABLE1, preferences=[[0, 1]] + helpers.TABLE1["preferences"][1:])
-    with pytest.raises(DimensionMismatch):
+    message = r"^preferences\[0\]\[0\] = 0; scores are positive integers or null$"
+    with pytest.raises(InvalidInstance, match=message):
         validate_instance(raw)
+
+
+def _validate_edited(**edit):
+    return lambda: validate_instance(dict(helpers.TABLE1, **edit))
+
+
+def _first_row(row):
+    return _validate_edited(preferences=[row] + helpers.TABLE1["preferences"][1:])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: validate_instance({"num_products": 2}),
+                 "instance data is missing or malformed: 'num_customers'", id="missing-key"),
+    pytest.param(_validate_edited(num_products="abc"),
+                 "num_products must be an integer, got 'abc'", id="non-integer-dimension"),
+    pytest.param(_validate_edited(num_products=0),
+                 "need at least one product and one customer, got I=0, K=8",
+                 id="zero-dimension"),
+    pytest.param(_validate_edited(num_customers=0, budgets=[], preferences=[]),
+                 "need at least one product and one customer, got I=2, K=0",
+                 id="zero-customers"),
+    pytest.param(_validate_edited(budgets=[18, 66, 27]), "expected 8 budgets, got 3",
+                 id="short-budgets"),
+    pytest.param(_validate_edited(preferences=helpers.TABLE1["preferences"][:7]),
+                 "expected 8 preference rows, got 7", id="short-preferences"),
+    pytest.param(_validate_edited(budgets=[18, 66, 27, True, 66, 50, 42, 42]),
+                 "budgets[3] = True; budgets must be positive integers", id="bool-budget"),
+    pytest.param(_first_row([1, 2, 3]), "preferences[0] has 3 entries, expected 2",
+                 id="wrong-length-row"),
+    pytest.param(_first_row([0, 1]),
+                 "preferences[0][0] = 0; scores are positive integers or null", id="zero-score"),
+    pytest.param(_first_row([1.5, 1]),
+                 "preferences[0][0] = 1.5; scores are positive integers or null",
+                 id="fractional-score"),
+    pytest.param(_first_row([2, 2]),
+                 "preferences[0] contains the score 2 more than once; "
+                 "scores must be pairwise distinct within a row", id="tied-row"),
+    pytest.param(_first_row([None, None]), "preferences[0] has no available product",
+                 id="empty-row"),
+    pytest.param(lambda: crossover((1, 2), (1, 2, 3), random.Random(0)),
+                 "parents have lengths 2 and 3", id="crossover-lengths"),
+    pytest.param(lambda: percentile([], 50), "percentile of an empty sample",
+                 id="percentile-empty"),
+    pytest.param(lambda: percentile([1, 2, 3], 150), "percentile q must be in (0, 100], got 150",
+                 id="percentile-q"),
+    pytest.param(lambda: summarize([]), "summarize needs at least one run", id="summarize-empty"),
+    pytest.param(lambda: summarize([RunSummary(0, 807, (1,), 10, 1, 0)], reference=0),
+                 "reference must be positive, got 0", id="summarize-reference"),
+    pytest.param(lambda: evolution_stats([]), "no traces to aggregate", id="evolution-empty"),
+    pytest.param(lambda: build_grid(helpers.table1()).index_of(19),
+                 "19 is not a budget of this instance", id="off-grid-value"),
+])
+def test_error_messages_are_pinned(call, message):
+    with pytest.raises(Exception) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_table1_grid(table1_grid):
@@ -93,8 +157,14 @@ def test_table1_grid(table1_grid):
 
 def test_grid_index_of_rejects_off_grid_value(table1_grid):
     assert table1_grid.index_of(27) == 1
-    with pytest.raises(ValueError, match="19 is not a budget"):
+    with pytest.raises(InvalidRange, match="19 is not a budget"):
         table1_grid.index_of(19)
+
+
+def test_greedy_init_on_a_grid_missing_a_budget_raises_typed_error(table1):
+    # The richest customers' budget, 66, is not on this grid.
+    with pytest.raises(RankPriceError, match="66 is not a budget"):
+        greedy_init(table1, BudgetGrid((18, 27, 34, 42, 50)))
 
 
 def test_grid_dedups_and_sorts():

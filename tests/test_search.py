@@ -11,7 +11,7 @@ import rankprice.local_search
 import rankprice.search
 from rankprice import (
     BudgetGrid,
-    LengthMismatch,
+    InvalidRange,
     Neighborhood,
     RankPriceError,
     SearchParams,
@@ -294,7 +294,7 @@ def test_crossover_follows_draws(table1_grid):
 
 
 def test_crossover_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(InvalidRange, match="parents have lengths"):
         crossover((1, 2), (1, 2, 3), random.Random(0))
 
 

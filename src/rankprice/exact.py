@@ -9,10 +9,24 @@ one before it. At each of them it reads the revenue of all M^2 prices of
 products 0 and 1 off one revenue surface: given the walk's choices, each
 customer adds a curve term in one of the two prices, or two terms split
 where the first choice becomes too dear, and a sweep over product 0's
-price builds the surface row by row. For anything
-larger, ``export_single_level`` writes the equivalent single-level binary
-program (quadratic objective, linear constraints) in LP format for an
-external solver; this package never solves that model itself.
+price builds the surface row by row.
+
+The surface is pruned against ``best``, the running maximum of the walk,
+with two exact upper bounds. No customer pays more for product 0 or 1 than
+the top grid value within their budget, so the walk revenue plus each such
+customer's gain at that value caps every cell; when the cap is below
+``best`` the sweep is skipped. Inside the sweep, a row's cells are its
+constant plus a curve plus a tail that grows toward high prices of product
+1, so the constant plus the curve's maximum plus the last tail bounds the
+row, and a row below ``best`` is never built. A skipped cell is below the
+running maximum, which only grows, so it can neither be the optimum nor
+tie it; a bound equal to ``best`` keeps its row, so ties still enter the
+argmax list. The optimum and argmax list are those of the unpruned
+surface.
+
+For anything larger, ``export_single_level`` writes the equivalent
+single-level binary program (quadratic objective, linear constraints) in LP
+format for an external solver; this package never solves that model itself.
 
 ``build_single_level`` writes the model's text directly, in one pass over
 the customers: the fragments that repeat (variable names, each product's
@@ -29,7 +43,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate, chain
 
-from .errors import SearchSpaceTooLarge
+from .errors import InvalidRange, SearchSpaceTooLarge
 from .evaluate import assign
 from .model import BudgetGrid, Instance, PriceIndices
 
@@ -50,10 +64,18 @@ def brute_force(
     vector and assignment. At each walk vector ``_pair_surface`` gives the
     revenue at all M^2 prices of products 0 and 1, so each walk vector
     settles M^2 grid vectors; with I = 1 or 2 the walk is the one empty
-    vector. The argmax list is sorted at the end, so it comes out
-    lexicographically sorted (index order, which matches price order).
-    Refuses to enumerate more than ``cap`` vectors.
+    vector. The surface gets the running maximum ``best`` as its floor and
+    leaves out the rows that its bounds show to be below it (all of them
+    when its whole-surface cap is), so ``top`` is the maximum of the rows
+    it builds; every cell left out is below ``best``, which only grows, so
+    it could not have entered the argmax list. The argmax list is sorted at
+    the end, so it comes out lexicographically sorted (index order, which
+    matches price order).
+    Refuses to enumerate more than ``cap`` vectors; ``cap`` must be an int
+    (not a bool) of at least 1, or ``InvalidRange`` is raised.
     """
+    if type(cap) is not int or cap < 1:
+        raise InvalidRange(f"enumeration cap must be an integer of at least 1, got {cap!r}")
     total = grid.size**inst.num_products
     if total > cap:
         raise SearchSpaceTooLarge(total, cap)
@@ -74,13 +96,13 @@ def brute_force(
             m = cur[i] + step[i]
             a = assign(rest, grid, cur, (i, m, a, a.chosen.count(i)))
             cur[i] = m
-        rows = surface(cur, a)
-        top = max(map(max, rows))
+        rows = surface(cur, a, best)
+        top = max((max(row) for row in rows if row), default=-1)
         if top >= best:
             if top > best:
                 best, argmax = top, []
             # With I = 1 each row has one cell and the vector drops m1.
-            argmax.extend((m0, m1, *cur)[:num] for m0, row in enumerate(rows)
+            argmax.extend((m0, m1, *cur)[:num] for m0, row in enumerate(rows) if row
                           for m1, r in enumerate(row) if r == top)
     argmax.sort()
     return best, argmax
@@ -89,10 +111,13 @@ def brute_force(
 def _pair_surface(inst: Instance, grid: BudgetGrid):
     """The revenue at every pair of prices of products 0 and 1.
 
-    Returns ``rows(cur, a)``: given the levels ``cur`` of products 2..I-1 and
-    their assignment ``a`` in the instance without products 0 and 1, the M
-    rows ``rows[m0][m1]``, each the revenue of the full vector
-    ``(m0, m1, *cur)``. With I = 1 each row has the one cell m1 = 0.
+    Returns ``rows(cur, a, floor=-1)``: given the levels ``cur`` of products
+    2..I-1 and their assignment ``a`` in the instance without products 0 and
+    1, the M rows ``rows[m0][m1]``, each the revenue of the full vector
+    ``(m0, m1, *cur)``. With I = 1 each row has the one cell m1 = 0. A row
+    is ``None`` when an upper bound shows that each of its cells is below
+    ``floor``; every row that is built is exact, and so is every row whose
+    bound equals ``floor``. At the default floor every row is built.
 
     Customer k, whose choice c in ``a`` pays p, affords the levels up to t of
     both products (they share k's budget), and can take product 0 or 1 only
@@ -106,6 +131,15 @@ def _pair_surface(inst: Instance, grid: BudgetGrid):
     ranks 1 first. A k who ranks 0 first moves from the curve to the
     constant at m0 = t, so the curve and the tails change only at the t of
     customers who can take both.
+
+    Two bounds prune against ``floor``. The whole-surface cap: k adds at
+    most v[t] - p, which is at least 0 because k affords p, so no cell
+    exceeds ``a.revenue`` plus that gain of every k who can take 0 or 1; if
+    the cap is below ``floor`` all M rows are ``None`` and nothing is swept.
+    The row bound: the tail counts only grow toward high m1 and v[m0] > 0,
+    so no cell of row m0 exceeds the constant plus the curve's maximum plus
+    v[m0] times the last tail count; the maximum is recomputed only where
+    the curve changes.
     """
     values, size = grid.values, grid.size
     width = size if inst.num_products > 1 else 1
@@ -122,14 +156,24 @@ def _pair_surface(inst: Instance, grid: BudgetGrid):
             take0, take1 = s0 > score, s1 > score
             slots[c] = (2 * take0 + take1 + (take0 and take1 and s1 > s0)) * size + t
         if t >= 0 and any(slot >= size for slot in slots.values()):
-            pair.append((k, slots))
+            # For each choice from which k can move into the pair: k's top affordable value.
+            reach = {c: values[t] for c, slot in slots.items() if slot >= size}
+            pair.append((k, slots, reach))
 
-    def rows(cur, a):
+    def rows(cur, a, floor=-1):
         paid = {j: values[m] for j, m in enumerate(cur)}
         paid[None] = 0
         chosen = a.chosen
+        # The whole-surface cap: each k who can move gains at most values[t] - p.
+        cap = a.revenue
+        for k, _, reach in pair:
+            c = chosen[k]
+            if c in reach:
+                cap += reach[c] - paid[c]
+        if cap < floor:
+            return [None] * size
         n, lost = [0] * (5 * size), [0] * (5 * size)
-        for k, slots in pair:
+        for k, slots, _ in pair:
             c = chosen[k]
             slot = slots[c]
             n[slot] += 1
@@ -144,6 +188,7 @@ def _pair_surface(inst: Instance, grid: BudgetGrid):
             base[m1] = values[m1] * count - loss
         out = []
         count = loss = 0
+        high = max(base)
         for t in range(size - 1, -1, -1):
             count += n[only0 + t] + n[first0 + t]
             loss += lost[only0 + t] + lost[first0 + t]
@@ -154,10 +199,16 @@ def _pair_surface(inst: Instance, grid: BudgetGrid):
                 for m1 in range(t + 1, width):
                     tails[m1] += n[first1 + t]
                     base[m1] -= lost[first1 + t]
+            if n[first0 + t] or n[first1 + t]:
+                high = max(base)
             v0 = values[t]
             const = a.revenue + v0 * count - loss
-            out.append([const + b + v0 * q for b, q in zip(base, tails)] if tails[-1]
-                       else [const + b for b in base])
+            # The row bound: tails only grows toward high m1.
+            if const + high + v0 * tails[-1] < floor:
+                out.append(None)
+            else:
+                out.append([const + b + v0 * q for b, q in zip(base, tails)] if tails[-1]
+                           else [const + b for b in base])
         out.reverse()
         return out
 

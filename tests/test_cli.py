@@ -78,6 +78,14 @@ def test_exact_lists_optima(table1_path, capsys):
     assert "34,66" in out and "50,34" in out and "66,34" in out
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_exact_rejects_a_cap_below_one(cap, table1_path, capsys):
+    # A cap below 1 is a bad argument, not a grid above it.
+    assert main(["exact", "--instance", table1_path, "--cap", cap]) == 2
+    assert capsys.readouterr().err == (
+        f"error: enumeration cap must be an integer of at least 1, got {cap}\n")
+
+
 def test_export_lp(table1_path, tmp_path, capsys):
     out = tmp_path / "table1.lp"
     code = main(["export-lp", "--instance", table1_path, "--out", str(out)])
@@ -388,6 +396,7 @@ def _bad_instance(tmp_path, num_products, width=2):
                                   "solve-naive-greedy",
                                   "solve-genetic-one-elite",
                                   "solve-empty-out", "bench-empty-out", "config-empty-out-dir",
+                                  "exact-cap-zero", "exact-cap-negative",
                                   *BAD_CONFIGS])
 def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys, monkeypatch):
     # An empty output directory would be the current one: nothing may land there.
@@ -436,6 +445,8 @@ def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys, 
             "solve-genetic-one-elite": lambda: ["solve", "--instance", table1_path,
                                                 "--method", "genetic", "--q", "1",
                                                 "--out", str(tmp_path / "out")],
+            "exact-cap-zero": lambda: ["exact", "--instance", table1_path, "--cap", "0"],
+            "exact-cap-negative": lambda: ["exact", "--instance", table1_path, "--cap", "-3"],
             "unwritable-lp": lambda: ["export-lp", "--instance", table1_path,
                                       "--out", str(missing_dir / "out.lp")],
             "unwritable-instance": lambda: ["gen", "--products", "2", "--customers", "4",

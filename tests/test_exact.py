@@ -10,6 +10,7 @@ import helpers
 import rankprice.exact
 from rankprice import (
     BudgetGrid,
+    InvalidRange,
     SearchSpaceTooLarge,
     assign,
     assign_oracle,
@@ -55,6 +56,20 @@ def test_brute_force_respects_cap(table1, table1_grid):
     with pytest.raises(SearchSpaceTooLarge) as err:
         brute_force(table1, table1_grid, cap=35)
     assert err.value.size == 36
+
+
+@pytest.mark.parametrize("cap", [None, "100", True, False, 2.5, 0, -3],
+                         ids=["none", "string", "true", "false", "float", "zero", "negative"])
+def test_brute_force_rejects_a_cap_that_is_not_a_positive_int(cap, table1, table1_grid):
+    # Like a points limit: an int, not a bool, of at least 1.
+    with pytest.raises(InvalidRange) as err:
+        brute_force(table1, table1_grid, cap=cap)
+    assert str(err.value) == f"enumeration cap must be an integer of at least 1, got {cap!r}"
+
+
+def test_brute_force_cap_of_one_admits_one_vector():
+    inst = _instance([4], [[1]])
+    assert brute_force(inst, build_grid(inst), cap=1) == (4, [(0,)])
 
 
 def test_brute_force_default_cap_admits_the_paper_30x5_grid():
@@ -256,6 +271,38 @@ def test_pair_surface_matches_oracle_cell_by_cell():
         for m0, m1 in product(range(grid.size), range(width)):
             vector = (m0, m1, *cur)[:inst.num_products]
             assert rows[m0][m1] == assign_oracle(inst, grid, vector).revenue, (inst, grid, vector)
+
+
+def test_pair_surface_floor_leaves_out_only_rows_below_it():
+    # Floors at, just above and just below every cell value. A row left out
+    # has every oracle cell below the floor; a row kept is the row built with
+    # no floor; a floor equal to a row's maximum keeps that row.
+    cases = [*_surface_states(26, 200), (helpers.table1(), helpers.grid_of(helpers.table1()), ())]
+    left_out = kept = whole = 0
+    for inst, grid, cur in cases:
+        rest = replace(inst, preferences=tuple(row[2:] for row in inst.preferences))
+        a = assign_oracle(rest, grid, cur)
+        rows = rankprice.exact._pair_surface(inst, grid)
+        full = rows(cur, a)
+        width = len(full[0])
+        oracle = [[assign_oracle(inst, grid, (m0, m1, *cur)[:inst.num_products]).revenue
+                   for m1 in range(width)] for m0 in range(grid.size)]
+        assert full == oracle
+        cells = {r for row in full for r in row}
+        for floor in sorted({r + d for r in cells for d in (-1, 0, 1)}):
+            got = rows(cur, a, floor)
+            assert len(got) == grid.size
+            for row, full_row, oracle_row in zip(got, full, oracle):
+                if row is None:
+                    assert max(oracle_row) < floor, (inst, grid, cur, floor)
+                    left_out += 1
+                else:
+                    assert row == full_row
+                    kept += 1
+                if max(full_row) == floor:
+                    assert row == full_row
+            whole += all(row is None for row in got)
+    assert left_out > 1000 and kept > 1000 and whole > 100
 
 
 @pytest.mark.parametrize("budgets, preferences, expected", [

@@ -20,6 +20,7 @@ from rankprice import (
     genetic_search,
     vns_search,
 )
+import rankprice.exact
 from rankprice.cli import build_parser
 
 REFERENCE = json.loads(
@@ -62,6 +63,36 @@ def test_first_reference_optimum_is_rederived():
     inst = _instance(entry)
     optimum, optima = brute_force(inst, build_grid(inst))
     assert (optimum, len(optima)) == (entry["optimum"], entry["optimal_vectors"]) == (923, 1)
+
+
+def test_brute_force_skips_most_pair_surfaces_at_the_paper_shape(monkeypatch):
+    # Counts, not timings: the bounds leave out every row at most walk
+    # vectors, and the walk itself is unchanged.
+    entry = REFERENCE[0]
+    inst = _instance(entry)
+    grid = build_grid(inst)
+    surface, assign = rankprice.exact._pair_surface, rankprice.exact.assign
+    assigns, skipped = [], []
+
+    def counting_surface(inst, grid):
+        rows = surface(inst, grid)
+
+        def counted(cur, a, floor=-1):
+            out = rows(cur, a, floor)
+            skipped.append(all(row is None for row in out))
+            return out
+        return counted
+
+    def counting_assign(*args):
+        assigns.append(args)
+        return assign(*args)
+
+    monkeypatch.setattr(rankprice.exact, "_pair_surface", counting_surface)
+    monkeypatch.setattr(rankprice.exact, "assign", counting_assign)
+    optimum, optima = brute_force(inst, grid)
+    assert (optimum, len(optima)) == (entry["optimum"], entry["optimal_vectors"])
+    assert len(assigns) == len(skipped) == grid.size ** (inst.num_products - 2) == 23**3
+    assert sum(skipped) >= 0.95 * len(skipped)
 
 
 def test_vns_and_genetic_hit_the_30x5_optimum():

@@ -29,7 +29,7 @@ from math import ceil
 from pathlib import Path
 from typing import Sequence
 
-from .errors import InvalidRange, OutputWriteError, RankPriceError
+from .errors import InvalidRange, OutputWriteError
 from .local_search import parse_pipeline
 from .model import Instance, build_grid, load_instance, write_text
 from .search import (
@@ -136,26 +136,26 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("runs", "base_seed"):
             if type(getattr(self, name)) is not int:
-                raise RankPriceError(f"{name} must be an integer, got {getattr(self, name)!r}")
+                raise InvalidRange(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not isinstance(self.instance_path, (str, os.PathLike)):
-            raise RankPriceError(f"instance_path must be a string, got {self.instance_path!r}")
+            raise InvalidRange(f"instance_path must be a string, got {self.instance_path!r}")
         if not isinstance(self.out_dir, (str, os.PathLike, type(None))):
-            raise RankPriceError(f"out_dir must be a string or null, got {self.out_dir!r}")
+            raise InvalidRange(f"out_dir must be a string or null, got {self.out_dir!r}")
         if self.out_dir == "":
-            raise RankPriceError("out_dir must not be empty; use null to write no CSVs")
+            raise InvalidRange("out_dir must not be empty; use null to write no CSVs")
         if not isinstance(self.pipeline, str):
-            raise RankPriceError(f"pipeline must be a string, got {self.pipeline!r}")
+            raise InvalidRange(f"pipeline must be a string, got {self.pipeline!r}")
         parse_pipeline(self.pipeline)
         if self.method not in METHODS:
-            raise RankPriceError(f"unknown method {self.method!r}")
+            raise InvalidRange(f"unknown method {self.method!r}")
         # SearchParams checks the init that every run will use.
         self.run_params(0)
         if self.method == "naive" and self.init == GREEDY:
-            raise RankPriceError("method naive draws every vector at random; init greedy is unused")
+            raise InvalidRange("method naive draws every vector at random; init greedy is unused")
         if self.method == "genetic" and self.params.q < 2:
-            raise RankPriceError("method genetic needs q >= 2 to pick two distinct parents")
+            raise InvalidRange("method genetic needs q >= 2 to pick two distinct parents")
         if self.runs < 1:
-            raise RankPriceError("runs must be at least 1")
+            raise InvalidRange("runs must be at least 1")
 
     def run_params(self, run_id: int) -> SearchParams:
         return replace(self.params, seed=self.base_seed + run_id, init=self.init)
@@ -333,7 +333,7 @@ def run_experiment(
     if workers < 1:
         raise InvalidRange(f"workers must be at least 1, got {workers}")
     if workers > 1 and clock is not None:
-        raise RankPriceError("clock injection requires workers=1")
+        raise InvalidRange("clock injection requires workers=1")
     inst = load_instance(config.instance_path)
     if config.out_dir is not None:
         try:
@@ -361,17 +361,17 @@ def run_experiment(
 def _from_json(cls, raw, prepare=dict):
     """``cls(**prepare(raw))`` for a JSON object ``raw`` whose keys all name fields of ``cls``.
 
-    Every malformed input, a missing or ill-typed value too, raises RankPriceError.
+    Every malformed input, a missing or ill-typed value too, raises InvalidRange.
     """
     if not isinstance(raw, dict):
-        raise RankPriceError(f"{cls.__name__} must be a JSON object, got {type(raw).__name__}")
+        raise InvalidRange(f"{cls.__name__} must be a JSON object, got {type(raw).__name__}")
     unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
-        raise RankPriceError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+        raise InvalidRange(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
     try:
         return cls(**prepare(raw))
     except (TypeError, ValueError, OverflowError) as exc:
-        raise RankPriceError(f"invalid {cls.__name__}: {exc}") from None
+        raise InvalidRange(f"invalid {cls.__name__}: {exc}") from None
 
 
 def params_from_dict(raw: dict, method: str | None = None) -> SearchParams:
@@ -403,7 +403,7 @@ def config_from_dict(raw: dict, **overrides) -> ExperimentConfig:
         # run_params sets each run's seed and init, so these params keys would be ignored.
         for key, owner in (("seed", "base_seed"), ("init", "init")):
             if key in raw_params:
-                raise RankPriceError(f"params.{key} is unused; set the top-level {owner}")
+                raise InvalidRange(f"params.{key} is unused; set the top-level {owner}")
         defaults = {"init": RANDOM, "pipeline": "", "base_seed": 0, "out_dir": None}
         return {**defaults, **data, "params": params}
 

@@ -133,15 +133,15 @@ def _cmd_eval(args) -> int:
     try:
         prices = tuple(int(part) for part in args.prices.split(","))
     except ValueError:
-        raise RankPriceError(
+        raise InvalidRange(
             f"prices must be comma-separated integers, got {args.prices!r}"
         ) from None
     if len(prices) != inst.num_products:
-        raise RankPriceError(
+        raise InvalidRange(
             f"expected {inst.num_products} prices, got {len(prices)}"
         )
     if min(prices) <= 0:
-        raise RankPriceError(f"prices must be positive, got {args.prices!r}")
+        raise InvalidRange(f"prices must be positive, got {args.prices!r}")
     a = assign_prices(inst, prices)
     off_grid = [p for p in prices if p not in grid.values]
     if off_grid:

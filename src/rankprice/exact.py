@@ -11,18 +11,23 @@ customer adds a curve term in one of the two prices, or two terms split
 where the first choice becomes too dear, and a sweep over product 0's
 price builds the surface row by row.
 
-The surface is pruned against ``best``, the running maximum of the walk,
-with two exact upper bounds. No customer pays more for product 0 or 1 than
-the top grid value within their budget, so the walk revenue plus each such
-customer's gain at that value caps every cell; when the cap is below
-``best`` the sweep is skipped. Inside the sweep, a row's cells are its
-constant plus a curve plus a tail that grows toward high prices of product
-1, so the constant plus the curve's maximum plus the last tail bounds the
-row, and a row below ``best`` is never built. A skipped cell is below the
-running maximum, which only grows, so it can neither be the optimum nor
-tie it; a bound equal to ``best`` keeps its row, so ties still enter the
-argmax list. The optimum and argmax list are those of the unpruned
-surface.
+The walk is pruned against ``best``, its running maximum, with three exact
+upper bounds. The whole-surface cap: no customer pays more for product 0 or
+1 than the top grid value within their budget, so the walk revenue plus
+each such customer's gain at that value caps every cell of a surface. The
+walk carries the cap from step to step and does not ask for a surface
+below ``best``. The curve-sum bound: customers who can take only product 0
+add exactly one curve in its price, those who can take only 1 one curve in
+the other, and those who can take both at most their cap term, so the walk
+revenue plus each single-product curve's maximum plus those terms caps
+every cell again, never above the cap; a surface below ``best`` is not
+swept. Inside the sweep, a row's cells are its constant plus a curve plus
+a tail that grows toward high prices of product 1, so the constant plus the
+curve's maximum plus the last tail bounds the row, and a row below ``best``
+is never built. Each test is a strict ``<`` against a maximum that only
+grows, so a skipped cell can neither be the optimum nor tie it; a bound
+equal to ``best`` keeps its row, so ties still enter the argmax list. The
+optimum and argmax list are those of the unpruned enumeration.
 
 For anything larger, ``export_single_level`` writes the equivalent
 single-level binary program (quadratic objective, linear constraints) in LP
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate, chain
+from operator import mul
 
 from .errors import InvalidRange, SearchSpaceTooLarge
 from .evaluate import assign
@@ -64,13 +70,16 @@ def brute_force(
     vector and assignment. At each walk vector ``_pair_surface`` gives the
     revenue at all M^2 prices of products 0 and 1, so each walk vector
     settles M^2 grid vectors; with I = 1 or 2 the walk is the one empty
-    vector. The surface gets the running maximum ``best`` as its floor and
-    leaves out the rows that its bounds show to be below it (all of them
-    when its whole-surface cap is), so ``top`` is the maximum of the rows
-    it builds; every cell left out is below ``best``, which only grows, so
-    it could not have entered the argmax list. The argmax list is sorted at
-    the end, so it comes out lexicographically sorted (index order, which
-    matches price order).
+    vector. ``_SurfaceCap`` carries the whole-surface cap along the walk;
+    when it is below the running maximum ``best`` the surface is not asked
+    for at all. Otherwise the surface gets ``best`` as its floor and leaves
+    out the rows that its curve-sum and row bounds show to be below it, so
+    ``top`` is the maximum of the rows it builds. Every cell left out is
+    below ``best`` by a strict ``<``, and ``best`` only grows, so it could
+    neither be the optimum nor tie it: the optimum and argmax list are
+    those of the unpruned enumeration. The argmax list is sorted at the end,
+    so it comes out lexicographically sorted (index order, which matches
+    price order).
     Refuses to enumerate more than ``cap`` vectors; ``cap`` must be an int
     (not a bool) of at least 1, or ``InvalidRange`` is raised.
     """
@@ -87,6 +96,7 @@ def brute_force(
     step = [1] * rest.num_products
     best, argmax = -1, []
     a = assign(rest, grid, cur)
+    whole = _SurfaceCap(inst, grid, rest, cur, a)
     for n in range(size**rest.num_products):
         if n:
             i = 0
@@ -94,10 +104,13 @@ def brute_force(
                 step[i] = -step[i]
                 i += 1
             m = cur[i] + step[i]
-            a = assign(rest, grid, cur, (i, m, a, a.chosen.count(i)))
+            before, a = a, assign(rest, grid, cur, (i, m, a, a.chosen.count(i)))
             cur[i] = m
+            whole.move(i, grid.values[m], before, a)
+        if a.revenue + whole.gain < best:
+            continue
         rows = surface(cur, a, best)
-        top = max((max(row) for row in rows if row), default=-1)
+        top = max(map(max, filter(None, rows)), default=-1)
         if top >= best:
             if top > best:
                 best, argmax = top, []
@@ -106,6 +119,86 @@ def brute_force(
                           for m1, r in enumerate(row) if r == top)
     argmax.sort()
     return best, argmax
+
+
+def _pair_slots(inst: Instance, grid: BudgetGrid) -> list[tuple[int, dict]]:
+    """``(k, slots)`` for each customer k who can move into the pair from some walk choice.
+
+    ``slots[c]`` is ``kind * M + t`` for each choice c k can make in the
+    walk (None for buying nothing, j for product j + 2), where t is k's top
+    affordable level and kind is 0 (k takes neither product 0 nor 1 over
+    c), 1 (only 1), 2 (only 0), 3 (both, 0 first) or 4 (both, 1 first). A
+    customer who affords no level, or takes neither from any choice, is left
+    out.
+    """
+    values, size = grid.values, grid.size
+    pair = []
+    for k, (budget, row) in enumerate(zip(inst.budgets, inst.preferences)):
+        t = bisect_right(values, budget) - 1
+        # A product k does not want scores 0, as does buying nothing.
+        s0, s1 = [score or 0 for score in (*row, None)[:2]]
+        slots = {}
+        for c, score in [(None, 0), *((j, s) for j, s in enumerate(row[2:]) if s is not None)]:
+            take0, take1 = s0 > score, s1 > score
+            slots[c] = (2 * take0 + take1 + (take0 and take1 and s1 > s0)) * size + t
+        if t >= 0 and any(slot >= size for slot in slots.values()):
+            pair.append((k, slots))
+    return pair
+
+
+class _SurfaceCap:
+    """The whole-surface cap of the pair surface, carried along the walk.
+
+    No customer pays more for product 0 or 1 than the top grid value within
+    their budget, values[t], and each customer k who can move into the pair
+    from their walk choice c already affords what c costs, p. So no cell of
+    the surface exceeds ``a.revenue + gain``, where ``gain`` sums
+    values[t] - p over those customers. It is summed once for the first walk
+    vector; after each step ``move`` takes the moved product's price change
+    times ``movers`` of it (the customers counted in ``gain`` who buy it)
+    off ``gain``, then takes out and puts back only the customers whose
+    choice changed, all of whom want the moved product with a budget
+    between its old and new price.
+    """
+
+    __slots__ = ("rest", "reach", "price", "movers", "gain")
+
+    def __init__(self, inst: Instance, grid: BudgetGrid, rest: Instance, cur, a) -> None:
+        values, size = grid.values, grid.size
+        self.rest = rest
+        # Per customer: values[t] for each walk choice from which they can move into the pair.
+        self.reach = [{} for _ in range(inst.num_customers)]
+        for k, slots in _pair_slots(inst, grid):
+            self.reach[k] = {c: values[slot % size] for c, slot in slots.items()
+                             if slot >= size}
+        self.price = {None: 0, **{j: values[m] for j, m in enumerate(cur)}}
+        self.movers = dict.fromkeys(self.price, 0)
+        self.gain = 0
+        for k, c in enumerate(a.chosen):
+            top = self.reach[k].get(c)
+            if top is not None:
+                self.gain += top - self.price[c]
+                self.movers[c] += 1
+
+    def move(self, i: int, price: int, before, after) -> None:
+        """Product i of the walk now costs ``price``; its assignment went from ``before`` to ``after``."""
+        reach, paid, movers = self.reach, self.price, self.movers
+        old, paid[i] = paid[i], price
+        gain = self.gain - (price - old) * movers[i]
+        was, now = before.chosen, after.chosen
+        for k in (self.rest.wanting_between(i, price, old) if price < old
+                  else self.rest.wanting_between(i, old, price)):
+            c, d = was[k], now[k]
+            if c != d:
+                top = reach[k].get(c)
+                if top is not None:
+                    gain -= top - paid[c]
+                    movers[c] -= 1
+                top = reach[k].get(d)
+                if top is not None:
+                    gain += top - paid[d]
+                    movers[d] += 1
+        self.gain = gain
 
 
 def _pair_surface(inst: Instance, grid: BudgetGrid):
@@ -132,53 +225,56 @@ def _pair_surface(inst: Instance, grid: BudgetGrid):
     constant at m0 = t, so the curve and the tails change only at the t of
     customers who can take both.
 
-    Two bounds prune against ``floor``. The whole-surface cap: k adds at
-    most v[t] - p, which is at least 0 because k affords p, so no cell
-    exceeds ``a.revenue`` plus that gain of every k who can take 0 or 1; if
-    the cap is below ``floor`` all M rows are ``None`` and nothing is swept.
-    The row bound: the tail counts only grow toward high m1 and v[m0] > 0,
-    so no cell of row m0 exceeds the constant plus the curve's maximum plus
-    v[m0] times the last tail count; the maximum is recomputed only where
-    the curve changes.
+    Two bounds prune against ``floor``. The curve-sum bound: the customers
+    who can take only product 0 add exactly their curve at m0 and those who
+    can take only 1 theirs at m1, while each k who can take both adds at
+    most v[t] - p; so no cell exceeds ``a.revenue`` plus the maximum of each
+    single-product curve plus that term of every k who can take both. If it
+    is below ``floor`` all M rows are ``None`` and nothing is swept. A
+    curve's value at any level is at most the sum of its customers' terms
+    v[t] - p, none of them negative, so the bound is at most
+    ``_SurfaceCap``'s; its value at the top level is not negative either, so
+    each maximum is at least 0. The row bound: the tail counts only grow
+    toward high m1 and v[m0] > 0, so no cell of row m0 exceeds the constant
+    plus the curve's maximum plus v[m0] times the last tail count; the
+    maximum is recomputed only where the curve changes.
     """
     values, size = grid.values, grid.size
     width = size if inst.num_products > 1 else 1
-    # Per customer who can buy from the pair: for each choice c k can make
-    # in the walk, the slot kind * M + t, where kind is 0 (k takes neither),
-    # 1 (only 1), 2 (only 0), 3 (both, 0 first) or 4 (both, 1 first).
-    pair = []
-    for k, (budget, row) in enumerate(zip(inst.budgets, inst.preferences)):
-        t = bisect_right(values, budget) - 1
-        # A product k does not want scores 0, as does buying nothing.
-        s0, s1 = [score or 0 for score in (*row, None)[:2]]
-        slots = {}
-        for c, score in [(None, 0), *((j, s) for j, s in enumerate(row[2:]) if s is not None)]:
-            take0, take1 = s0 > score, s1 > score
-            slots[c] = (2 * take0 + take1 + (take0 and take1 and s1 > s0)) * size + t
-        if t >= 0 and any(slot >= size for slot in slots.values()):
-            # For each choice from which k can move into the pair: k's top affordable value.
-            reach = {c: values[t] for c, slot in slots.items() if slot >= size}
-            pair.append((k, slots, reach))
+    pair = _pair_slots(inst, grid)
+    # values[t] at the slots of the two kinds who can take both; the levels from the top down.
+    both, levels = values * 2, range(size - 1, -1, -1)
 
     def rows(cur, a, floor=-1):
         paid = {j: values[m] for j, m in enumerate(cur)}
         paid[None] = 0
         chosen = a.chosen
-        # The whole-surface cap: each k who can move gains at most values[t] - p.
-        cap = a.revenue
-        for k, _, reach in pair:
-            c = chosen[k]
-            if c in reach:
-                cap += reach[c] - paid[c]
-        if cap < floor:
-            return [None] * size
         n, lost = [0] * (5 * size), [0] * (5 * size)
-        for k, slots, _ in pair:
+        for k, slots in pair:
             c = chosen[k]
             slot = slots[c]
             n[slot] += 1
             lost[slot] += paid[c]
         only1, only0, first0, first1 = size, 2 * size, 3 * size, 4 * size
+        # The curve-sum bound. Each single-product curve is read from the top
+        # level down and only where customers join it: in between it falls
+        # with v.
+        bound = a.revenue + sum(map(mul, both, n[first0:])) - sum(lost[first0:])
+        high0 = high1 = count0 = loss0 = count1 = loss1 = 0
+        for t in levels:
+            if n[only0 + t]:
+                count0 += n[only0 + t]
+                loss0 += lost[only0 + t]
+                if (gain := values[t] * count0 - loss0) > high0:
+                    high0 = gain
+            if n[only1 + t]:
+                count1 += n[only1 + t]
+                loss1 += lost[only1 + t]
+                if (gain := values[t] * count1 - loss1) > high1:
+                    high1 = gain
+        bound += high0 + high1
+        if bound < floor:
+            return [None] * size
         # The curve of the top row: every kind 1, 3 and 4 term.
         base, tails = [0] * width, [0] * width
         count = loss = 0
@@ -189,7 +285,7 @@ def _pair_surface(inst: Instance, grid: BudgetGrid):
         out = []
         count = loss = 0
         high = max(base)
-        for t in range(size - 1, -1, -1):
+        for t in levels:
             count += n[only0 + t] + n[first0 + t]
             loss += lost[only0 + t] + lost[first0 + t]
             if n[first0 + t]:

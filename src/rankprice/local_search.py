@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .errors import RankPriceError
+from .errors import InvalidRange
 from .evaluate import assign
 from .model import Assignment, BudgetGrid, Instance, PriceIndices
 
@@ -68,7 +68,7 @@ def parse_pipeline(letters: Sequence[str]) -> tuple[str, ...]:
     steps = tuple(letters)
     for step in steps:
         if step not in STEP_LETTERS:
-            raise RankPriceError(
+            raise InvalidRange(
                 f"unknown local-search step {step!r}; valid letters are '{STEP_LETTERS}'"
             )
     return steps

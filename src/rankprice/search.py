@@ -23,7 +23,7 @@ from functools import cache
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
-from .errors import InvalidRange, RankPriceError
+from .errors import InvalidRange
 from .evaluate import assign
 from .local_search import LocalSearchStats, parse_pipeline, run_pipeline
 from .model import Assignment, BudgetGrid, Instance, PriceIndices
@@ -49,18 +49,18 @@ class StopRule:
 
     def __post_init__(self):
         if isinstance(self.limit, float) and not math.isfinite(self.limit):
-            raise RankPriceError(f"stop limit must be finite, got {self.limit}")
+            raise InvalidRange(f"stop limit must be finite, got {self.limit}")
         if self.kind == self.TIME:
             if type(self.limit) not in (int, float):
-                raise RankPriceError(f"time limit must be a number, got {self.limit!r}")
+                raise InvalidRange(f"time limit must be a number, got {self.limit!r}")
             if self.limit <= 0:
-                raise RankPriceError("time limit must be positive")
+                raise InvalidRange("time limit must be positive")
         elif self.kind != self.POINTS:
-            raise RankPriceError(f"unknown stop rule {self.kind!r}")
+            raise InvalidRange(f"unknown stop rule {self.kind!r}")
         elif type(self.limit) is not int:
-            raise RankPriceError(f"points limit must be an integer, got {self.limit!r}")
+            raise InvalidRange(f"points limit must be an integer, got {self.limit!r}")
         elif self.limit < 1:
-            raise RankPriceError("point budget must be at least 1")
+            raise InvalidRange("point budget must be at least 1")
 
     @classmethod
     def point_budget(cls, n: int) -> "StopRule":
@@ -89,15 +89,15 @@ class SearchParams:
     def __post_init__(self):
         for name in ("l0", "q", "t", "seed"):
             if type(getattr(self, name)) is not int:
-                raise RankPriceError(f"{name} must be an integer, got {getattr(self, name)!r}")
+                raise InvalidRange(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.l0 < 1:
-            raise RankPriceError("l0 must be at least 1")
+            raise InvalidRange("l0 must be at least 1")
         if not 1 <= self.q <= self.l0:
-            raise RankPriceError("need 1 <= q <= l0")
+            raise InvalidRange("need 1 <= q <= l0")
         if self.t < 1:
-            raise RankPriceError("t must be at least 1")
+            raise InvalidRange("t must be at least 1")
         if self.init not in (RANDOM, GREEDY):
-            raise RankPriceError(f"unknown init {self.init!r}")
+            raise InvalidRange(f"unknown init {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ class Neighborhood:
 
     def __post_init__(self):
         if len(self.lo) != len(self.hi) or any(a > b for a, b in zip(self.lo, self.hi)):
-            raise RankPriceError(f"a box needs lo <= hi, of one length: lo={self.lo} hi={self.hi}")
+            raise InvalidRange(f"a box needs lo <= hi, of one length: lo={self.lo} hi={self.hi}")
 
     def sample(self, rng: random.Random) -> PriceIndices:
         """One vector uniform over the box, drawn as ``rng.randint(lo, hi)`` per axis would."""
@@ -210,7 +210,7 @@ def neighborhood(grid: BudgetGrid, indices: Sequence[int], radius: int) -> Neigh
     The box includes the center vector and is clipped at the grid edges.
     """
     if radius < 1:
-        raise RankPriceError("radius must be at least 1")
+        raise InvalidRange("radius must be at least 1")
     top = grid.size - 1
     lo = tuple(max(0, m - radius) for m in indices)
     hi = tuple(min(top, m + radius) for m in indices)
@@ -275,7 +275,7 @@ class _Run:
         self.pipeline = parse_pipeline(pipeline or "")
         off_grid = sorted(set(inst.budgets) - set(grid.values))
         if off_grid and (params.init == GREEDY or set(self.pipeline) & set("sfrc")):
-            raise RankPriceError(f"budgets {off_grid} are off the grid, and greedy init and steps"
+            raise InvalidRange(f"budgets {off_grid} are off the grid, and greedy init and steps"
                                  " s, f, r and c price at budgets; build the grid with build_grid")
         self.clock: Callable[[], float] = clock if clock is not None else time.perf_counter
         self.t0 = self.clock()
@@ -453,7 +453,7 @@ def genetic_search(
     Each child has two distinct elite parents, so ``q`` must be at least 2.
     """
     if params.q < 2:
-        raise RankPriceError("genetic search needs q >= 2 to pick two distinct parents")
+        raise InvalidRange("genetic search needs q >= 2 to pick two distinct parents")
     run = _Run(inst, grid, params, pipeline, clock)
     run.init_population()
     pop = run.population

@@ -305,6 +305,131 @@ def test_pair_surface_floor_leaves_out_only_rows_below_it():
     assert left_out > 1000 and kept > 1000 and whole > 100
 
 
+def _rest_of(inst):
+    return replace(inst, preferences=tuple(row[2:] for row in inst.preferences))
+
+
+def _movers(inst, grid, cur, a):
+    """(t, p, products taken) of each customer who can move into the pair, by definition.
+
+    t is the top grid level within the customer's budget, p what their
+    choice in ``a`` costs at the walk levels ``cur``, and the products taken
+    are those among 0 and 1 that they want and rank above that choice.
+    """
+    values = grid.values
+    for k, (budget, row) in enumerate(zip(inst.budgets, inst.preferences)):
+        t = sum(value <= budget for value in values) - 1
+        c = a.chosen[k]
+        score, p = (0, 0) if c is None else (row[c + 2], values[cur[c]])
+        taken = [j for j, s in enumerate(row[:2]) if s is not None and s > score]
+        if t >= 0 and taken:
+            yield t, p, taken
+
+
+def _whole_surface_cap(inst, grid, cur, a):
+    return a.revenue + sum(grid.values[t] - p for t, p, _ in _movers(inst, grid, cur, a))
+
+
+def _curve_sum_bound(inst, grid, cur, a):
+    """The walk revenue, the best value of each single-product curve, and v[t] - p of each k taking both."""
+    values = grid.values
+    curves, both = [[0] * grid.size, [0] * grid.size], 0
+    for t, p, taken in _movers(inst, grid, cur, a):
+        if len(taken) == 2:
+            both += values[t] - p
+        else:
+            for m in range(t + 1):
+                curves[taken[0]][m] += values[m] - p
+    return a.revenue + both + sum(max(0, *curve) for curve in curves)
+
+
+def _cap_cases(seed):
+    """Random instances (I 1-5, K 1-12) on their own grids, then _surface_states' grids."""
+    rng = random.Random(seed)
+    for _ in range(80):
+        lo = rng.randint(1, 30)
+        inst = generate_instance(rng.randint(1, 5), rng.randint(1, 12), (lo, rng.randint(lo, 30)),
+                                 rng.choice([0.2, 0.5, 1.0]), seed=rng.randrange(10**6))
+        yield inst, build_grid(inst)
+    for inst, grid, _ in _surface_states(seed, 80):
+        yield inst, grid
+
+
+def test_surface_cap_carried_along_the_walk_equals_the_cap_from_scratch(monkeypatch):
+    # brute_force's own Gray walk drives the carried sums; at every walk
+    # vector they must give the cap summed customer by customer.
+    checked = []
+
+    class Checked(rankprice.exact._SurfaceCap):
+        __slots__ = ("inst", "grid", "cur")
+
+        def __init__(self, inst, grid, rest, cur, a):
+            super().__init__(inst, grid, rest, cur, a)
+            self.inst, self.grid, self.cur = inst, grid, list(cur)
+            self.check(a)
+
+        def move(self, i, price, before, after):
+            super().move(i, price, before, after)
+            self.cur[i] = self.grid.values.index(price)
+            self.check(after)
+
+        def check(self, a):
+            assert a == assign_oracle(_rest_of(self.inst), self.grid, self.cur)
+            assert a.revenue + self.gain == _whole_surface_cap(self.inst, self.grid, self.cur, a)
+            checked.append(len(self.cur))
+
+    monkeypatch.setattr(rankprice.exact, "_SurfaceCap", Checked)
+    products = set()
+    for inst, grid in _cap_cases(31):
+        products.add(inst.num_products)
+        before = len(checked)
+        assert brute_force(inst, grid) == _lexicographic_reference(inst, grid)
+        assert len(checked) - before == grid.size ** max(inst.num_products - 2, 0)
+    assert products == {1, 2, 3, 4, 5} and len(checked) > 2000
+
+
+def test_surface_cap_follows_moves_of_any_size():
+    # A move may jump a product by several levels: every customer whose
+    # choice changes still wants it with a budget between its two prices.
+    rng = random.Random(32)
+    moves = 0
+    for inst, grid in _cap_cases(33):
+        rest = _rest_of(inst)
+        if not rest.num_products:
+            continue
+        cur = list(helpers.random_indices(grid, rest.num_products, rng))
+        a = assign(rest, grid, cur)
+        cap = rankprice.exact._SurfaceCap(inst, grid, rest, cur, a)
+        for _ in range(20):
+            i, m = rng.randrange(len(cur)), rng.randrange(grid.size)
+            if m == cur[i]:
+                continue
+            after = assign(rest, grid, cur, (i, m, a, a.chosen.count(i)))
+            cur[i] = m
+            cap.move(i, grid.values[m], a, after)
+            a = after
+            assert a.revenue + cap.gain == _whole_surface_cap(inst, grid, cur, a)
+            moves += 1
+    assert moves > 1000
+
+
+def test_curve_sum_bound_lies_between_every_cell_and_the_cap():
+    # The curve-sum bound caps every oracle cell and never exceeds the
+    # whole-surface cap; above it the surface builds no row.
+    tight = 0
+    for inst, grid, cur in _surface_states(27, 300):
+        rest = _rest_of(inst)
+        a = assign_oracle(rest, grid, cur)
+        bound = _curve_sum_bound(inst, grid, cur, a)
+        width = grid.size if inst.num_products > 1 else 1
+        cells = [assign_oracle(inst, grid, (m0, m1, *cur)[:inst.num_products]).revenue
+                 for m0 in range(grid.size) for m1 in range(width)]
+        assert max(cells) <= bound <= _whole_surface_cap(inst, grid, cur, a)
+        assert rankprice.exact._pair_surface(inst, grid)(cur, a, bound + 1) == [None] * grid.size
+        tight += bound < _whole_surface_cap(inst, grid, cur, a)
+    assert tight > 80
+
+
 @pytest.mark.parametrize("budgets, preferences, expected", [
     # customer 0 ranks product 0 first and buys 1 once 0 is too dear
     ([6, 9, 9], [[2, 1], [None, 1], [1, None]], (21, [(0, 1), (1, 0)])),

@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from rankprice import (
     InvalidRange,
     RankPriceError,
     RunSummary,
+    SearchParams,
+    StopRule,
     build_grid,
     crossover,
     evolution_stats,
@@ -165,6 +169,29 @@ def test_greedy_init_on_a_grid_missing_a_budget_raises_typed_error(table1):
     # The richest customers' budget, 66, is not on this grid.
     with pytest.raises(RankPriceError, match="66 is not a budget"):
         greedy_init(table1, BudgetGrid((18, 27, 34, 42, 50)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: StopRule.point_budget(0),
+    lambda: StopRule.point_budget("5"),
+    lambda: SearchParams(l0=0),
+], ids=["zero-points", "string-points", "zero-l0"])
+def test_bad_argument_values_raise_invalid_range(call):
+    with pytest.raises(InvalidRange):
+        call()
+
+
+def test_no_raise_site_uses_the_base_error():
+    # Each raise names the subclass that says what the caller should fix.
+    raises, bare = 0, []
+    for path in sorted((Path(__file__).parents[1] / "src" / "rankprice").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                raises += 1
+                if getattr(node.exc.func, "id", None) == "RankPriceError":
+                    bare.append(f"{path.name}:{node.lineno}")
+    assert raises > 50
+    assert bare == []
 
 
 def test_grid_dedups_and_sorts():

@@ -13,7 +13,7 @@ from .bench import (
     run_experiment,
     summarize,
 )
-from .errors import InvalidRange, RankPriceError
+from .errors import InstanceReadError, InvalidRange, RankPriceError
 from .evaluate import assign_prices
 from .exact import DEFAULT_ENUMERATION_CAP, brute_force, export_single_level
 from .model import build_grid, load_instance, read_json, save_instance, write_text
@@ -75,7 +75,7 @@ def _cmd_bench(args) -> int:
     if args.reference is not None and args.reference <= 0:
         raise InvalidRange(f"reference must be positive, got {args.reference}")
     config = config_from_dict(
-        read_json(args.config, "config", RankPriceError),
+        read_json(args.config, "config", InstanceReadError),
         instance_path=args.instance,
         runs=args.runs,
         out_dir=args.out,
@@ -187,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="brute-force the optimum over the budget grid")
     p.add_argument("--instance", required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+                   help="refuse to settle more price vectors than this: M^2 times the"
+                        " level count of each product after the first two (default 1e8)")
     p.set_defaults(run=_cmd_exact)
 
     p = sub.add_parser("export-lp", help="write the single-level model in LP format")

@@ -15,7 +15,9 @@ class InvalidRange(RankPriceError):
 
 class SearchSpaceTooLarge(RankPriceError):
     def __init__(self, size: int, cap: int):
-        super().__init__(f"grid holds {size} price vectors, above the enumeration cap {cap}")
+        super().__init__(
+            f"brute force would settle {size} price vectors, above the enumeration cap {cap}"
+        )
         self.size = size
         self.cap = cap
 

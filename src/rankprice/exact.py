@@ -1,15 +1,27 @@
-"""Ground truth at desk scale: full grid enumeration and an LP exporter.
+"""Ground truth at desk scale: grid enumeration and an LP exporter.
 
 The optimum of an instance always sits on the budget grid, so exhaustive
 enumeration of the M^I grid vectors is an exact oracle whenever that count
-is affordable. ``brute_force`` walks the M^(I-2) price vectors of products
-2..I-1 in reflected Gray order, one product one level per step, so that
-every vector after the first is a one-product delta ``assign`` against the
-one before it. At each of them it reads the revenue of all M^2 prices of
-products 0 and 1 off one revenue surface: given the walk's choices, each
-customer adds a curve term in one of the two prices, or two terms split
-where the first choice becomes too dear, and a sweep over product 0's
-price builds the surface row by row.
+is affordable. It need not visit them all. Call levels(i) the top grid
+level within the budget of each customer who wants product i, plus the top
+level M - 1. A customer affords level m exactly when m is at most their own
+top level, so between two entries of levels(i) no choice of product i
+changes: moving i up to the next entry keeps every purchase and earns
+strictly more if i sells. Some optimum therefore prices every product at a
+level in levels(i), and every other optimum is one of those with products
+that sell nothing moved down inside their gaps.
+
+``brute_force`` walks the vectors of products 2..I-1 over their levels(i)
+lists in reflected Gray order, one product to the adjacent entry of its
+list per step, so that every vector after the first is a one-product delta
+``assign`` against the one before it. At each of them it reads the revenue
+of all M^2 prices of products 0 and 1 off one revenue surface: given the
+walk's choices, each customer adds a curve term in one of the two prices,
+or two terms split where the first choice becomes too dear, and a sweep
+over product 0's price builds the surface row by row. ``cap`` counts the
+grid vectors this settles, M^2 times the product of the list lengths. The
+optimal walk vectors are expanded over the gaps of their unsold walk
+products at the end, so the argmax list is that of the whole grid.
 
 The walk is pruned against ``best``, its running maximum, with three exact
 upper bounds. The whole-surface cap: no customer pays more for product 0 or
@@ -27,7 +39,7 @@ curve's maximum plus the last tail bounds the row, and a row below ``best``
 is never built. Each test is a strict ``<`` against a maximum that only
 grows, so a skipped cell can neither be the optimum nor tie it; a bound
 equal to ``best`` keeps its row, so ties still enter the argmax list. The
-optimum and argmax list are those of the unpruned enumeration.
+optimum and argmax list are those of the unpruned walk.
 
 For anything larger, ``export_single_level`` writes the equivalent
 single-level binary program (quadratic objective, linear constraints) in LP
@@ -46,7 +58,8 @@ to what earlier versions wrote, and tests pin it by SHA-256 digests.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
+from math import prod
 from operator import mul
 
 from .errors import InvalidRange, SearchSpaceTooLarge
@@ -61,10 +74,13 @@ def brute_force(
 ) -> tuple[int, list[PriceIndices]]:
     """Maximum revenue over the whole grid and every vector attaining it.
 
-    Products 2..I-1 are walked in reflected mixed-radix Gray order from the
-    all-zero vector: product 2 sweeps its levels up and down, and whenever it
-    reaches an end the lowest product that can still move in its own
-    direction moves by one level. The walk runs on ``rest``, the instance
+    Each product i >= 2 is walked only over ``_levels``: the top grid level
+    within the budget of each customer who wants it, plus the top level.
+    Products 2..I-1 step through those lists in reflected mixed-radix Gray
+    order from their lowest entries: product 2 sweeps its list up and down,
+    and whenever it reaches an end the lowest product that can still move
+    in its own direction moves to the adjacent entry of its list, which may
+    be several grid levels away. The walk runs on ``rest``, the instance
     with products 0 and 1 removed: only its first vector gets a full
     ``assign``, every later one is a one-product move against the walk's own
     vector and assignment. At each walk vector ``_pair_surface`` gives the
@@ -76,34 +92,46 @@ def brute_force(
     out the rows that its curve-sum and row bounds show to be below it, so
     ``top`` is the maximum of the rows it builds. Every cell left out is
     below ``best`` by a strict ``<``, and ``best`` only grows, so it could
-    neither be the optimum nor tie it: the optimum and argmax list are
-    those of the unpruned enumeration. The argmax list is sorted at the end,
-    so it comes out lexicographically sorted (index order, which matches
-    price order).
-    Refuses to enumerate more than ``cap`` vectors; ``cap`` must be an int
-    (not a bool) of at least 1, or ``InvalidRange`` is raised.
+    neither be the optimum nor tie it.
+
+    The lists lose nothing. Let L be product j's list and L[r-1] < m <= L[r]
+    (from m = 0 when r = 0). Every customer who wants j affords m exactly
+    when they afford L[r], so at m every choice is the one at L[r]: if j
+    sells, L[r] earns strictly more, and if not, the two tie. So the walk
+    finds the optimum, and ``_gaps`` turns each optimal vector it finds
+    into the full-grid ones, taking each walk product unsold under that
+    vector over its whole gap. The argmax list is sorted at the end, so it
+    comes out lexicographically sorted (index order, which matches price
+    order).
+
+    Refuses to settle more than ``cap`` vectors, M^2 times the product of
+    the list lengths (M^I for I <= 2); ``cap`` must be an int (not a bool)
+    of at least 1, or ``InvalidRange`` is raised.
     """
     if type(cap) is not int or cap < 1:
         raise InvalidRange(f"enumeration cap must be an integer of at least 1, got {cap!r}")
-    total = grid.size**inst.num_products
-    if total > cap:
-        raise SearchSpaceTooLarge(total, cap)
     # Not validated: a customer who wants only products 0 and 1 has an empty row here.
     rest = Instance(inst.name, inst.budgets, tuple(row[2:] for row in inst.preferences))
+    levels = [_levels(grid, budgets) for budgets, _ in rest.customers_by_budget]
+    num, walk = inst.num_products, prod(map(len, levels))
+    total = grid.size ** min(num, 2) * walk
+    if total > cap:
+        raise SearchSpaceTooLarge(total, cap)
     surface = _pair_surface(inst, grid)
-    size, num = grid.size, inst.num_products
-    cur = [0] * rest.num_products
+    pos = [0] * rest.num_products
     step = [1] * rest.num_products
+    cur = [lv[0] for lv in levels]
     best, argmax = -1, []
     a = assign(rest, grid, cur)
     whole = _SurfaceCap(inst, grid, rest, cur, a)
-    for n in range(size**rest.num_products):
+    for n in range(walk):
         if n:
             i = 0
-            while not 0 <= cur[i] + step[i] < size:
+            while not 0 <= pos[i] + step[i] < len(levels[i]):
                 step[i] = -step[i]
                 i += 1
-            m = cur[i] + step[i]
+            pos[i] += step[i]
+            m = levels[i][pos[i]]
             before, a = a, assign(rest, grid, cur, (i, m, a, a.chosen.count(i)))
             cur[i] = m
             whole.move(i, grid.values[m], before, a)
@@ -117,8 +145,39 @@ def brute_force(
             # With I = 1 each row has one cell and the vector drops m1.
             argmax.extend((m0, m1, *cur)[:num] for m0, row in enumerate(rows) if row
                           for m1, r in enumerate(row) if r == top)
+    if rest.num_products:
+        argmax = [v for found in argmax for v in _gaps(inst, grid, levels, found)]
     argmax.sort()
     return best, argmax
+
+
+def _levels(grid: BudgetGrid, budgets) -> list[int]:
+    """The grid levels a walk product takes: each wanter's top affordable level, and M - 1.
+
+    A customer whose top level is t affords level m exactly when m <= t,
+    so these are the only levels at which any choice of the product
+    changes. A customer who affords no level adds none.
+    """
+    values = grid.values
+    return sorted({bisect_right(values, b) - 1 for b in budgets} - {-1} | {grid.size - 1})
+
+
+def _gaps(inst: Instance, grid: BudgetGrid, levels, found):
+    """The full-grid vectors that tie ``found``, a vector of the walk.
+
+    Each walk product j that nobody buys under ``found`` takes every level
+    of its gap (L[r-1], L[r]], where L is its list and L[r] its level in
+    ``found`` (from level 0 when r = 0); a sold one keeps its level.
+    """
+    sold = set(assign(inst, grid, found).chosen)
+    spans = [[m] for m in found[:2]]
+    for j, (m, lv) in enumerate(zip(found[2:], levels), 2):
+        if j in sold:
+            spans.append([m])
+        else:
+            r = lv.index(m)
+            spans.append(range(lv[r - 1] + 1 if r else 0, m + 1))
+    return product(*spans)
 
 
 def _pair_slots(inst: Instance, grid: BudgetGrid) -> list[tuple[int, dict]]:

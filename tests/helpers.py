@@ -78,6 +78,19 @@ def grid_of(inst):
     return build_grid(inst)
 
 
+def walk_levels(inst, grid):
+    """Per product 2..I-1, the levels ``brute_force`` walks, by their definition.
+
+    The top grid level within the budget of each customer who wants the
+    product, for those who afford one, plus the top level, ascending.
+    """
+    values = grid.values
+    return [sorted({sum(value <= budget for value in values) - 1
+                    for budget, row in zip(inst.budgets, inst.preferences)
+                    if row[j] is not None} - {-1} | {grid.size - 1})
+            for j in range(2, inst.num_products)]
+
+
 # ----------------------------------------------------------------- LP text
 
 

@@ -299,6 +299,22 @@ def test_missing_instance_fails_cleanly(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}", b"{"],
+                         ids=["missing", "not-utf8", "not-json"])
+def test_unreadable_bench_config_raises_instance_read_error(content, tmp_path, capsys):
+    # A config file that cannot be read is a file to fix, as an instance file is.
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_bytes(content)
+    argv = ["bench", "--config", str(path)]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(rankprice.InstanceReadError) as err:
+        args.run(args)
+    assert str(err.value).startswith(f"cannot read config {path}: ")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
 def _config_with_unknown_param(tmp_path, instance_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"instance_path": instance_path, "method": "vns",

@@ -3,6 +3,7 @@ import json
 import random
 from dataclasses import replace
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -176,9 +177,13 @@ def _recording_assign(monkeypatch):
 
 def test_brute_force_walk_moves_one_product_one_level(monkeypatch):
     # The walk covers products 2..I-1 on the instance without products 0 and
-    # 1; the pair (0, 1) is read off its revenue surface at each walk vector.
+    # 1, each over its own level list; the pair (0, 1) is read off its revenue
+    # surface at each walk vector. A step moves one product to the adjacent
+    # entry of its list, which may be several grid levels away. After the
+    # walk, each optimal walk vector gets one full assign, which finds the
+    # products whose gaps it expands.
     calls = _recording_assign(monkeypatch)
-    walked = set()
+    walked, jumps = set(), 0
     for inst in _small_instances(152, 40):
         grid = build_grid(inst)
         calls.clear()
@@ -187,25 +192,101 @@ def test_brute_force_walk_moves_one_product_one_level(monkeypatch):
         walked.add(rest.num_products)
         assert rest.num_products == max(inst.num_products - 2, 0)
         assert rest.preferences == tuple(row[2:] for row in inst.preferences)
-        assert all(call[0] is rest for call in calls)
-        _, first_indices, first_move, first_result = calls[0]
+        walk = [call for call in calls if call[0] is rest]
+        assert calls[:len(walk)] == walk
+        for full, indices, move, result in calls[len(walk):]:
+            assert (full, move) == (inst, None)
+            assert result == assign_oracle(inst, grid, indices)
+        assert (len(calls) > len(walk)) == (rest.num_products > 0)
+        levels = helpers.walk_levels(inst, grid)
+        _, first_indices, first_move, first_result = walk[0]
         assert first_move is None
+        assert first_indices == tuple(lv[0] for lv in levels)
         visited = [first_indices]
         assert first_result == assign_oracle(rest, grid, first_indices)
         before = first_result
-        for _, indices, move, result in calls[1:]:
+        for _, indices, move, result in walk[1:]:
             i, m, handed, buyers = move
             assert indices == visited[-1]
-            assert abs(m - indices[i]) == 1
+            assert abs(levels[i].index(m) - levels[i].index(indices[i])) == 1
+            jumps += abs(m - indices[i]) > 1
             assert handed is before
             assert buyers == before.chosen.count(i)
             moved = indices[:i] + (m,) + indices[i + 1:]
             assert result == assign_oracle(rest, grid, moved)
             visited.append(moved)
             before = result
-        assert len(calls) == grid.size ** max(inst.num_products - 2, 0)
-        assert sorted(visited) == list(product(range(grid.size), repeat=rest.num_products))
-    assert walked == {0, 1, 2}
+        assert len(walk) == prod(map(len, levels))
+        assert sorted(visited) == list(product(*levels))
+    assert walked == {0, 1, 2} and jumps >= 10
+
+
+def _gap_cases(seed, count):
+    """Small (instance, grid) pairs for full-grid argmax checks: I 3-5, K 1-8.
+
+    Budgets lie within 1-12, so the grids stay small. Every third instance
+    has a product at 2 or above that nobody wants (a customer left with no
+    product wants product 0 instead), and every other one is solved on a
+    hand-made grid: one value, values drawn apart from the budgets, or
+    values above every budget.
+    """
+    rng = random.Random(seed)
+    for n in range(count):
+        num = rng.randint(3, 5)
+        lo = rng.randint(1, 12)
+        inst = generate_instance(num, rng.randint(1, 8), (lo, min(12, lo + 9 - num)),
+                                 rng.choice([0.3, 0.6, 1.0]), seed=rng.randrange(10**6))
+        if n % 3 == 0:
+            j = rng.randrange(2, num)
+            rows = [row[:j] + (None,) + row[j + 1:] for row in inst.preferences]
+            rows = [row if any(s is not None for s in row) else (1, *row[1:]) for row in rows]
+            inst = replace(inst, preferences=tuple(rows))
+        grid = build_grid(inst)
+        if n % 2:
+            top = max(inst.budgets)
+            grid = BudgetGrid(rng.choice([
+                (rng.randint(1, 13),),
+                tuple(sorted(rng.sample(range(1, 14), rng.randint(1, 9 - num)))),
+                tuple(range(top + 1, top + 1 + rng.randint(1, 3))),
+            ]))
+        yield inst, grid
+
+
+def test_brute_force_expands_walk_optima_over_their_gaps():
+    # The walk visits only the level lists of products 2..I-1; its argmax
+    # list, each unsold walk product taken over its gap, is every optimal
+    # vector of the whole grid.
+    expanded = unwanted = 0
+    for inst, grid in _gap_cases(37, 150):
+        optimum, optima = brute_force(inst, grid)
+        assert (optimum, optima) == _lexicographic_reference(inst, grid), (inst, grid)
+        levels = helpers.walk_levels(inst, grid)
+        expanded += any(v[j] not in lv for v in optima for j, lv in enumerate(levels, 2))
+        for j, lv in enumerate(levels, 2):
+            if all(row[j] is None for row in inst.preferences):
+                # Nobody wants j: its one level is the top, and every level ties it.
+                assert lv == [grid.size - 1]
+                assert {v[j] for v in optima} == set(range(grid.size))
+                unwanted += 1
+    assert expanded > 40 and unwanted > 40
+
+
+def test_brute_force_cap_counts_the_walked_levels():
+    # cap counts M^2 times the length of each walk product's level list.
+    inst = _instance([3, 5, 5, 9], [[1, 2, 3], [2, 1, 3], [1, None, 2], [None, 1, 2]])
+    grid = build_grid(inst)
+    assert helpers.walk_levels(inst, grid) == [[0, 1, 2]]
+    expected = brute_force(inst, grid)
+    assert brute_force(inst, grid, cap=27) == expected
+    with pytest.raises(SearchSpaceTooLarge) as err:
+        brute_force(inst, grid, cap=26)
+    assert (err.value.size, err.value.cap) == (27, 26)
+    inst = _instance([3, 5, 5, 9], [[1, 2, 3], [2, 1, None], [1, None, None], [None, 1, 2]])
+    assert helpers.walk_levels(inst, grid) == [[0, 2]]
+    with pytest.raises(SearchSpaceTooLarge) as err:
+        brute_force(inst, grid, cap=17)
+    assert str(err.value) == ("brute force would settle 18 price vectors, above the"
+                              " enumeration cap 17")
 
 
 def _instance(budgets, preferences):
@@ -356,8 +437,9 @@ def _cap_cases(seed):
 
 
 def test_surface_cap_carried_along_the_walk_equals_the_cap_from_scratch(monkeypatch):
-    # brute_force's own Gray walk drives the carried sums; at every walk
-    # vector they must give the cap summed customer by customer.
+    # brute_force's own Gray walk over the level lists drives the carried
+    # sums; at every walk vector they must give the cap summed customer by
+    # customer.
     checked = []
 
     class Checked(rankprice.exact._SurfaceCap):
@@ -384,7 +466,7 @@ def test_surface_cap_carried_along_the_walk_equals_the_cap_from_scratch(monkeypa
         products.add(inst.num_products)
         before = len(checked)
         assert brute_force(inst, grid) == _lexicographic_reference(inst, grid)
-        assert len(checked) - before == grid.size ** max(inst.num_products - 2, 0)
+        assert len(checked) - before == prod(map(len, helpers.walk_levels(inst, grid)))
     assert products == {1, 2, 3, 4, 5} and len(checked) > 2000
 
 

@@ -6,10 +6,12 @@ attribute would break that run while the rest of the suite stays green.
 """
 
 import importlib
+from math import prod
 from pathlib import Path
 
 import pytest
 
+import helpers
 from rankprice import (
     SearchParams,
     StopRule,
@@ -69,11 +71,18 @@ def test_traced_counts_match_the_search(harness):
 
 
 def test_traced_brute_force_walks_products_two_and_up(harness):
-    # One full assign and M^(I-2) - 1 delta moves: products 0 and 1 are read
-    # off the pair surface, so evaluate.assign.calls.exact counts walk vectors.
+    # One full assign and a delta move per further walk vector: products 0
+    # and 1 are read off the pair surface, and products 2 and up walk their
+    # level lists. Then one full assign per optimal walk vector finds the
+    # gaps to expand, so evaluate.assign.calls.exact counts both.
     for num_products in (1, 2, 3, 5):
         inst = generate_instance(num_products, 9, (5, 30), 0.5, seed=11)
         grid = build_grid(inst)
-        tracer, _ = traced(harness, lambda: exact.brute_force(inst, grid))
+        tracer, (_, optima) = traced(harness, lambda: exact.brute_force(inst, grid))
+        levels = helpers.walk_levels(inst, grid)
+        # Each optimal vector with its walk products moved up to their next level.
+        found = {(*v[:2], *(min(m for m in lv if m >= v[j]) for j, lv in enumerate(levels, 2)))
+                 for v in optima}
         assert tracer.count("exact.brute_force") == 1
-        assert tracer.count("evaluate.assign@exact") == grid.size ** max(num_products - 2, 0)
+        assert (tracer.count("evaluate.assign@exact")
+                == prod(map(len, levels)) + (len(found) if levels else 0))

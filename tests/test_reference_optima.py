@@ -1,4 +1,4 @@
-"""Ground truth at the paper's 30x5 shape: reference optima and hit rates against them.
+"""Ground truth at the paper's 30x5 shape and at 30x6: reference optima and hit rates.
 
 ``data/reference_optima.json`` lists generated instances with their optima.
 Each entry's ``command`` re-derives it: ``rankprice gen`` writes the instance
@@ -38,7 +38,7 @@ def _instance(entry):
 
 def test_reference_entries_are_well_formed():
     names = [entry["name"] for entry in REFERENCE]
-    assert len(names) == len(set(names)) == 5
+    assert len(names) == len(set(names)) == 7
     for entry in REFERENCE:
         assert set(entry) == {"name", "generator", "optimum", "optimal_vectors", "status",
                               "command"}
@@ -68,7 +68,7 @@ def test_first_reference_optimum_is_rederived():
 
 
 LATER_OPTIMA = {"30x5-seed2": (911, 2), "30x5-seed3": (1030, 1), "30x5-seed4": (794, 1),
-                "30x5-seed5": (988, 1)}
+                "30x5-seed5": (988, 1), "30x6-seed1": (980, 1), "30x6-seed2": (960, 1)}
 
 
 @pytest.mark.parametrize("entry", REFERENCE[1:], ids=[entry["name"] for entry in REFERENCE[1:]])
@@ -82,7 +82,8 @@ def test_later_reference_optima_are_rederived(entry):
 def test_brute_force_skips_most_pair_surfaces_at_the_paper_shape(monkeypatch):
     # Counts, not timings: a walk vector is skipped when its surface is never
     # requested (the carried cap is below the best) or comes back with every
-    # row left out. The walk itself is unchanged.
+    # row left out. The walk covers the level lists of products 2-4, of 16,
+    # 15 and 12 levels; the one assign after it is the argmax expansion's.
     entry = REFERENCE[0]
     inst = _instance(entry)
     grid = build_grid(inst)
@@ -106,10 +107,11 @@ def test_brute_force_skips_most_pair_surfaces_at_the_paper_shape(monkeypatch):
     monkeypatch.setattr(rankprice.exact, "assign", counting_assign)
     optimum, optima = brute_force(inst, grid)
     assert (optimum, len(optima)) == (entry["optimum"], entry["optimal_vectors"])
-    assert len(assigns) == grid.size ** (inst.num_products - 2) == 23**3
-    assert len(requested) <= len(assigns)
-    skipped = len(assigns) - len(requested) + sum(requested)
-    assert skipped >= 0.95 * len(assigns)
+    walk = [args for args in assigns if args[0] is not inst]
+    assert len(walk) == 16 * 15 * 12 and len(assigns) == len(walk) + 1
+    assert len(requested) <= len(walk)
+    skipped = len(walk) - len(requested) + sum(requested)
+    assert skipped >= 0.95 * len(walk)
 
 
 def test_vns_and_genetic_hit_the_30x5_optimum():

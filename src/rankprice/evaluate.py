@@ -5,9 +5,13 @@ preferred affordable product, or nothing if none is affordable. ``assign``
 exploits this directly and is the hot path of every search. Given a vector,
 its assignment and a move of one product to another grid index, it
 re-decides only the customers that one price change can touch and copies
-every other choice. ``assign_oracle`` re-derives the same result by brute
-enumeration of all purchase options and exists so tests can cross-check the
-closed form against a literal reading of the customer problem.
+every other choice. That re-decision is ``apply_move``, which works in place
+on a caller's mutable list of choices and reports the revenue difference
+and the choices it changed: ``assign`` runs it on a copy, and
+``brute_force``'s walk runs it on its own state, one step per walk vector.
+``assign_oracle`` re-derives the same result by brute enumeration of all
+purchase options and exists so tests can cross-check the closed form
+against a literal reading of the customer problem.
 """
 
 from __future__ import annotations
@@ -44,46 +48,72 @@ def assign(
     ``move = (i, m, before, buyers)`` asks instead for the assignment after
     product i moves to grid index m, where ``before`` is the assignment of
     ``indices`` and ``buyers`` the number of customers who buy i under it.
-    Then only the customers who want i with a budget between the old and the
-    new price of i are decided again, found through
-    ``Instance.customers_by_budget``: after a cut, those who rank i above
-    their choice switch to it; after a raise, its buyers who can no longer
-    afford it scan the products they rank below i, since i was the first
-    they could afford and no other price moved. Revenue is updated by the
-    difference, and the result equals a full evaluation of the moved vector.
+    It is ``apply_move`` on a copy of ``before.chosen``, and equals a full
+    evaluation of the moved vector.
     """
     if move is None:
         return assign_prices(inst, grid.prices_of(indices))
     i, m, before, buyers = move
-    values = grid.values
-    old, new = values[indices[i]], values[m]
     chosen = list(before.chosen)
-    revenue = before.revenue + buyers * (new - old)
+    delta, _ = apply_move(inst, grid.values, indices, chosen, i, m, buyers)
+    return Assignment(chosen=tuple(chosen), revenue=before.revenue + delta)
+
+
+def apply_move(
+    inst: Instance,
+    values: Sequence[int],
+    indices: Sequence[int],
+    chosen: list[int | None],
+    i: int,
+    m: int,
+    buyers: int,
+) -> tuple[int, list[tuple[int, int | None]]]:
+    """Move product i to grid index m in ``chosen``, the choices under ``indices``.
+
+    ``values`` are the grid's values, ``indices[i]`` is i's level before the
+    move (``indices`` itself is not changed) and ``buyers`` the number of
+    customers who buy i in ``chosen``. Only the customers who want i with a
+    budget between the old and the new price of i are decided again, found
+    through ``Instance.customers_by_budget``: after a cut, those who rank i
+    above their choice switch to it; after a raise, its buyers who can no
+    longer afford it scan the products they rank below i, since i was the
+    first they could afford and no other price moved. Afterwards ``chosen``
+    is the assignment of the moved vector. Returns the revenue difference
+    and ``(k, old choice)`` for each customer k whose choice changed, by
+    ascending budget.
+    """
+    old, new = values[indices[i]], values[m]
+    delta = buyers * (new - old)
+    changed = []
     if new < old:
+        preferences = inst.preferences
         for k in inst.wanting_between(i, new, old):
             c = chosen[k]
             if c is None:
                 chosen[k] = i
-                revenue += new
-            elif inst.preferences[k][i] > inst.preferences[k][c]:
+                delta += new
+                changed.append((k, c))
+            elif preferences[k][i] > preferences[k][c]:
                 chosen[k] = i
-                revenue += new - values[indices[c]]
+                delta += new - values[indices[c]]
+                changed.append((k, c))
     else:
         for k in inst.wanting_between(i, old, new):
             if chosen[k] != i:
                 continue
-            revenue -= new
+            delta -= new
+            changed.append((k, i))
             budget = inst.budgets[k]
             ranked = inst.preference_order[k]
             for j in ranked[ranked.index(i) + 1:]:
                 price = values[indices[j]]
                 if price <= budget:
                     chosen[k] = j
-                    revenue += price
+                    delta += price
                     break
             else:
                 chosen[k] = None
-    return Assignment(chosen=tuple(chosen), revenue=revenue)
+    return delta, changed
 
 
 def assign_oracle(inst: Instance, grid: BudgetGrid, indices: Sequence[int]) -> Assignment:

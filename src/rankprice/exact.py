@@ -13,33 +13,37 @@ that sell nothing moved down inside their gaps.
 
 ``brute_force`` walks the vectors of products 2..I-1 over their levels(i)
 lists in reflected Gray order, one product to the adjacent entry of its
-list per step, so that every vector after the first is a one-product delta
-``assign`` against the one before it. At each of them it reads the revenue
-of all M^2 prices of products 0 and 1 off one revenue surface: given the
-walk's choices, each customer adds a curve term in one of the two prices,
-or two terms split where the first choice becomes too dear, and a sweep
-over product 0's price builds the surface row by row. ``cap`` counts the
-grid vectors this settles, M^2 times the product of the list lengths. The
-optimal walk vectors are expanded over the gaps of their unsold walk
+list per step. The walk holds one mutable state: the choices and revenue of
+the walk vector, each walk product's buyer count and its price. Only the
+first vector gets a full ``assign``; each step after it is one
+``apply_move``, the delta step ``assign`` also takes, run in place on that
+state, and no per-step assignment is built. At each walk vector it reads
+the revenue of all M^2 prices of products 0 and 1 off one revenue surface:
+given the walk's choices, each customer adds a curve term in one of the two
+prices, or two terms split where the first choice becomes too dear, and a
+sweep over product 0's price builds the surface row by row. ``cap`` counts
+the grid vectors this settles, M^2 times the product of the list lengths.
+The optimal walk vectors are expanded over the gaps of their unsold walk
 products at the end, so the argmax list is that of the whole grid.
 
 The walk is pruned against ``best``, its running maximum, with three exact
 upper bounds. The whole-surface cap: no customer pays more for product 0 or
 1 than the top grid value within their budget, so the walk revenue plus
 each such customer's gain at that value caps every cell of a surface. The
-walk carries the cap from step to step and does not ask for a surface
-below ``best``. The curve-sum bound: customers who can take only product 0
-add exactly one curve in its price, those who can take only 1 one curve in
-the other, and those who can take both at most their cap term, so the walk
-revenue plus each single-product curve's maximum plus those terms caps
-every cell again, never above the cap; a surface below ``best`` is not
-swept. Inside the sweep, a row's cells are its constant plus a curve plus
-a tail that grows toward high prices of product 1, so the constant plus the
-curve's maximum plus the last tail bounds the row, and a row below ``best``
-is never built. Each test is a strict ``<`` against a maximum that only
-grows, so a skipped cell can neither be the optimum nor tie it; a bound
-equal to ``best`` keeps its row, so ties still enter the argmax list. The
-optimum and argmax list are those of the unpruned walk.
+walk carries the cap from step to step, updating it from the choices each
+step reports changed, and does not ask for a surface below ``best``. The
+curve-sum bound: customers who can take only product 0 add exactly one
+curve in its price, those who can take only 1 one curve in the other, and
+those who can take both at most their cap term, so the walk revenue plus
+each single-product curve's maximum plus those terms caps every cell again,
+never above the cap; a surface below ``best`` is not swept. Inside the
+sweep, a row's cells are its constant plus a curve plus a tail that grows
+toward high prices of product 1, so the constant plus the curve's maximum
+plus the last tail bounds the row, and a row below ``best`` is never built.
+Each test is a strict ``<`` against a maximum that only grows, so a skipped
+cell can neither be the optimum nor tie it; a bound equal to ``best`` keeps
+its row, so ties still enter the argmax list. The optimum and argmax list
+are those of the unpruned walk.
 
 For anything larger, ``export_single_level`` writes the equivalent
 single-level binary program (quadratic objective, linear constraints) in LP
@@ -63,7 +67,7 @@ from math import prod
 from operator import mul
 
 from .errors import InvalidRange, SearchSpaceTooLarge
-from .evaluate import assign
+from .evaluate import apply_move, assign
 from .model import BudgetGrid, Instance, PriceIndices
 
 DEFAULT_ENUMERATION_CAP = 100_000_000
@@ -77,22 +81,25 @@ def brute_force(
     Each product i >= 2 is walked only over ``_levels``: the top grid level
     within the budget of each customer who wants it, plus the top level.
     Products 2..I-1 step through those lists in reflected mixed-radix Gray
-    order from their lowest entries: product 2 sweeps its list up and down,
-    and whenever it reaches an end the lowest product that can still move
-    in its own direction moves to the adjacent entry of its list, which may
-    be several grid levels away. The walk runs on ``rest``, the instance
-    with products 0 and 1 removed: only its first vector gets a full
-    ``assign``, every later one is a one-product move against the walk's own
-    vector and assignment. At each walk vector ``_pair_surface`` gives the
-    revenue at all M^2 prices of products 0 and 1, so each walk vector
-    settles M^2 grid vectors; with I = 1 or 2 the walk is the one empty
-    vector. ``_SurfaceCap`` carries the whole-surface cap along the walk;
-    when it is below the running maximum ``best`` the surface is not asked
-    for at all. Otherwise the surface gets ``best`` as its floor and leaves
-    out the rows that its curve-sum and row bounds show to be below it, so
-    ``top`` is the maximum of the rows it builds. Every cell left out is
-    below ``best`` by a strict ``<``, and ``best`` only grows, so it could
-    neither be the optimum nor tie it.
+    order from their lowest entries: product 2 sweeps its list up and down, and
+    whenever it reaches an end the lowest product that can still move in its
+    own direction moves to the adjacent entry of its list, which may be several
+    grid levels away. The walk runs on ``rest``, the instance with products 0
+    and 1 removed, and holds one state that each step changes in place:
+    ``chosen`` and ``revenue``, the assignment of ``cur`` in ``rest``,
+    ``sold``, how many customers make each choice (so each walk product's buyer
+    count), and the walk products' prices in ``_SurfaceCap``. Only the first
+    vector gets a full ``assign``; each later one is one ``apply_move`` on that
+    state, which reports the revenue difference and the customers whose choice
+    changed. At each walk vector ``_pair_surface`` gives the revenue at all M^2
+    prices of products 0 and 1, so each walk vector settles M^2 grid vectors;
+    with I = 1 or 2 the walk is the one empty vector. ``_SurfaceCap`` carries
+    the whole-surface cap along the walk; when it is below the running maximum
+    ``best`` the surface is not asked for at all. Otherwise the surface gets
+    ``best`` as its floor and leaves out the rows that its curve-sum and row
+    bounds show to be below it, so ``top`` is the maximum of the rows it
+    builds. Every cell left out is below ``best`` by a strict ``<``, and
+    ``best`` only grows, so it could neither be the optimum nor tie it.
 
     The lists lose nothing. Let L be product j's list and L[r-1] < m <= L[r]
     (from m = 0 when r = 0). Every customer who wants j affords m exactly
@@ -117,13 +124,20 @@ def brute_force(
     total = grid.size ** min(num, 2) * walk
     if total > cap:
         raise SearchSpaceTooLarge(total, cap)
-    surface = _pair_surface(inst, grid)
+    pair = _pair_slots(inst, grid)
+    surface = _pair_surface(inst, grid, pair)
+    values = grid.values
     pos = [0] * rest.num_products
     step = [1] * rest.num_products
     cur = [lv[0] for lv in levels]
     best, argmax = -1, []
     a = assign(rest, grid, cur)
-    whole = _SurfaceCap(inst, grid, rest, cur, a)
+    chosen, revenue = list(a.chosen), a.revenue
+    sold = dict.fromkeys([None, *range(rest.num_products)], 0)
+    for c in chosen:
+        sold[c] += 1
+    whole = _SurfaceCap(grid, pair, cur, chosen)
+    paid = whole.price
     for n in range(walk):
         if n:
             i = 0
@@ -132,12 +146,16 @@ def brute_force(
                 i += 1
             pos[i] += step[i]
             m = levels[i][pos[i]]
-            before, a = a, assign(rest, grid, cur, (i, m, a, a.chosen.count(i)))
+            delta, changed = apply_move(rest, values, cur, chosen, i, m, sold[i])
             cur[i] = m
-            whole.move(i, grid.values[m], before, a)
-        if a.revenue + whole.gain < best:
+            revenue += delta
+            for k, c in changed:
+                sold[c] -= 1
+                sold[chosen[k]] += 1
+            whole.move(i, values[m], changed, chosen)
+        if revenue + whole.gain < best:
             continue
-        rows = surface(cur, a, best)
+        rows = surface(paid, chosen, revenue, best)
         top = max(map(max, filter(None, rows)), default=-1)
         if top >= best:
             if top > best:
@@ -210,84 +228,83 @@ class _SurfaceCap:
 
     No customer pays more for product 0 or 1 than the top grid value within
     their budget, values[t], and each customer k who can move into the pair
-    from their walk choice c already affords what c costs, p. So no cell of
-    the surface exceeds ``a.revenue + gain``, where ``gain`` sums
-    values[t] - p over those customers. It is summed once for the first walk
-    vector; after each step ``move`` takes the moved product's price change
-    times ``movers`` of it (the customers counted in ``gain`` who buy it)
-    off ``gain``, then takes out and puts back only the customers whose
-    choice changed, all of whom want the moved product with a budget
-    between its old and new price.
+    from their walk choice c already affords what c costs, p = ``price[c]``.
+    So no cell of the surface exceeds the walk revenue plus ``gain``, which
+    sums values[t] - p over those customers. It is summed once for the first
+    walk vector; after each step ``move`` takes the moved product's price
+    change times ``movers`` of it (the customers counted in ``gain`` who buy
+    it) off ``gain``, then takes out and puts back only the customers the
+    step reports changed. ``price`` maps each walk choice (None for buying
+    nothing) to what it costs at the walk's levels, and is the walk's own
+    price table.
     """
 
-    __slots__ = ("rest", "reach", "price", "movers", "gain")
+    __slots__ = ("reach", "price", "movers", "gain")
 
-    def __init__(self, inst: Instance, grid: BudgetGrid, rest: Instance, cur, a) -> None:
+    def __init__(self, grid: BudgetGrid, pair, cur, chosen) -> None:
         values, size = grid.values, grid.size
-        self.rest = rest
         # Per customer: values[t] for each walk choice from which they can move into the pair.
-        self.reach = [{} for _ in range(inst.num_customers)]
-        for k, slots in _pair_slots(inst, grid):
+        self.reach = [{} for _ in chosen]
+        for k, slots in pair:
             self.reach[k] = {c: values[slot % size] for c, slot in slots.items()
                              if slot >= size}
         self.price = {None: 0, **{j: values[m] for j, m in enumerate(cur)}}
         self.movers = dict.fromkeys(self.price, 0)
         self.gain = 0
-        for k, c in enumerate(a.chosen):
+        for k, c in enumerate(chosen):
             top = self.reach[k].get(c)
             if top is not None:
                 self.gain += top - self.price[c]
                 self.movers[c] += 1
 
-    def move(self, i: int, price: int, before, after) -> None:
-        """Product i of the walk now costs ``price``; its assignment went from ``before`` to ``after``."""
+    def move(self, i: int, price: int, changed, chosen) -> None:
+        """Product i now costs ``price``; ``changed`` is the step's report, ``chosen`` after it."""
         reach, paid, movers = self.reach, self.price, self.movers
         old, paid[i] = paid[i], price
         gain = self.gain - (price - old) * movers[i]
-        was, now = before.chosen, after.chosen
-        for k in (self.rest.wanting_between(i, price, old) if price < old
-                  else self.rest.wanting_between(i, old, price)):
-            c, d = was[k], now[k]
-            if c != d:
-                top = reach[k].get(c)
-                if top is not None:
-                    gain -= top - paid[c]
-                    movers[c] -= 1
-                top = reach[k].get(d)
-                if top is not None:
-                    gain += top - paid[d]
-                    movers[d] += 1
+        for k, c in changed:
+            top = reach[k].get(c)
+            if top is not None:
+                gain -= top - paid[c]
+                movers[c] -= 1
+            d = chosen[k]
+            top = reach[k].get(d)
+            if top is not None:
+                gain += top - paid[d]
+                movers[d] += 1
         self.gain = gain
 
 
-def _pair_surface(inst: Instance, grid: BudgetGrid):
+def _pair_surface(inst: Instance, grid: BudgetGrid, pair):
     """The revenue at every pair of prices of products 0 and 1.
 
-    Returns ``rows(cur, a, floor=-1)``: given the levels ``cur`` of products
-    2..I-1 and their assignment ``a`` in the instance without products 0 and
-    1, the M rows ``rows[m0][m1]``, each the revenue of the full vector
+    ``pair`` is ``_pair_slots(inst, grid)``. Returns ``rows(paid, chosen,
+    revenue, floor=-1)``: given a vector ``cur`` of products 2..I-1 by
+    ``paid``, which maps each walk choice (None for buying nothing, j for
+    product j + 2) to what it costs under ``cur``, and its assignment
+    ``chosen`` with ``revenue`` in the instance without products 0 and 1,
+    the M rows ``rows[m0][m1]``, each the revenue of the full vector
     ``(m0, m1, *cur)``. With I = 1 each row has the one cell m1 = 0. A row
     is ``None`` when an upper bound shows that each of its cells is below
     ``floor``; every row that is built is exact, and so is every row whose
     bound equals ``floor``. At the default floor every row is built.
 
-    Customer k, whose choice c in ``a`` pays p, affords the levels up to t of
-    both products (they share k's budget), and can take product 0 or 1 only
-    if k wants it and ranks it above c. To ``a.revenue`` k then adds nothing;
-    or a curve term [m <= t](v[m] - p) in the one coordinate k can take; or,
-    if k can take both, the term of the one k ranks first plus the other's
-    term on the rectangle where the first is too dear. The rows are swept
-    from m0 = M-1 down. Row m0 is a constant, v[m0] - p from each k who buys
-    product 0 throughout it, plus one suffix-sum curve in m1 over the curve
-    terms, plus a tail [m1 > t](v[m0] - p) from each k with t >= m0 who
-    ranks 1 first. A k who ranks 0 first moves from the curve to the
-    constant at m0 = t, so the curve and the tails change only at the t of
-    customers who can take both.
+    Customer k, whose choice c in ``chosen`` pays p, affords the levels up to t
+    of both products (they share k's budget), and can take product 0 or 1 only
+    if k wants it and ranks it above c. To ``revenue`` k then adds nothing; or
+    a curve term [m <= t](v[m] - p) in the one coordinate k can take; or, if k
+    can take both, the term of the one k ranks first plus the other's term on
+    the rectangle where the first is too dear. The rows are swept from m0 = M-1
+    down. Row m0 is a constant, v[m0] - p from each k who buys product 0
+    throughout it, plus one suffix-sum curve in m1 over the curve terms, plus a
+    tail [m1 > t](v[m0] - p) from each k with t >= m0 who ranks 1 first. A k
+    who ranks 0 first moves from the curve to the constant at m0 = t, so the
+    curve and the tails change only at the t of customers who can take both.
 
     Two bounds prune against ``floor``. The curve-sum bound: the customers
     who can take only product 0 add exactly their curve at m0 and those who
     can take only 1 theirs at m1, while each k who can take both adds at
-    most v[t] - p; so no cell exceeds ``a.revenue`` plus the maximum of each
+    most v[t] - p; so no cell exceeds ``revenue`` plus the maximum of each
     single-product curve plus that term of every k who can take both. If it
     is below ``floor`` all M rows are ``None`` and nothing is swept. A
     curve's value at any level is at most the sum of its customers' terms
@@ -300,14 +317,10 @@ def _pair_surface(inst: Instance, grid: BudgetGrid):
     """
     values, size = grid.values, grid.size
     width = size if inst.num_products > 1 else 1
-    pair = _pair_slots(inst, grid)
     # values[t] at the slots of the two kinds who can take both; the levels from the top down.
     both, levels = values * 2, range(size - 1, -1, -1)
 
-    def rows(cur, a, floor=-1):
-        paid = {j: values[m] for j, m in enumerate(cur)}
-        paid[None] = 0
-        chosen = a.chosen
+    def rows(paid, chosen, revenue, floor=-1):
         n, lost = [0] * (5 * size), [0] * (5 * size)
         for k, slots in pair:
             c = chosen[k]
@@ -318,7 +331,7 @@ def _pair_surface(inst: Instance, grid: BudgetGrid):
         # The curve-sum bound. Each single-product curve is read from the top
         # level down and only where customers join it: in between it falls
         # with v.
-        bound = a.revenue + sum(map(mul, both, n[first0:])) - sum(lost[first0:])
+        bound = revenue + sum(map(mul, both, n[first0:])) - sum(lost[first0:])
         high0 = high1 = count0 = loss0 = count1 = loss1 = 0
         for t in levels:
             if n[only0 + t]:
@@ -357,7 +370,7 @@ def _pair_surface(inst: Instance, grid: BudgetGrid):
             if n[first0 + t] or n[first1 + t]:
                 high = max(base)
             v0 = values[t]
-            const = a.revenue + v0 * count - loss
+            const = revenue + v0 * count - loss
             # The row bound: tails only grows toward high m1.
             if const + high + v0 * tails[-1] < floor:
                 out.append(None)

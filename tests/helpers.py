@@ -91,6 +91,17 @@ def walk_levels(inst, grid):
             for j in range(2, inst.num_products)]
 
 
+def walk_vectors(levels, optima):
+    """The walk vectors behind ``brute_force``'s argmax list ``optima``.
+
+    Each optimal vector with its walk products, 2..I-1 with lists
+    ``levels``, moved up to the next entry of their list: that undoes the
+    expansion over the gaps.
+    """
+    return {(*v[:2], *(min(m for m in lv if m >= v[j]) for j, lv in enumerate(levels, 2)))
+            for v in optima}
+
+
 # ----------------------------------------------------------------- LP text
 
 

@@ -11,6 +11,7 @@ from rankprice import (
     build_grid,
     validate_instance,
 )
+from rankprice.evaluate import apply_move
 
 # Worked revenue values for the small instance, checked by hand.
 TABLE1_SPOT_VALUES = {
@@ -196,4 +197,61 @@ def test_delta_path_covers_every_kind_of_move():
             seen["buyer won"] += any(b != i == a for b, a in pairs)
             seen["buyer left for nothing"] += (i, None) in pairs
             seen["nothing bought"] += None in before.chosen and None in after.chosen
+    assert all(seen.values()), seen
+
+
+# ------------------------------------------------------- the in-place step
+
+
+def _checked_move(inst, grid, indices, i, m):
+    """``apply_move`` on the oracle's choices under ``indices``, checked against the oracle.
+
+    After the move ``chosen`` is the oracle's assignment of the moved
+    vector, the delta is the exact revenue difference, and the reported
+    pairs are exactly the customers whose choice changed, each with their
+    old choice. Returns the two assignments.
+    """
+    before = assign_oracle(inst, grid, indices)
+    chosen = list(before.chosen)
+    delta, changed = apply_move(inst, grid.values, indices, chosen, i, m, chosen.count(i))
+    moved = indices[:i] + (m,) + indices[i + 1:]
+    after = assign_oracle(inst, grid, moved)
+    assert chosen == list(after.chosen)
+    assert delta == after.revenue - before.revenue
+    assert sorted(changed) == [(k, c) for k, (c, d) in enumerate(zip(before.chosen, after.chosen))
+                               if c != d]
+    assert len(changed) == len({k for k, _ in changed})
+    return before, after
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance_and_indices(), st.integers(0, 99), st.integers(0, 99))
+def test_apply_move_equals_oracle_in_place(case, pick, level):
+    inst, grid, indices = case
+    _checked_move(inst, grid, indices, pick % inst.num_products, level % grid.size)
+
+
+def test_apply_move_covers_every_kind_of_move():
+    rng = random.Random(20261020)
+    seen = dict.fromkeys(["raise", "cut", "jump of several levels", "same level",
+                          "unwanted product", "buyer lost", "buyer won", "buyer left for nothing",
+                          "no choice changed"], 0)
+    for _ in range(400):
+        inst = helpers.random_instance(rng.randrange(10**6), max_products=5, max_customers=10)
+        grid = build_grid(inst)
+        indices = helpers.random_indices(grid, inst.num_products, rng)
+        for _ in range(4):
+            i, m = rng.randrange(inst.num_products), rng.randrange(grid.size)
+            before, after = _checked_move(inst, grid, indices, i, m)
+            seen["raise"] += m > indices[i]
+            seen["cut"] += m < indices[i]
+            seen["jump of several levels"] += abs(m - indices[i]) > 1
+            seen["same level"] += m == indices[i]
+            seen["unwanted product"] += all(row[i] is None for row in inst.preferences)
+            pairs = list(zip(before.chosen, after.chosen))
+            seen["buyer lost"] += any(b == i != a for b, a in pairs)
+            seen["buyer won"] += any(b != i == a for b, a in pairs)
+            seen["buyer left for nothing"] += (i, None) in pairs
+            seen["no choice changed"] += m != indices[i] and before == after
+            indices = indices[:i] + (m,) + indices[i + 1:]
     assert all(seen.values()), seen

@@ -10,6 +10,7 @@ import pytest
 import helpers
 import rankprice.exact
 from rankprice import (
+    Assignment,
     BudgetGrid,
     InvalidRange,
     SearchSpaceTooLarge,
@@ -25,6 +26,7 @@ from rankprice import (
     validate_instance,
 )
 from rankprice.cli import main
+from rankprice.evaluate import apply_move
 from rankprice.model import write_text
 
 
@@ -175,48 +177,81 @@ def _recording_assign(monkeypatch):
     return calls
 
 
+def _recording_step(monkeypatch):
+    """Record every ``apply_move`` step brute_force takes.
+
+    Each as (instance, indices, chosen before, i, m, buyers, delta, changed,
+    chosen after), the indices being the vector before the move.
+    """
+    steps = []
+
+    def recording(inst, values, indices, chosen, i, m, buyers):
+        before = tuple(chosen)
+        delta, changed = apply_move(inst, values, indices, chosen, i, m, buyers)
+        steps.append((inst, tuple(indices), before, i, m, buyers, delta, changed, tuple(chosen)))
+        return delta, changed
+
+    monkeypatch.setattr(rankprice.exact, "apply_move", recording)
+    return steps
+
+
 def test_brute_force_walk_moves_one_product_one_level(monkeypatch):
     # The walk covers products 2..I-1 on the instance without products 0 and
     # 1, each over its own level list; the pair (0, 1) is read off its revenue
-    # surface at each walk vector. A step moves one product to the adjacent
-    # entry of its list, which may be several grid levels away. After the
-    # walk, each optimal walk vector gets one full assign, which finds the
-    # products whose gaps it expands.
+    # surface at each walk vector. The first walk vector gets one full
+    # assign; each later one is one in-place step on the walk's own choices,
+    # moving one product to the adjacent entry of its list, which may be
+    # several grid levels away. After the walk, each optimal walk vector gets
+    # one full assign, which finds the products whose gaps it expands.
     calls = _recording_assign(monkeypatch)
+    steps = _recording_step(monkeypatch)
+    slots = rankprice.exact._pair_slots
+    slot_calls = []
+
+    def counting_slots(*args):
+        slot_calls.append(args)
+        return slots(*args)
+
+    monkeypatch.setattr(rankprice.exact, "_pair_slots", counting_slots)
     walked, jumps = set(), 0
     for inst in _small_instances(152, 40):
         grid = build_grid(inst)
         calls.clear()
-        brute_force(inst, grid)
-        rest = calls[0][0]
+        steps.clear()
+        slot_calls.clear()
+        _, optima = brute_force(inst, grid)
+        assert slot_calls == [(inst, grid)]
+        rest, first_indices, first_move, first_result = calls[0]
         walked.add(rest.num_products)
         assert rest.num_products == max(inst.num_products - 2, 0)
         assert rest.preferences == tuple(row[2:] for row in inst.preferences)
-        walk = [call for call in calls if call[0] is rest]
-        assert calls[:len(walk)] == walk
-        for full, indices, move, result in calls[len(walk):]:
+        levels = helpers.walk_levels(inst, grid)
+        found = helpers.walk_vectors(levels, optima) if levels else set()
+        assert len(calls) == 1 + len(found)
+        assert sorted(indices for _, indices, _, _ in calls[1:]) == sorted(found)
+        for full, indices, move, result in calls[1:]:
             assert (full, move) == (inst, None)
             assert result == assign_oracle(inst, grid, indices)
-        assert (len(calls) > len(walk)) == (rest.num_products > 0)
-        levels = helpers.walk_levels(inst, grid)
-        _, first_indices, first_move, first_result = walk[0]
         assert first_move is None
         assert first_indices == tuple(lv[0] for lv in levels)
         visited = [first_indices]
         assert first_result == assign_oracle(rest, grid, first_indices)
-        before = first_result
-        for _, indices, move, result in walk[1:]:
-            i, m, handed, buyers = move
+        state, revenue = first_result.chosen, first_result.revenue
+        for walked_inst, indices, before, i, m, buyers, delta, changed, after in steps:
+            assert walked_inst is rest
             assert indices == visited[-1]
+            assert before == state
             assert abs(levels[i].index(m) - levels[i].index(indices[i])) == 1
             jumps += abs(m - indices[i]) > 1
-            assert handed is before
-            assert buyers == before.chosen.count(i)
+            assert buyers == before.count(i)
             moved = indices[:i] + (m,) + indices[i + 1:]
-            assert result == assign_oracle(rest, grid, moved)
+            revenue += delta
+            assert Assignment(after, revenue) == assign_oracle(rest, grid, moved)
+            assert sorted(changed) == [(k, c) for k, (c, d) in enumerate(zip(before, after))
+                                       if c != d]
             visited.append(moved)
-            before = result
-        assert len(walk) == prod(map(len, levels))
+            state = after
+        assert len(visited) == prod(map(len, levels))
         assert sorted(visited) == list(product(*levels))
     assert walked == {0, 1, 2} and jumps >= 10
 
@@ -339,6 +374,17 @@ def _surface_states(seed, count):
         yield inst, grid, helpers.random_indices(grid, inst.num_products - 2, rng)
 
 
+def _surface(inst, grid):
+    """``_pair_surface``'s rows, asked by walk levels and an assignment without products 0 and 1."""
+    rows = rankprice.exact._pair_surface(inst, grid, rankprice.exact._pair_slots(inst, grid))
+
+    def at(cur, a, floor=-1):
+        paid = {None: 0, **{j: grid.values[m] for j, m in enumerate(cur)}}
+        return rows(paid, a.chosen, a.revenue, floor)
+
+    return at
+
+
 def test_pair_surface_matches_oracle_cell_by_cell():
     # Every one of the M^2 cells is the revenue of its full vector.
     cases = [*_surface_states(25, 400),
@@ -346,7 +392,7 @@ def test_pair_surface_matches_oracle_cell_by_cell():
              (_instance([4], [[1]]), BudgetGrid((2, 4, 6)), ())]
     for inst, grid, cur in cases:
         rest = replace(inst, preferences=tuple(row[2:] for row in inst.preferences))
-        rows = rankprice.exact._pair_surface(inst, grid)(cur, assign_oracle(rest, grid, cur))
+        rows = _surface(inst, grid)(cur, assign_oracle(rest, grid, cur))
         width = grid.size if inst.num_products > 1 else 1
         assert [len(row) for row in rows] == [width] * grid.size
         for m0, m1 in product(range(grid.size), range(width)):
@@ -363,7 +409,7 @@ def test_pair_surface_floor_leaves_out_only_rows_below_it():
     for inst, grid, cur in cases:
         rest = replace(inst, preferences=tuple(row[2:] for row in inst.preferences))
         a = assign_oracle(rest, grid, cur)
-        rows = rankprice.exact._pair_surface(inst, grid)
+        rows = _surface(inst, grid)
         full = rows(cur, a)
         width = len(full[0])
         oracle = [[assign_oracle(inst, grid, (m0, m1, *cur)[:inst.num_products]).revenue
@@ -440,30 +486,33 @@ def test_surface_cap_carried_along_the_walk_equals_the_cap_from_scratch(monkeypa
     # brute_force's own Gray walk over the level lists drives the carried
     # sums; at every walk vector they must give the cap summed customer by
     # customer.
-    checked = []
+    checked, solving = [], []
 
     class Checked(rankprice.exact._SurfaceCap):
-        __slots__ = ("inst", "grid", "cur")
+        __slots__ = ("grid", "cur")
 
-        def __init__(self, inst, grid, rest, cur, a):
-            super().__init__(inst, grid, rest, cur, a)
-            self.inst, self.grid, self.cur = inst, grid, list(cur)
-            self.check(a)
+        def __init__(self, grid, pair, cur, chosen):
+            super().__init__(grid, pair, cur, chosen)
+            self.grid, self.cur = grid, list(cur)
+            self.check(chosen)
 
-        def move(self, i, price, before, after):
-            super().move(i, price, before, after)
+        def move(self, i, price, changed, chosen):
+            super().move(i, price, changed, chosen)
             self.cur[i] = self.grid.values.index(price)
-            self.check(after)
+            self.check(chosen)
 
-        def check(self, a):
-            assert a == assign_oracle(_rest_of(self.inst), self.grid, self.cur)
-            assert a.revenue + self.gain == _whole_surface_cap(self.inst, self.grid, self.cur, a)
+        def check(self, chosen):
+            inst = solving[-1]
+            a = assign_oracle(_rest_of(inst), self.grid, self.cur)
+            assert tuple(chosen) == a.chosen
+            assert a.revenue + self.gain == _whole_surface_cap(inst, self.grid, self.cur, a)
             checked.append(len(self.cur))
 
     monkeypatch.setattr(rankprice.exact, "_SurfaceCap", Checked)
     products = set()
     for inst, grid in _cap_cases(31):
         products.add(inst.num_products)
+        solving.append(inst)
         before = len(checked)
         assert brute_force(inst, grid) == _lexicographic_reference(inst, grid)
         assert len(checked) - before == prod(map(len, helpers.walk_levels(inst, grid)))
@@ -481,15 +530,17 @@ def test_surface_cap_follows_moves_of_any_size():
             continue
         cur = list(helpers.random_indices(grid, rest.num_products, rng))
         a = assign(rest, grid, cur)
-        cap = rankprice.exact._SurfaceCap(inst, grid, rest, cur, a)
+        chosen = list(a.chosen)
+        pair = rankprice.exact._pair_slots(inst, grid)
+        cap = rankprice.exact._SurfaceCap(grid, pair, cur, chosen)
         for _ in range(20):
             i, m = rng.randrange(len(cur)), rng.randrange(grid.size)
             if m == cur[i]:
                 continue
-            after = assign(rest, grid, cur, (i, m, a, a.chosen.count(i)))
+            delta, changed = apply_move(rest, grid.values, cur, chosen, i, m, chosen.count(i))
             cur[i] = m
-            cap.move(i, grid.values[m], a, after)
-            a = after
+            cap.move(i, grid.values[m], changed, chosen)
+            a = Assignment(tuple(chosen), a.revenue + delta)
             assert a.revenue + cap.gain == _whole_surface_cap(inst, grid, cur, a)
             moves += 1
     assert moves > 1000
@@ -507,7 +558,7 @@ def test_curve_sum_bound_lies_between_every_cell_and_the_cap():
         cells = [assign_oracle(inst, grid, (m0, m1, *cur)[:inst.num_products]).revenue
                  for m0 in range(grid.size) for m1 in range(width)]
         assert max(cells) <= bound <= _whole_surface_cap(inst, grid, cur, a)
-        assert rankprice.exact._pair_surface(inst, grid)(cur, a, bound + 1) == [None] * grid.size
+        assert _surface(inst, grid)(cur, a, bound + 1) == [None] * grid.size
         tight += bound < _whole_surface_cap(inst, grid, cur, a)
     assert tight > 80
 

@@ -70,19 +70,27 @@ def test_traced_counts_match_the_search(harness):
     assert tracer.count("search.crossover") == res.evaluations - p.l0
 
 
-def test_traced_brute_force_walks_products_two_and_up(harness):
-    # One full assign and a delta move per further walk vector: products 0
-    # and 1 are read off the pair surface, and products 2 and up walk their
-    # level lists. Then one full assign per optimal walk vector finds the
-    # gaps to expand, so evaluate.assign.calls.exact counts both.
+def test_traced_brute_force_walks_products_two_and_up(harness, monkeypatch):
+    # One full assign of the first walk vector and one in-place step per
+    # further one: products 0 and 1 are read off the pair surface, and
+    # products 2 and up walk their level lists. Then one full assign per
+    # optimal walk vector finds the gaps to expand, so
+    # evaluate.assign.calls.exact counts the first and those.
+    steps = []
+    apply_move = exact.apply_move
+
+    def counting_step(*args):
+        steps.append(args)
+        return apply_move(*args)
+
+    monkeypatch.setattr(exact, "apply_move", counting_step)
     for num_products in (1, 2, 3, 5):
         inst = generate_instance(num_products, 9, (5, 30), 0.5, seed=11)
         grid = build_grid(inst)
+        steps.clear()
         tracer, (_, optima) = traced(harness, lambda: exact.brute_force(inst, grid))
         levels = helpers.walk_levels(inst, grid)
-        # Each optimal vector with its walk products moved up to their next level.
-        found = {(*v[:2], *(min(m for m in lv if m >= v[j]) for j, lv in enumerate(levels, 2)))
-                 for v in optima}
+        found = helpers.walk_vectors(levels, optima) if levels else set()
         assert tracer.count("exact.brute_force") == 1
-        assert (tracer.count("evaluate.assign@exact")
-                == prod(map(len, levels)) + (len(found) if levels else 0))
+        assert len(steps) == prod(map(len, levels)) - 1
+        assert tracer.count("evaluate.assign@exact") == 1 + len(found)

@@ -2,39 +2,60 @@
 
 For fixed prices each customer's problem has a unique optimum: buy the most
 preferred affordable product, or nothing if none is affordable. ``assign``
-exploits this directly and is the hot path of every search. Given a vector,
-its assignment and a move of one product to another grid index, it
-re-decides only the customers that one price change can touch and copies
-every other choice. That re-decision is ``apply_move``, which works in place
-on a caller's mutable list of choices and reports the revenue difference
-and the choices it changed: ``assign`` runs it on a copy, and
-``brute_force``'s walk runs it on its own state, one step per walk vector.
-``assign_oracle`` re-derives the same result by brute enumeration of all
-purchase options and exists so tests can cross-check the closed form
+exploits this directly and is the hot path of every search. A full
+evaluation is one first-affordable scan on grid levels: customer k affords
+level m exactly when m is at most k's top level, read from the instance's
+level table for the grid (``Instance.top_levels``), so the scan compares
+levels and reads a price only for the product bought. ``assign_prices``
+runs the same scan on the levels of its own distinct prices. Given a
+vector, its assignment and a move of one product to another grid index,
+``assign`` instead re-decides only the customers that one price change can
+touch and copies every other choice. That re-decision is ``apply_move``,
+which works in place on a caller's mutable list of choices and reports the
+revenue difference and the choices it changed: ``assign`` runs it on a
+copy, and ``brute_force``'s walk runs it on its own state, one step per walk
+vector. ``assign_oracle`` re-derives the same result by brute enumeration
+of all purchase options and exists so tests can cross-check the closed form
 against a literal reading of the customer problem.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Sequence
 
 from .model import Assignment, BudgetGrid, Instance
 
 
-def assign_prices(inst: Instance, prices: Sequence[int]) -> Assignment:
-    """Evaluate arbitrary (not necessarily on-grid) integer prices."""
+def _scan(
+    inst: Instance, values: Sequence[int], indices: Sequence[int], top: Sequence[int]
+) -> Assignment:
+    """Each customer's first ranked product at a level within their top level ``top[k]``."""
     chosen: list[int | None] = []
     push = chosen.append
     revenue = 0
-    for budget, ranked in zip(inst.budgets, inst.preference_order):
+    for t, ranked in zip(top, inst.preference_order):
         for i in ranked:
-            if prices[i] <= budget:
+            if indices[i] <= t:
                 push(i)
-                revenue += prices[i]
+                revenue += values[indices[i]]
                 break
         else:
             push(None)
-    return Assignment(chosen=tuple(chosen), revenue=revenue)
+    return Assignment(tuple(chosen), revenue)
+
+
+def assign_prices(inst: Instance, prices: Sequence[int]) -> Assignment:
+    """Evaluate arbitrary (not necessarily on-grid) integer prices.
+
+    The sorted distinct prices serve as the grid: each price is its level
+    among them, each customer's top level is where their budget falls among
+    them, and the scan of :func:`assign` decides every customer.
+    """
+    values = sorted(set(prices))
+    level = {price: m for m, price in enumerate(values)}
+    top = [bisect_right(values, budget) - 1 for budget in inst.budgets]
+    return _scan(inst, values, [level[price] for price in prices], top)
 
 
 def assign(
@@ -45,6 +66,9 @@ def assign(
 ) -> Assignment:
     """Unique optimal purchase of every customer under the given grid prices.
 
+    A full evaluation scans each customer's ranking for the first product
+    whose level is at most the customer's top level, from the level table
+    ``inst.top_levels(grid)`` (built on the first call for the grid).
     ``move = (i, m, before, buyers)`` asks instead for the assignment after
     product i moves to grid index m, where ``before`` is the assignment of
     ``indices`` and ``buyers`` the number of customers who buy i under it.
@@ -52,7 +76,7 @@ def assign(
     evaluation of the moved vector.
     """
     if move is None:
-        return assign_prices(inst, grid.prices_of(indices))
+        return _scan(inst, grid.values, indices, inst.top_levels(grid))
     i, m, before, buyers = move
     chosen = list(before.chosen)
     delta, _ = apply_move(inst, grid.values, indices, chosen, i, m, buyers)

@@ -61,7 +61,6 @@ to what earlier versions wrote, and tests pin it by SHA-256 digests.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import accumulate, chain, product
 from math import prod
 from operator import mul
@@ -85,21 +84,23 @@ def brute_force(
     whenever it reaches an end the lowest product that can still move in its
     own direction moves to the adjacent entry of its list, which may be several
     grid levels away. The walk runs on ``rest``, the instance with products 0
-    and 1 removed, and holds one state that each step changes in place:
-    ``chosen`` and ``revenue``, the assignment of ``cur`` in ``rest``,
-    ``sold``, how many customers make each choice (so each walk product's buyer
-    count), and the walk products' prices in ``_SurfaceCap``. Only the first
-    vector gets a full ``assign``; each later one is one ``apply_move`` on that
-    state, which reports the revenue difference and the customers whose choice
-    changed. At each walk vector ``_pair_surface`` gives the revenue at all M^2
-    prices of products 0 and 1, so each walk vector settles M^2 grid vectors;
-    with I = 1 or 2 the walk is the one empty vector. ``_SurfaceCap`` carries
-    the whole-surface cap along the walk; when it is below the running maximum
-    ``best`` the surface is not asked for at all. Otherwise the surface gets
-    ``best`` as its floor and leaves out the rows that its curve-sum and row
-    bounds show to be below it, so ``top`` is the maximum of the rows it
-    builds. Every cell left out is below ``best`` by a strict ``<``, and
-    ``best`` only grows, so it could neither be the optimum nor tie it.
+    and 1 removed (``Instance.without_first``, which derives its rankings from
+    ``inst``'s instead of sorting again), and holds one state that each step
+    changes in place: ``chosen`` and ``revenue``, the assignment of ``cur`` in
+    ``rest``, ``sold``, how many customers make each choice (so each walk
+    product's buyer count), and the walk products' prices in ``_SurfaceCap``.
+    Only the first vector gets a full ``assign``; each later one is one
+    ``apply_move`` on that state, which reports the revenue difference and the
+    customers whose choice changed. At each walk vector ``_pair_surface`` gives
+    the revenue at all M^2 prices of products 0 and 1, so each walk vector
+    settles M^2 grid vectors; with I = 1 or 2 the walk is the one empty vector.
+    ``_SurfaceCap`` carries the whole-surface cap along the walk; when it is
+    below the running maximum ``best`` the surface is not asked for at all.
+    Otherwise the surface gets ``best`` as its floor and leaves out the rows
+    that its curve-sum and row bounds show to be below it, so ``top`` is the
+    maximum of the rows it builds. Every cell left out is below ``best`` by a
+    strict ``<``, and ``best`` only grows, so it could neither be the optimum
+    nor tie it.
 
     The lists lose nothing. Let L be product j's list and L[r-1] < m <= L[r]
     (from m = 0 when r = 0). Every customer who wants j affords m exactly
@@ -117,9 +118,9 @@ def brute_force(
     """
     if type(cap) is not int or cap < 1:
         raise InvalidRange(f"enumeration cap must be an integer of at least 1, got {cap!r}")
-    # Not validated: a customer who wants only products 0 and 1 has an empty row here.
-    rest = Instance(inst.name, inst.budgets, tuple(row[2:] for row in inst.preferences))
-    levels = [_levels(grid, budgets) for budgets, _ in rest.customers_by_budget]
+    rest = inst.without_first(2)
+    tops = inst.top_levels(grid)
+    levels = [_levels(grid, tops, customers) for _, customers in rest.customers_by_budget]
     num, walk = inst.num_products, prod(map(len, levels))
     total = grid.size ** min(num, 2) * walk
     if total > cap:
@@ -169,15 +170,15 @@ def brute_force(
     return best, argmax
 
 
-def _levels(grid: BudgetGrid, budgets) -> list[int]:
+def _levels(grid: BudgetGrid, tops, customers) -> list[int]:
     """The grid levels a walk product takes: each wanter's top affordable level, and M - 1.
 
-    A customer whose top level is t affords level m exactly when m <= t,
-    so these are the only levels at which any choice of the product
-    changes. A customer who affords no level adds none.
+    ``tops`` is the instance's level table for ``grid`` and ``customers``
+    those who want the product. A customer whose top level is t affords
+    level m exactly when m <= t, so these are the only levels at which any
+    choice of the product changes. A customer who affords no level adds none.
     """
-    values = grid.values
-    return sorted({bisect_right(values, b) - 1 for b in budgets} - {-1} | {grid.size - 1})
+    return sorted({tops[k] for k in customers} - {-1} | {grid.size - 1})
 
 
 def _gaps(inst: Instance, grid: BudgetGrid, levels, found):
@@ -208,10 +209,9 @@ def _pair_slots(inst: Instance, grid: BudgetGrid) -> list[tuple[int, dict]]:
     customer who affords no level, or takes neither from any choice, is left
     out.
     """
-    values, size = grid.values, grid.size
+    size = grid.size
     pair = []
-    for k, (budget, row) in enumerate(zip(inst.budgets, inst.preferences)):
-        t = bisect_right(values, budget) - 1
+    for k, (t, row) in enumerate(zip(inst.top_levels(grid), inst.preferences)):
         # A product k does not want scores 0, as does buying nothing.
         s0, s1 = [score or 0 for score in (*row, None)[:2]]
         slots = {}
@@ -420,11 +420,11 @@ def build_single_level(inst: Instance, grid: BudgetGrid) -> list[str]:
     tails = [list(accumulate((f" - 1 {name}" for name in names), initial="")) for names in v]
 
     objective, onec, link, pref = [], [], [], []
-    for k, scores in enumerate(inst.preferences):
+    for k, (scores, t) in enumerate(zip(inst.preferences, inst.top_levels(grid))):
         own = [names[k] for names in x]
         available = [i for i in range(num_i) if scores[i] is not None]
         # The grid ascends, so the levels within k's budget are a prefix of it.
-        top = bisect_right(grid.values, inst.budgets[k])
+        top = t + 1
         objective.extend((own[i] + "\n").join(prefixes[i]) + own[i] for i in available)
         onec.append(f" onec_{k + 1}: 1 {' + 1 '.join(own)} <= 1")
         link.extend(f" link_{k + 1}_{i + 1}: 1 {own[i]}{tails[i][top]} <= 0"

@@ -10,7 +10,7 @@ keeps neighborhood moves and mutations exact integer operations.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -72,6 +72,43 @@ class Instance:
             )
             index.append((tuple(b for b, _ in wanting), tuple(k for _, k in wanting)))
         return tuple(index)
+
+    @cached_property
+    def _top_levels(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        return {}
+
+    def top_levels(self, grid: "BudgetGrid") -> tuple[int, ...]:
+        """Per customer, the top grid level within their budget, -1 if none is.
+
+        Customer k affords level m exactly when ``m <= top_levels(grid)[k]``.
+        The table is built on the first call for a grid and kept, keyed by
+        ``grid.values``, so every grid of the instance gets its own.
+        """
+        values = grid.values
+        try:
+            return self._top_levels[values]
+        except KeyError:
+            top = tuple(bisect_right(values, b) - 1 for b in self.budgets)
+            self._top_levels[values] = top
+            return top
+
+    def without_first(self, n: int) -> "Instance":
+        """This instance with products 0..n-1 removed and the others shifted down by n.
+
+        The rankings and the budget index are taken from this instance's, not
+        sorted again, and the level tables are shared, since the budgets are
+        the same. Not validated: a customer who wants only removed products
+        has an empty row.
+        """
+        rest = Instance(self.name, self.budgets, tuple(row[n:] for row in self.preferences))
+        # Each is a cached_property, whose cache is the instance's __dict__.
+        rest.__dict__.update(
+            preference_order=tuple(tuple(i - n for i in ranked if i >= n)
+                                   for ranked in self.preference_order),
+            customers_by_budget=self.customers_by_budget[n:],
+            _top_levels=self._top_levels,
+        )
+        return rest
 
     def wanting_between(self, product: int, lo: int, hi: int) -> tuple[int, ...]:
         """Customers who want ``product`` with ``lo <= budget < hi``, by ascending budget."""

@@ -19,7 +19,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
@@ -157,6 +157,26 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     return r
 
 
+def _pair(getrandbits: Callable[[int], int], pool: Sequence[int]) -> tuple[int, int]:
+    """Two distinct members of ``pool``, len(pool) >= 2, as ``Random.sample(pool, 2)`` draws them.
+
+    A copy of both branches of CPython's ``sample`` for k = 2: up to 21
+    members it takes the second draw below n - 1 from a copy of the pool
+    whose first pick was replaced by the last member; above that it draws
+    positions below n again until one differs from the first. Either way it
+    consumes the generator exactly as ``sample`` does.
+    """
+    n = len(pool)
+    first = _below(getrandbits, n)
+    if n <= 21:
+        second = _below(getrandbits, n - 1)
+        return pool[first], pool[n - 1 if second == first else second]
+    second = _below(getrandbits, n)
+    while second == first:
+        second = _below(getrandbits, n)
+    return pool[first], pool[second]
+
+
 def random_price(grid: BudgetGrid, num_products: int, rng: random.Random) -> PriceIndices:
     """One vector with every component uniform over the grid, as ``rng.randrange`` draws it."""
     size, bits = grid.size, rng.getrandbits
@@ -198,10 +218,22 @@ class Neighborhood:
         if len(self.lo) != len(self.hi) or any(a > b for a, b in zip(self.lo, self.hi)):
             raise InvalidRange(f"a box needs lo <= hi, of one length: lo={self.lo} hi={self.hi}")
 
+    @cached_property
+    def _spans(self) -> tuple[tuple[int, int, int], ...]:
+        """Per axis ``(lo, width, bits)``: the offset, size and bit length of its draw."""
+        return tuple((lo, hi + 1 - lo, (hi + 1 - lo).bit_length())
+                     for lo, hi in zip(self.lo, self.hi))
+
     def sample(self, rng: random.Random) -> PriceIndices:
-        """One vector uniform over the box, drawn as ``rng.randint(lo, hi)`` per axis would."""
+        """One vector uniform over the box, drawn as ``rng.randint(lo, hi)`` per axis would.
+
+        Each axis takes its first draw inline and calls ``_below`` only when
+        that draw is out of range, so it consumes the generator as
+        ``_below`` alone would.
+        """
         bits = rng.getrandbits
-        return tuple(lo + _below(bits, hi + 1 - lo) for lo, hi in zip(self.lo, self.hi))
+        return tuple([lo + r if (r := bits(k)) < width else lo + _below(bits, width)
+                      for lo, width, k in self._spans])
 
 
 def neighborhood(grid: BudgetGrid, indices: Sequence[int], radius: int) -> Neighborhood:
@@ -221,7 +253,8 @@ def crossover(p1: PriceIndices, p2: PriceIndices, rng: random.Random) -> PriceIn
     """Each component copied from either parent with equal probability."""
     if len(p1) != len(p2):
         raise InvalidRange(f"parents have lengths {len(p1)} and {len(p2)}")
-    return tuple(a if rng.random() < 0.5 else b for a, b in zip(p1, p2))
+    coin = rng.random
+    return tuple([a if coin() < 0.5 else b for a, b in zip(p1, p2)])
 
 
 def mutate(grid: BudgetGrid, indices: PriceIndices, rng: random.Random) -> PriceIndices:
@@ -232,8 +265,9 @@ def mutate(grid: BudgetGrid, indices: PriceIndices, rng: random.Random) -> Price
         return tuple(indices)
     rate = 1.0 / n
     out = list(indices)
+    coin = rng.random
     for i in range(n):
-        if rng.random() < rate:
+        if coin() < rate:
             draw = _below(rng.getrandbits, size - 1)
             if draw >= out[i]:
                 draw += 1
@@ -456,13 +490,13 @@ def genetic_search(
         raise InvalidRange("genetic search needs q >= 2 to pick two distinct parents")
     run = _Run(inst, grid, params, pipeline, clock)
     run.init_population()
-    pop = run.population
+    pop, rng = run.population, run.rng
+    bits = rng.getrandbits
     elites: list[int] = []
 
     def child():
-        s1, s2 = run.rng.sample(elites, 2)
-        crossed = crossover(pop[s1][0], pop[s2][0], run.rng)
-        return mutate(grid, crossed, run.rng)
+        s1, s2 = _pair(bits, elites)
+        return mutate(grid, crossover(pop[s1][0], pop[s2][0], rng), rng)
 
     while not run.stop_reached():
         elites = run.next_elites()

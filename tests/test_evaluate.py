@@ -1,10 +1,12 @@
 import random
+from bisect import bisect_right
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
 from rankprice import (
+    BudgetGrid,
     assign,
     assign_oracle,
     assign_prices,
@@ -255,3 +257,81 @@ def test_apply_move_covers_every_kind_of_move():
             seen["no choice changed"] += m != indices[i] and before == after
             indices = indices[:i] + (m,) + indices[i + 1:]
     assert all(seen.values()), seen
+
+
+# ------------------------------------------------------- the level table
+
+
+def _grids(inst, rng):
+    """``build_grid``'s grid and three built by hand.
+
+    The hand-built ones keep some of the budgets, start above the poorest
+    budget, or take values that are no budget at all, so some customers
+    afford no level of them.
+    """
+    budgets = sorted(set(inst.budgets))
+    kept = sorted(rng.sample(budgets, rng.randint(1, len(budgets))))
+    above = tuple(range(budgets[0] + 1, budgets[-1] + 3, rng.randint(1, 3)))
+    anywhere = sorted(rng.sample(range(1, 40), rng.randint(1, 8)))
+    return [build_grid(inst), BudgetGrid(tuple(kept)), BudgetGrid(above), BudgetGrid(tuple(anywhere))]
+
+
+def _literal_assignment(inst, prices):
+    """Each customer's highest-scored product priced within their budget, by plain reading."""
+    chosen, revenue = [], 0
+    for budget, row in zip(inst.budgets, inst.preferences):
+        options = [(score, i) for i, score in enumerate(row)
+                   if score is not None and prices[i] <= budget]
+        best = max(options)[1] if options else None
+        chosen.append(best)
+        revenue += prices[best] if options else 0
+    return tuple(chosen), revenue
+
+
+def test_level_table_is_each_customers_top_affordable_level():
+    rng = random.Random(20261020)
+    unaffordable = 0
+    for _ in range(300):
+        inst = helpers.random_instance(rng.randrange(10**6), max_customers=10, budget=(5, 30))
+        for grid in _grids(inst, rng):
+            top = inst.top_levels(grid)
+            assert top == tuple(bisect_right(grid.values, b) - 1 for b in inst.budgets)
+            assert top == tuple(sum(v <= b for v in grid.values) - 1 for b in inst.budgets)
+            assert inst.top_levels(grid) is top
+            unaffordable += top.count(-1)
+    assert unaffordable
+
+
+def test_each_grid_of_an_instance_gets_its_own_table(table1, table1_grid):
+    # table1's budgets: 18, 66, 27, 34, 66, 50, 42, 42.
+    coarse = BudgetGrid((30, 50))
+    full = table1.top_levels(table1_grid)
+    assert table1.top_levels(coarse) == (-1, 1, -1, 0, 1, 1, 0, 0)
+    assert full == (0, 5, 1, 2, 5, 4, 3, 3)
+    assert table1.top_levels(table1_grid) is full
+    assert table1.top_levels(BudgetGrid(table1_grid.values)) is full
+
+
+def test_assign_equals_oracle_on_hand_built_grids():
+    # No other oracle test uses a grid that build_grid did not build.
+    rng = random.Random(20261021)
+    for _ in range(300):
+        inst = helpers.random_instance(rng.randrange(10**6), max_customers=10, budget=(5, 30))
+        for grid in _grids(inst, rng):
+            indices = helpers.random_indices(grid, inst.num_products, rng)
+            a = assign(inst, grid, indices)
+            assert a == assign_oracle(inst, grid, indices)
+            i, m = rng.randrange(inst.num_products), rng.randrange(grid.size)
+            moved = indices[:i] + (m,) + indices[i + 1:]
+            assert assign(inst, grid, indices, (i, m, a, a.chosen.count(i))) \
+                == assign_oracle(inst, grid, moved)
+
+
+def test_assign_prices_is_a_literal_reading():
+    # Repeated prices, prices above every budget and prices that are no budget.
+    rng = random.Random(20261022)
+    for _ in range(500):
+        inst = helpers.random_instance(rng.randrange(10**6), max_customers=10, budget=(5, 30))
+        prices = [rng.choice([rng.randint(1, 35), *inst.budgets]) for _ in range(inst.num_products)]
+        a = assign_prices(inst, prices)
+        assert (a.chosen, a.revenue) == _literal_assignment(inst, prices)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import helpers
 from rankprice import (
     BudgetGrid,
+    Instance,
     InstanceReadError,
     InvalidInstance,
     InvalidRange,
@@ -284,3 +285,17 @@ def test_customers_by_budget(table1_mod):
     assert table1_mod.wanting_between(1, 34, 66) == (3, 6, 7, 5)
     assert table1_mod.wanting_between(0, 66, 67) == (1, 4)
     assert table1_mod.wanting_between(0, 20, 20) == ()
+
+
+def test_without_first_derives_the_tables_a_fresh_instance_sorts():
+    rng = random.Random(20261023)
+    for _ in range(200):
+        inst = helpers.random_instance(rng.randrange(10**6), max_products=6, max_customers=10)
+        n = rng.randint(0, inst.num_products - 1)
+        rest = inst.without_first(n)
+        fresh = Instance(inst.name, inst.budgets, tuple(row[n:] for row in inst.preferences))
+        assert rest == fresh
+        assert rest.preference_order == fresh.preference_order
+        assert rest.customers_by_budget == fresh.customers_by_budget
+        grid = build_grid(inst)
+        assert rest.top_levels(grid) is inst.top_levels(grid) == fresh.top_levels(grid)

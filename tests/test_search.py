@@ -255,6 +255,23 @@ def test_draws_match_randrange_references():
         assert mine.getstate() == ref.getstate()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_box_sample_matches_randint_per_axis(seed):
+    # Boxes clipped at both grid edges, boxes with width-1 axes and a
+    # one-level grid, whose every axis has width 1: the same vectors as a
+    # randint per axis and the same generator state afterwards.
+    shapes, mine, ref = random.Random(seed + 1), random.Random(seed), random.Random(seed)
+    for _ in range(300):
+        size = shapes.choice([1, 2, 3, 9, 40, 130])
+        center = tuple(shapes.choice([0, size - 1, shapes.randrange(size)]) for _ in range(6))
+        box = neighborhood(BudgetGrid(tuple(range(1, size + 1))), center, shapes.randint(1, 4))
+        fixed = [shapes.random() < 0.3 for _ in center]
+        box = Neighborhood(box.lo, tuple(lo if f else hi for lo, hi, f in zip(box.lo, box.hi, fixed)))
+        for _ in range(3):
+            assert box.sample(mine) == tuple(ref.randint(lo, hi) for lo, hi in zip(box.lo, box.hi))
+        assert mine.getstate() == ref.getstate()
+
+
 def test_neighborhood_rejects_zero_radius(table1_grid):
     with pytest.raises(RankPriceError):
         neighborhood(table1_grid, (0, 0), 0)
@@ -279,6 +296,20 @@ class StubRng:
 
     def random(self):
         return self.values.pop(0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 21, 22, 100, 1000])
+def test_parent_pair_draws_like_sample(n):
+    # CPython's sample(pool, 2) copies the pool up to 21 members and keeps a
+    # set of drawn positions above that; the pair must match both branches,
+    # by value and by the generator state it leaves. Repeated draws make the
+    # second pick hit the first one's position on both sides of 21.
+    pool = random.Random(n).sample(range(10 * n), n)
+    for seed in (0, 1, 5, 99):
+        mine, ref = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            assert rankprice.search._pair(mine.getrandbits, pool) == tuple(ref.sample(pool, 2))
+        assert mine.getstate() == ref.getstate()
 
 
 def test_crossover_identical_parents():

@@ -80,7 +80,7 @@ def assign(
     i, m, before, buyers = move
     chosen = list(before.chosen)
     delta, _ = apply_move(inst, grid.values, indices, chosen, i, m, buyers)
-    return Assignment(chosen=tuple(chosen), revenue=before.revenue + delta)
+    return Assignment(tuple(chosen), before.revenue + delta)
 
 
 def apply_move(

@@ -14,7 +14,10 @@ only names the grid levels it tries for a product. A trial moves one product
 to one grid index and is one :func:`~rankprice.evaluate.assign` call against
 the walk's own vector, which re-decides only the customers the move can
 touch; the vector takes the move only when revenue strictly improves, so
-every operator here is revenue nondecreasing by construction.
+every operator here is revenue nondecreasing by construction. A walk counts
+its kept and reverted trials and adds each count to the caller's
+:class:`LocalSearchStats` once, when it ends and only when the count is
+nonzero, so a step with no kept (or no reverted) trial has no entry.
 
 A state's purchases are its assignment's ``chosen``. Each walk also holds
 the buyer count of every product for the vector it refines, counted over
@@ -26,8 +29,10 @@ only on products with two buyers or more. Reassignment and conditional
 reassignment find a product's cheapest buyers by scanning
 ``Instance.customers_by_budget`` up from the product's price
 (:func:`_cheapest`). Fill looks only at the customers who bought nothing
-when its walk started, and skips the walk when there are none. Slack finds
-every cheapest buyer in one pass over the customers.
+when its walk started, sorted once by budget, and skips the walk when there
+are none; a product's level is the budget of the first of them who still
+buys nothing and wants it. Slack finds every cheapest buyer in one pass over
+the customers.
 """
 
 from __future__ import annotations
@@ -103,13 +108,16 @@ def _walk(
     when the walk reaches i, so it sees every earlier kept trial. A trial
     moves product i to grid index m: one ``assign`` call given the move
     ``(i, m, a, sold[i])`` against the current state decides again only the
-    customers it can touch. It is counted under ``step`` as kept or
-    reverted; only a kept one sets ``cur[i]`` and recounts ``sold`` over
-    ``chosen``. The price already held is skipped without evaluation.
+    customers it can touch. Only a kept trial sets ``cur[i]`` and recounts
+    ``sold`` over ``chosen``. The price already held is skipped without
+    evaluation. The walk counts its kept and reverted trials in two local
+    integers and, at its end, adds each to ``stats`` under ``step`` when it
+    is nonzero.
     """
-    stats = stats or LocalSearchStats()
     cur, a = list(indices), assignment
-    sold = _buyer_counts(inst.num_products, a.chosen)
+    num_products = inst.num_products
+    sold = _buyer_counts(num_products, a.chosen)
+    kept = reverted = 0
     for i in products:
         if sold[i] not in counts:
             continue
@@ -119,10 +127,15 @@ def _walk(
             after = assign(inst, grid, cur, (i, m, a, sold[i]))
             if after.revenue > a.revenue:
                 cur[i], a = m, after
-                sold = _buyer_counts(inst.num_products, a.chosen)
-                stats.kept[step] += 1
+                sold = _buyer_counts(num_products, a.chosen)
+                kept += 1
             else:
-                stats.reverted[step] += 1
+                reverted += 1
+    if stats is not None:
+        if kept:
+            stats.kept[step] += kept
+        if reverted:
+            stats.reverted[step] += reverted
     return tuple(cur), a
 
 
@@ -185,16 +198,21 @@ def fill(
     unassigned customers are always among ``idle``, those unassigned when
     the walk starts; with none, the input comes back unchanged and no walk
     runs. An unassigned customer who wants the product cannot afford its
-    price, so every candidate price lies below it.
+    price, so every candidate price lies below it. ``idle`` is sorted once by
+    budget (ties in customer order), so the first customer in it who still
+    buys nothing and wants the product has the cheapest such budget.
     """
     idle = [k for k, c in enumerate(assignment.chosen) if c is None]
     if not idle:
         return tuple(indices), assignment
     budgets, preferences = inst.budgets, inst.preferences
+    idle.sort(key=budgets.__getitem__)
 
     def levels(i, cur, chosen):
-        pool = [budgets[k] for k in idle if chosen[k] is None and preferences[k][i] is not None]
-        return [grid.index_of(min(pool))] if pool else []
+        for k in idle:
+            if chosen[k] is None and preferences[k][i] is not None:
+                return [grid.index_of(budgets[k])]
+        return []
 
     products, unsold = range(inst.num_products), range(1)
     return _walk(inst, grid, indices, assignment, "f", products, unsold, levels, stats)
@@ -249,9 +267,10 @@ def conditional_reassignment(
         # the first affordable one in their ranking, so a fallback priced
         # there ranks below i.
         ranked = inst.preference_order[poorest]
-        if m not in map(cur.__getitem__, ranked[ranked.index(i) + 1:]):
-            return []
-        return [grid.index_of(inst.budgets[second])]
+        for j in ranked[ranked.index(i) + 1:]:
+            if cur[j] == m:
+                return [grid.index_of(inst.budgets[second])]
+        return []
 
     products, shared = range(inst.num_products), range(2, inst.num_customers + 1)
     return _walk(inst, grid, indices, assignment, "c", products, shared, levels, stats)

@@ -178,9 +178,16 @@ def _pair(getrandbits: Callable[[int], int], pool: Sequence[int]) -> tuple[int, 
 
 
 def random_price(grid: BudgetGrid, num_products: int, rng: random.Random) -> PriceIndices:
-    """One vector with every component uniform over the grid, as ``rng.randrange`` draws it."""
+    """One vector with every component uniform over the grid, as ``rng.randrange`` draws it.
+
+    Each component takes its first draw inline and calls ``_below`` only when
+    that draw is out of range, as :meth:`Neighborhood.sample` does, so the
+    generator is consumed as ``_below`` alone would consume it.
+    """
     size, bits = grid.size, rng.getrandbits
-    return tuple(_below(bits, size) for _ in range(num_products))
+    k = size.bit_length()
+    return tuple([r if (r := bits(k)) < size else _below(bits, size)
+                  for _ in range(num_products)])
 
 
 def greedy_init(inst: Instance, grid: BudgetGrid) -> PriceIndices:

@@ -346,6 +346,98 @@ def test_every_trial_is_counted_kept_or_reverted(monkeypatch):
     assert trials > 0
 
 
+def test_pipeline_stats_match_per_trial_counting(monkeypatch):
+    # Tally every trial as it is made, under the step that makes it, and
+    # compare with the stats the pipeline kept: keys as well as values, so a
+    # step with no kept or no reverted trial has no entry at all.
+    module = rankprice.local_search
+    real_assign = module.assign
+    step = []
+    tally = {"kept": Counter(), "reverted": Counter()}
+
+    def counted(inst, grid, indices, move):
+        after = real_assign(inst, grid, indices, move)
+        tally["kept" if after.revenue > move[2].revenue else "reverted"][step[-1]] += 1
+        return after
+
+    def in_step(letter, op):
+        def run(*args, **kwargs):
+            step.append(letter)
+            try:
+                return op(*args, **kwargs)
+            finally:
+                step.pop()
+        return run
+
+    monkeypatch.setattr(module, "assign", counted)
+    for letter, name in (("f", "fill"), ("r", "reassignment"),
+                         ("c", "conditional_reassignment"), ("o", "opt_based")):
+        monkeypatch.setattr(module, name, in_step(letter, getattr(module, name)))
+
+    def tallied(*args):
+        for counts in tally.values():
+            counts.clear()
+        run_pipeline(*args)
+        return dict(tally["kept"]), dict(tally["reverted"])
+
+    rng = random.Random(4711)
+    shared, total = LocalSearchStats(), LocalSearchStats()
+    seen = Counter()
+    for _ in range(150):
+        inst, grid, indices, a = random_state(rng.randrange(10**6), rng)
+        for pipeline in ("sfrc", "o"):
+            seed, stats = rng.random(), LocalSearchStats()
+            kept, reverted = tallied(inst, grid, pipeline, indices, a, random.Random(seed), stats)
+            assert (dict(stats.kept), dict(stats.reverted)) == (kept, reverted)
+            # Again, into stats shared by every call.
+            kept, reverted = tallied(inst, grid, pipeline, indices, a, random.Random(seed), shared)
+            total.kept.update(kept)
+            total.reverted.update(reverted)
+            for letter in pipeline:
+                seen["kept only"] += letter in kept and letter not in reverted
+                seen["reverted only"] += letter in reverted and letter not in kept
+                seen["no trial"] += letter not in kept and letter not in reverted
+    assert (dict(shared.kept), dict(shared.reverted)) == (dict(total.kept), dict(total.reverted))
+    assert seen["kept only"] > 0 and seen["reverted only"] > 0 and seen["no trial"] > 0
+
+
+def test_fill_level_matches_a_literal_reading_partway_through_its_walk(monkeypatch):
+    # Fill asks for a product's level after earlier kept trials in the same
+    # walk: the level must be the smallest budget among the customers who
+    # still buy nothing and want the product, read off the walk's choices.
+    module = rankprice.local_search
+    real_walk = module._walk
+    seen = Counter()
+
+    def walk(inst, grid, indices, assignment, step, products, counts, levels, stats):
+        idle = {k for k, c in enumerate(assignment.chosen) if c is None}
+
+        def checked(i, cur, chosen):
+            pool = [inst.budgets[k] for k, c in enumerate(chosen)
+                    if c is None and inst.preferences[k][i] is not None]
+            tried = list(levels(i, cur, chosen))
+            assert tried == ([grid.index_of(min(pool))] if pool else [])
+            seen["taken"] += any(chosen[k] is not None for k in idle)
+            seen["tied at the minimum"] += pool.count(min(pool, default=None)) > 1
+            return tried
+
+        return real_walk(inst, grid, indices, assignment, step, products, counts, checked,
+                         stats)
+
+    monkeypatch.setattr(module, "_walk", walk)
+    rng = random.Random(2357)
+    for _ in range(400):
+        inst = helpers.random_instance(rng.randrange(10**6), max_products=6, max_customers=14,
+                                       budget=(5, 12))
+        grid = build_grid(inst)
+        indices = helpers.random_indices(grid, inst.num_products, rng)
+        raw = (indices, assign(inst, grid, indices))
+        for state in (raw, slack(inst, grid, *raw)):
+            out, out_a = fill(inst, grid, *state)
+            assert out_a == assign(inst, grid, out)
+    assert seen["taken"] > 0 and seen["tied at the minimum"] > 0
+
+
 def test_one_product_scan_reaches_single_swap_optimum():
     rng = random.Random(4242)
     for _ in range(200):

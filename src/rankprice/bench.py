@@ -33,6 +33,7 @@ from .errors import InvalidRange, OutputWriteError
 from .local_search import parse_pipeline
 from .model import Instance, build_grid, load_instance, write_text
 from .search import (
+    GENETIC_Q,
     GREEDY,
     RANDOM,
     SearchParams,
@@ -44,9 +45,6 @@ from .search import (
 )
 
 METHODS = {"naive": naive_search, "vns": vns_search, "genetic": genetic_search}
-
-# The genetic method's default elite set size (capped at l0), in place of SearchParams.q.
-GENETIC_Q = 1000
 
 SUMMARY_COLUMNS = (
     "run_id",
@@ -153,7 +151,8 @@ class ExperimentConfig:
         if self.method == "naive" and self.init == GREEDY:
             raise InvalidRange("method naive draws every vector at random; init greedy is unused")
         if self.method == "genetic" and self.params.q < 2:
-            raise InvalidRange("method genetic needs q >= 2 to pick two distinct parents")
+            raise InvalidRange(f"method genetic needs q >= 2 to pick two distinct parents,"
+                               f" got q={self.params.q}; an omitted q is min({GENETIC_Q}, l0)")
         if self.runs < 1:
             raise InvalidRange("runs must be at least 1")
 

@@ -13,7 +13,7 @@ from .bench import (
     run_experiment,
     summarize,
 )
-from .errors import InstanceReadError, InvalidRange, RankPriceError
+from .errors import InvalidRange, RankPriceError
 from .evaluate import assign_prices
 from .exact import DEFAULT_ENUMERATION_CAP, brute_force, export_single_level
 from .model import build_grid, load_instance, read_json, save_instance, write_text
@@ -75,7 +75,7 @@ def _cmd_bench(args) -> int:
     if args.reference is not None and args.reference <= 0:
         raise InvalidRange(f"reference must be positive, got {args.reference}")
     config = config_from_dict(
-        read_json(args.config, "config", InstanceReadError),
+        read_json(args.config, "config"),
         instance_path=args.instance,
         runs=args.runs,
         out_dir=args.out,

@@ -13,18 +13,21 @@ that sell nothing moved down inside their gaps.
 
 ``brute_force`` walks the vectors of products 2..I-1 over their levels(i)
 lists in reflected Gray order, one product to the adjacent entry of its
-list per step. The walk holds one mutable state: the choices and revenue of
-the walk vector, each walk product's buyer count and its price. Only the
-first vector gets a full ``assign``; each step after it is one
-``apply_move``, the delta step ``assign`` also takes, run in place on that
-state, and no per-step assignment is built. At each walk vector it reads
-the revenue of all M^2 prices of products 0 and 1 off one revenue surface:
-given the walk's choices, each customer adds a curve term in one of the two
-prices, or two terms split where the first choice becomes too dear, and a
-sweep over product 0's price builds the surface row by row. ``cap`` counts
-the grid vectors this settles, M^2 times the product of the list lengths.
-The optimal walk vectors are expanded over the gaps of their unsold walk
-products at the end, so the argmax list is that of the whole grid.
+list per step. It walks the instance itself: products 0 and 1 are held at
+level M, one above every customer's top level, where nobody buys them. One
+walk object, ``_Walk``, holds the walk's mutable state: the choices and
+revenue of the walk vector, the buyer count and price of each choice, and
+the carried cap below. Only the first vector gets a full ``assign``; each
+step after it is one ``apply_move``, the delta step ``assign`` also takes,
+run in place on that state, and no per-step assignment is built. At each
+walk vector it reads the revenue of all M^2 prices of products 0 and 1 off
+one revenue surface: given the walk's choices, each customer adds a curve
+term in one of the two prices, or two terms split where the first choice
+becomes too dear, and a sweep over product 0's price builds the surface row
+by row. ``cap`` counts the grid vectors this settles, M^2 times the product
+of the list lengths. The optimal walk vectors are expanded over the gaps of
+their unsold walk products at the end, so the argmax list is that of the
+whole grid.
 
 The walk is pruned against ``best``, its running maximum, with three exact
 upper bounds. The whole-surface cap: no customer pays more for product 0 or
@@ -83,24 +86,21 @@ def brute_force(
     order from their lowest entries: product 2 sweeps its list up and down, and
     whenever it reaches an end the lowest product that can still move in its
     own direction moves to the adjacent entry of its list, which may be several
-    grid levels away. The walk runs on ``rest``, the instance with products 0
-    and 1 removed (``Instance.without_first``, which derives its rankings from
-    ``inst``'s instead of sorting again), and holds one state that each step
-    changes in place: ``chosen`` and ``revenue``, the assignment of ``cur`` in
-    ``rest``, ``sold``, how many customers make each choice (so each walk
-    product's buyer count), and the walk products' prices in ``_SurfaceCap``.
-    Only the first vector gets a full ``assign``; each later one is one
-    ``apply_move`` on that state, which reports the revenue difference and the
-    customers whose choice changed. At each walk vector ``_pair_surface`` gives
-    the revenue at all M^2 prices of products 0 and 1, so each walk vector
-    settles M^2 grid vectors; with I = 1 or 2 the walk is the one empty vector.
-    ``_SurfaceCap`` carries the whole-surface cap along the walk; when it is
-    below the running maximum ``best`` the surface is not asked for at all.
-    Otherwise the surface gets ``best`` as its floor and leaves out the rows
-    that its curve-sum and row bounds show to be below it, so ``top`` is the
-    maximum of the rows it builds. Every cell left out is below ``best`` by a
-    strict ``<``, and ``best`` only grows, so it could neither be the optimum
-    nor tie it.
+    grid levels away. The walk runs on ``inst`` itself, with products 0 and 1
+    held at level M, one above every customer's top level, so nobody buys
+    them. ``_Walk`` holds its one state, in the instance's own product ids,
+    and each step is one ``_Walk.move``. Only the first vector gets a full
+    ``assign``; each later one is one ``apply_move`` on that state, which
+    reports the revenue difference and the customers whose choice changed. At
+    each walk vector ``_pair_surface`` gives the revenue at all M^2 prices of
+    products 0 and 1, so each walk vector settles M^2 grid vectors; with I = 1
+    or 2 the walk is the one vector of held levels. When the walk's carried
+    whole-surface cap is below the running maximum ``best`` the surface is not
+    asked for at all. Otherwise the surface gets ``best`` as its floor and
+    leaves out the rows that its curve-sum and row bounds show to be below it,
+    so ``top`` is the maximum of the rows it builds. Every cell left out is
+    below ``best`` by a strict ``<``, and ``best`` only grows, so it could
+    neither be the optimum nor tie it.
 
     The lists lose nothing. Let L be product j's list and L[r-1] < m <= L[r]
     (from m = 0 when r = 0). Every customer who wants j affords m exactly
@@ -118,53 +118,40 @@ def brute_force(
     """
     if type(cap) is not int or cap < 1:
         raise InvalidRange(f"enumeration cap must be an integer of at least 1, got {cap!r}")
-    rest = inst.without_first(2)
+    num, size = inst.num_products, grid.size
     tops = inst.top_levels(grid)
-    levels = [_levels(grid, tops, customers) for _, customers in rest.customers_by_budget]
-    num, walk = inst.num_products, prod(map(len, levels))
-    total = grid.size ** min(num, 2) * walk
+    # Products 0 and 1 hold the one level M.
+    levels = [[size]] * min(num, 2) + [_levels(grid, tops, customers)
+                                       for _, customers in inst.customers_by_budget[2:]]
+    count = prod(map(len, levels))
+    total = size ** min(num, 2) * count
     if total > cap:
         raise SearchSpaceTooLarge(total, cap)
     pair = _pair_slots(inst, grid)
     surface = _pair_surface(inst, grid, pair)
-    values = grid.values
-    pos = [0] * rest.num_products
-    step = [1] * rest.num_products
-    cur = [lv[0] for lv in levels]
+    pos, step = [0] * num, [1] * num
+    walk = _Walk(inst, grid, pair, [lv[0] for lv in levels])
+    cur, chosen, price = walk.cur, walk.chosen, walk.price
     best, argmax = -1, []
-    a = assign(rest, grid, cur)
-    chosen, revenue = list(a.chosen), a.revenue
-    sold = dict.fromkeys([None, *range(rest.num_products)], 0)
-    for c in chosen:
-        sold[c] += 1
-    whole = _SurfaceCap(grid, pair, cur, chosen)
-    paid = whole.price
-    for n in range(walk):
+    for n in range(count):
         if n:
-            i = 0
+            i = 2
             while not 0 <= pos[i] + step[i] < len(levels[i]):
                 step[i] = -step[i]
                 i += 1
             pos[i] += step[i]
-            m = levels[i][pos[i]]
-            delta, changed = apply_move(rest, values, cur, chosen, i, m, sold[i])
-            cur[i] = m
-            revenue += delta
-            for k, c in changed:
-                sold[c] -= 1
-                sold[chosen[k]] += 1
-            whole.move(i, values[m], changed, chosen)
-        if revenue + whole.gain < best:
+            walk.move(i, levels[i][pos[i]])
+        if walk.revenue + walk.gain < best:
             continue
-        rows = surface(paid, chosen, revenue, best)
+        rows = surface(price, chosen, walk.revenue, best)
         top = max(map(max, filter(None, rows)), default=-1)
         if top >= best:
             if top > best:
                 best, argmax = top, []
             # With I = 1 each row has one cell and the vector drops m1.
-            argmax.extend((m0, m1, *cur)[:num] for m0, row in enumerate(rows) if row
+            argmax.extend((m0, m1, *cur[2:])[:num] for m0, row in enumerate(rows) if row
                           for m1, r in enumerate(row) if r == top)
-    if rest.num_products:
+    if num > 2:
         argmax = [v for found in argmax for v in _gaps(inst, grid, levels, found)]
     argmax.sort()
     return best, argmax
@@ -184,14 +171,15 @@ def _levels(grid: BudgetGrid, tops, customers) -> list[int]:
 def _gaps(inst: Instance, grid: BudgetGrid, levels, found):
     """The full-grid vectors that tie ``found``, a vector of the walk.
 
-    Each walk product j that nobody buys under ``found`` takes every level
-    of its gap (L[r-1], L[r]], where L is its list and L[r] its level in
-    ``found`` (from level 0 when r = 0); a sold one keeps its level.
+    Products 0 and 1 keep their levels in ``found``. Each walk product j that
+    nobody buys under ``found`` takes every level of its gap (L[r-1], L[r]],
+    where L is ``levels[j]`` and L[r] its level in ``found`` (from level 0
+    when r = 0); a sold one keeps its level.
     """
     sold = set(assign(inst, grid, found).chosen)
-    spans = [[m] for m in found[:2]]
-    for j, (m, lv) in enumerate(zip(found[2:], levels), 2):
-        if j in sold:
+    spans = []
+    for j, (m, lv) in enumerate(zip(found, levels)):
+        if j < 2 or j in sold:
             spans.append([m])
         else:
             r = lv.index(m)
@@ -203,11 +191,11 @@ def _pair_slots(inst: Instance, grid: BudgetGrid) -> list[tuple[int, dict]]:
     """``(k, slots)`` for each customer k who can move into the pair from some walk choice.
 
     ``slots[c]`` is ``kind * M + t`` for each choice c k can make in the
-    walk (None for buying nothing, j for product j + 2), where t is k's top
-    affordable level and kind is 0 (k takes neither product 0 nor 1 over
-    c), 1 (only 1), 2 (only 0), 3 (both, 0 first) or 4 (both, 1 first). A
-    customer who affords no level, or takes neither from any choice, is left
-    out.
+    walk (None for buying nothing, or a product j >= 2 that k wants), where
+    t is k's top affordable level and kind is 0 (k takes neither product 0
+    nor 1 over c), 1 (only 1), 2 (only 0), 3 (both, 0 first) or 4 (both, 1
+    first). A customer who affords no level, or takes neither from any
+    choice, is left out.
     """
     size = grid.size
     pair = []
@@ -215,7 +203,7 @@ def _pair_slots(inst: Instance, grid: BudgetGrid) -> list[tuple[int, dict]]:
         # A product k does not want scores 0, as does buying nothing.
         s0, s1 = [score or 0 for score in (*row, None)[:2]]
         slots = {}
-        for c, score in [(None, 0), *((j, s) for j, s in enumerate(row[2:]) if s is not None)]:
+        for c, score in [(None, 0), *((j, s) for j, s in enumerate(row[2:], 2) if s is not None)]:
             take0, take1 = s0 > score, s1 > score
             slots[c] = (2 * take0 + take1 + (take0 and take1 and s1 > s0)) * size + t
         if t >= 0 and any(slot >= size for slot in slots.values()):
@@ -223,54 +211,75 @@ def _pair_slots(inst: Instance, grid: BudgetGrid) -> list[tuple[int, dict]]:
     return pair
 
 
-class _SurfaceCap:
-    """The whole-surface cap of the pair surface, carried along the walk.
+class _Walk:
+    """The walk's one mutable state, in the instance's own product ids.
 
-    No customer pays more for product 0 or 1 than the top grid value within
-    their budget, values[t], and each customer k who can move into the pair
-    from their walk choice c already affords what c costs, p = ``price[c]``.
-    So no cell of the surface exceeds the walk revenue plus ``gain``, which
-    sums values[t] - p over those customers. It is summed once for the first
-    walk vector; after each step ``move`` takes the moved product's price
-    change times ``movers`` of it (the customers counted in ``gain`` who buy
-    it) off ``gain``, then takes out and puts back only the customers the
-    step reports changed. ``price`` maps each walk choice (None for buying
-    nothing) to what it costs at the walk's levels, and is the walk's own
-    price table.
+    ``cur`` is the walk vector, products 0 and 1 at level M; ``chosen`` and
+    ``revenue`` are its assignment, in which nobody buys 0 or 1. ``sold``
+    counts the customers who make each choice (None for buying nothing) and
+    ``price`` maps each choice to what it costs. ``values`` is the grid's
+    values with level M appended as a price above every budget, so
+    ``apply_move`` never sells product 0 or 1 either.
+
+    It also carries the whole-surface cap of the pair surface. No customer
+    pays more for product 0 or 1 than the top grid value within their
+    budget, values[t], and each customer k who can move into the pair from
+    their walk choice c already affords p = ``price[c]``. So no cell of the
+    surface exceeds ``revenue`` plus ``gain``, which sums values[t] - p over
+    those customers. ``reach[k]`` maps each choice from which k can move into
+    the pair to k's values[t], and ``movers`` counts, per choice, the
+    customers that ``gain`` sums.
     """
 
-    __slots__ = ("reach", "price", "movers", "gain")
+    __slots__ = ("inst", "values", "cur", "chosen", "revenue", "sold", "price",
+                 "reach", "movers", "gain")
 
-    def __init__(self, grid: BudgetGrid, pair, cur, chosen) -> None:
+    def __init__(self, inst: Instance, grid: BudgetGrid, pair, cur: list[int]) -> None:
         values, size = grid.values, grid.size
-        # Per customer: values[t] for each walk choice from which they can move into the pair.
-        self.reach = [{} for _ in chosen]
+        self.inst, self.cur = inst, cur
+        self.values = (*values, max(inst.budgets) + 1)
+        a = assign(inst, grid, cur)
+        self.chosen, self.revenue = list(a.chosen), a.revenue
+        self.price = {None: 0, **{j: self.values[m] for j, m in enumerate(cur)}}
+        self.sold = dict.fromkeys(self.price, 0)
+        self.movers = dict.fromkeys(self.price, 0)
+        self.reach = [{} for _ in self.chosen]
         for k, slots in pair:
             self.reach[k] = {c: values[slot % size] for c, slot in slots.items()
                              if slot >= size}
-        self.price = {None: 0, **{j: values[m] for j, m in enumerate(cur)}}
-        self.movers = dict.fromkeys(self.price, 0)
         self.gain = 0
-        for k, c in enumerate(chosen):
+        for k, c in enumerate(self.chosen):
+            self.sold[c] += 1
             top = self.reach[k].get(c)
             if top is not None:
                 self.gain += top - self.price[c]
                 self.movers[c] += 1
 
-    def move(self, i: int, price: int, changed, chosen) -> None:
-        """Product i now costs ``price``; ``changed`` is the step's report, ``chosen`` after it."""
-        reach, paid, movers = self.reach, self.price, self.movers
-        old, paid[i] = paid[i], price
-        gain = self.gain - (price - old) * movers[i]
+    def move(self, i: int, m: int) -> None:
+        """Move product i to level m: one ``apply_move``, then one pass over the changed customers.
+
+        The cap first takes i's price change times ``movers[i]`` off
+        ``gain``; then each changed customer leaves the counts and cap terms
+        of their old choice and joins those of their new one.
+        """
+        chosen, sold, price, reach, movers = (self.chosen, self.sold, self.price,
+                                              self.reach, self.movers)
+        delta, changed = apply_move(self.inst, self.values, self.cur, chosen, i, m, sold[i])
+        self.cur[i] = m
+        self.revenue += delta
+        old, price[i] = price[i], self.values[m]
+        gain = self.gain - (price[i] - old) * movers[i]
         for k, c in changed:
+            sold[c] -= 1
             top = reach[k].get(c)
             if top is not None:
-                gain -= top - paid[c]
+                gain -= top - price[c]
                 movers[c] -= 1
             d = chosen[k]
+            sold[d] += 1
             top = reach[k].get(d)
             if top is not None:
-                gain += top - paid[d]
+                gain += top - price[d]
                 movers[d] += 1
         self.gain = gain
 
@@ -279,12 +288,12 @@ def _pair_surface(inst: Instance, grid: BudgetGrid, pair):
     """The revenue at every pair of prices of products 0 and 1.
 
     ``pair`` is ``_pair_slots(inst, grid)``. Returns ``rows(paid, chosen,
-    revenue, floor=-1)``: given a vector ``cur`` of products 2..I-1 by
-    ``paid``, which maps each walk choice (None for buying nothing, j for
-    product j + 2) to what it costs under ``cur``, and its assignment
-    ``chosen`` with ``revenue`` in the instance without products 0 and 1,
-    the M rows ``rows[m0][m1]``, each the revenue of the full vector
-    ``(m0, m1, *cur)``. With I = 1 each row has the one cell m1 = 0. A row
+    revenue, floor=-1)``: given a walk vector ``cur``, products 0 and 1 held
+    at level M where nobody buys them, by ``paid``, which maps each walk
+    choice (None for buying nothing, or a product j >= 2) to what it costs
+    under ``cur``, and its assignment ``chosen`` with ``revenue``, the M rows
+    ``rows[m0][m1]``, each the revenue of the full vector ``(m0, m1,
+    *cur[2:])``. With I = 1 each row has the one cell m1 = 0. A row
     is ``None`` when an upper bound shows that each of its cells is below
     ``floor``; every row that is built is exact, and so is every row whose
     bound equals ``floor``. At the default floor every row is built.
@@ -308,12 +317,13 @@ def _pair_surface(inst: Instance, grid: BudgetGrid, pair):
     single-product curve plus that term of every k who can take both. If it
     is below ``floor`` all M rows are ``None`` and nothing is swept. A
     curve's value at any level is at most the sum of its customers' terms
-    v[t] - p, none of them negative, so the bound is at most
-    ``_SurfaceCap``'s; its value at the top level is not negative either, so
-    each maximum is at least 0. The row bound: the tail counts only grow
-    toward high m1 and v[m0] > 0, so no cell of row m0 exceeds the constant
-    plus the curve's maximum plus v[m0] times the last tail count; the
-    maximum is recomputed only where the curve changes.
+    v[t] - p, none of them negative, so the bound is at most the walk's
+    carried cap, ``revenue`` plus ``_Walk.gain``; its value at the top level
+    is not negative either, so each maximum is at least 0. The row bound:
+    the tail counts only grow toward high m1 and v[m0] > 0, so no cell of
+    row m0 exceeds the constant plus the curve's maximum plus v[m0] times
+    the last tail count; the maximum is recomputed only where the curve
+    changes.
     """
     values, size = grid.values, grid.size
     width = size if inst.num_products > 1 else 1

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .errors import (
-    InstanceReadError, InvalidInstance, InvalidRange, OutputWriteError, RankPriceError,
-)
+from .errors import InstanceReadError, InvalidInstance, InvalidRange, OutputWriteError
 
 # One budget-grid index per product.
 PriceIndices = tuple[int, ...]
@@ -91,24 +89,6 @@ class Instance:
             top = tuple(bisect_right(values, b) - 1 for b in self.budgets)
             self._top_levels[values] = top
             return top
-
-    def without_first(self, n: int) -> "Instance":
-        """This instance with products 0..n-1 removed and the others shifted down by n.
-
-        The rankings and the budget index are taken from this instance's, not
-        sorted again, and the level tables are shared, since the budgets are
-        the same. Not validated: a customer who wants only removed products
-        has an empty row.
-        """
-        rest = Instance(self.name, self.budgets, tuple(row[n:] for row in self.preferences))
-        # Each is a cached_property, whose cache is the instance's __dict__.
-        rest.__dict__.update(
-            preference_order=tuple(tuple(i - n for i in ranked if i >= n)
-                                   for ranked in self.preference_order),
-            customers_by_budget=self.customers_by_budget[n:],
-            _top_levels=self._top_levels,
-        )
-        return rest
 
     def wanting_between(self, product: int, lo: int, hi: int) -> tuple[int, ...]:
         """Customers who want ``product`` with ``lo <= budget < hi``, by ascending budget."""
@@ -246,23 +226,23 @@ def build_grid(inst: Instance) -> BudgetGrid:
     return BudgetGrid(values=tuple(sorted(set(inst.budgets))))
 
 
-def read_json(path, what: str, error: type[RankPriceError]):
+def read_json(path, what: str):
     """The JSON value in the UTF-8 file ``path``.
 
-    A file that cannot be opened, decoded or parsed raises ``error``, naming
-    the file as ``what``. ``ValueError`` covers bad UTF-8, bad JSON and
-    integers too long to convert; ``RecursionError`` covers arrays or objects
-    nested too deep for the parser.
+    A file that cannot be opened, decoded or parsed raises
+    ``InstanceReadError``, naming the file as ``what``. ``ValueError`` covers
+    bad UTF-8, bad JSON and integers too long to convert; ``RecursionError``
+    covers arrays or objects nested too deep for the parser.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
-        raise error(f"cannot read {what} {path}: {exc}") from exc
+        raise InstanceReadError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def load_instance(path) -> Instance:
-    return validate_instance(read_json(path, "instance", InstanceReadError))
+    return validate_instance(read_json(path, "instance"))
 
 
 def write_text(path, text: str) -> None:

@@ -30,6 +30,9 @@ from .model import Assignment, BudgetGrid, Instance, PriceIndices
 
 RANDOM = "random"
 GREEDY = "greedy"
+# The genetic method's default elite set size (capped at l0) in a run config,
+# in place of SearchParams.q.
+GENETIC_Q = 1000
 
 
 @dataclass(frozen=True)
@@ -494,7 +497,9 @@ def genetic_search(
     Each child has two distinct elite parents, so ``q`` must be at least 2.
     """
     if params.q < 2:
-        raise InvalidRange("genetic search needs q >= 2 to pick two distinct parents")
+        raise InvalidRange(f"genetic search needs q >= 2 to pick two distinct parents,"
+                           f" got q={params.q}; a run config that omits q gets"
+                           f" min({GENETIC_Q}, l0)")
     run = _Run(inst, grid, params, pipeline, clock)
     run.init_population()
     pop, rng = run.population, run.rng

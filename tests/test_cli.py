@@ -115,6 +115,15 @@ def test_solve_genetic_default_q(table1_path, capsys):
     assert "best value:" in capsys.readouterr().out
 
 
+def test_solve_genetic_default_q_of_one_is_named_in_the_error(table1_path, capsys):
+    # The user passed no q: the error names the default it got and its rule.
+    code = main(["solve", "--instance", table1_path, "--method", "genetic", "--l0", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: method genetic needs q >= 2 to pick two distinct parents, got q=1;"
+        " an omitted q is min(1000, l0)\n")
+
+
 def test_solve_max_points_stop(table1_path, capsys):
     code = main(["solve", "--instance", table1_path, "--method", "naive",
                  "--l0", "10", "--t", "20", "--max-points", "60", "--seed", "0"])
@@ -410,7 +419,7 @@ def _bad_instance(tmp_path, num_products, width=2):
                                   "instance-huge-integer", "config-huge-integer",
                                   "instance-too-deep", "negative-prices", "zero-prices",
                                   "solve-naive-greedy",
-                                  "solve-genetic-one-elite",
+                                  "solve-genetic-one-elite", "solve-genetic-default-q-one",
                                   "solve-empty-out", "bench-empty-out", "config-empty-out-dir",
                                   "exact-cap-zero", "exact-cap-negative",
                                   *BAD_CONFIGS])
@@ -461,6 +470,10 @@ def test_bad_input_exits_2_with_error_line(case, table1_path, tmp_path, capsys, 
             "solve-genetic-one-elite": lambda: ["solve", "--instance", table1_path,
                                                 "--method", "genetic", "--q", "1",
                                                 "--out", str(tmp_path / "out")],
+            # No --q: the default min(1000, l0) is 1.
+            "solve-genetic-default-q-one": lambda: ["solve", "--instance", table1_path,
+                                                    "--method", "genetic", "--l0", "1",
+                                                    "--out", str(tmp_path / "out")],
             "exact-cap-zero": lambda: ["exact", "--instance", table1_path, "--cap", "0"],
             "exact-cap-negative": lambda: ["exact", "--instance", table1_path, "--cap", "-3"],
             "unwritable-lp": lambda: ["export-lp", "--instance", table1_path,

@@ -195,14 +195,35 @@ def _recording_step(monkeypatch):
     return steps
 
 
+def _rest_of(inst):
+    return replace(inst, preferences=tuple(row[2:] for row in inst.preferences))
+
+
+def _walk_assignment(inst, grid, cur):
+    """The assignment of the walk vector with products 2..I-1 at ``cur``, by the oracle.
+
+    Products 0 and 1 are held above the grid, where nobody buys them, so it
+    is the oracle's assignment of ``cur`` in the instance without them, read
+    back in the instance's own product ids.
+    """
+    a = assign_oracle(_rest_of(inst), grid, cur)
+    return Assignment(tuple(None if c is None else c + 2 for c in a.chosen), a.revenue)
+
+
+def _held(inst, grid):
+    """The walk's level lists of products 0 and 1: the one level M, above every top level."""
+    return [[grid.size]] * min(inst.num_products, 2)
+
+
 def test_brute_force_walk_moves_one_product_one_level(monkeypatch):
-    # The walk covers products 2..I-1 on the instance without products 0 and
-    # 1, each over its own level list; the pair (0, 1) is read off its revenue
-    # surface at each walk vector. The first walk vector gets one full
-    # assign; each later one is one in-place step on the walk's own choices,
-    # moving one product to the adjacent entry of its list, which may be
-    # several grid levels away. After the walk, each optimal walk vector gets
-    # one full assign, which finds the products whose gaps it expands.
+    # The walk covers products 2..I-1 on the instance itself, each over its
+    # own level list, with products 0 and 1 held at level M; the pair (0, 1)
+    # is read off its revenue surface at each walk vector. The first walk
+    # vector gets one full assign; each later one is one in-place step on
+    # the walk's own choices, moving one product to the adjacent entry of
+    # its list, which may be several grid levels away. After the walk, each
+    # optimal walk vector gets one full assign, which finds the products
+    # whose gaps it expands.
     calls = _recording_assign(monkeypatch)
     steps = _recording_step(monkeypatch)
     slots = rankprice.exact._pair_slots
@@ -221,38 +242,38 @@ def test_brute_force_walk_moves_one_product_one_level(monkeypatch):
         slot_calls.clear()
         _, optima = brute_force(inst, grid)
         assert slot_calls == [(inst, grid)]
-        rest, first_indices, first_move, first_result = calls[0]
-        walked.add(rest.num_products)
-        assert rest.num_products == max(inst.num_products - 2, 0)
-        assert rest.preferences == tuple(row[2:] for row in inst.preferences)
+        first_inst, first_indices, first_move, first_result = calls[0]
         levels = helpers.walk_levels(inst, grid)
+        walked.add(len(levels))
+        lists = _held(inst, grid) + levels
         found = helpers.walk_vectors(levels, optima) if levels else set()
         assert len(calls) == 1 + len(found)
         assert sorted(indices for _, indices, _, _ in calls[1:]) == sorted(found)
         for full, indices, move, result in calls[1:]:
             assert (full, move) == (inst, None)
             assert result == assign_oracle(inst, grid, indices)
-        assert first_move is None
-        assert first_indices == tuple(lv[0] for lv in levels)
+        assert (first_inst, first_move) == (inst, None)
+        assert first_indices == tuple(lv[0] for lv in lists)
         visited = [first_indices]
-        assert first_result == assign_oracle(rest, grid, first_indices)
+        assert first_result == _walk_assignment(inst, grid, first_indices[2:])
         state, revenue = first_result.chosen, first_result.revenue
         for walked_inst, indices, before, i, m, buyers, delta, changed, after in steps:
-            assert walked_inst is rest
+            assert walked_inst is inst
             assert indices == visited[-1]
             assert before == state
-            assert abs(levels[i].index(m) - levels[i].index(indices[i])) == 1
+            assert i >= 2
+            assert abs(lists[i].index(m) - lists[i].index(indices[i])) == 1
             jumps += abs(m - indices[i]) > 1
             assert buyers == before.count(i)
             moved = indices[:i] + (m,) + indices[i + 1:]
             revenue += delta
-            assert Assignment(after, revenue) == assign_oracle(rest, grid, moved)
+            assert Assignment(after, revenue) == _walk_assignment(inst, grid, moved[2:])
             assert sorted(changed) == [(k, c) for k, (c, d) in enumerate(zip(before, after))
                                        if c != d]
             visited.append(moved)
             state = after
-        assert len(visited) == prod(map(len, levels))
-        assert sorted(visited) == list(product(*levels))
+        assert len(visited) == prod(map(len, lists))
+        assert sorted(visited) == list(product(*lists))
     assert walked == {0, 1, 2} and jumps >= 10
 
 
@@ -332,18 +353,19 @@ def _instance(budgets, preferences):
 
 
 def test_brute_force_one_product_reads_everything_off_the_curve(monkeypatch):
-    # With I = 1 or 2 nothing is walked: one full assign of the empty vector,
-    # and the surface gives every grid vector.
+    # With I = 1 or 2 nothing is walked: one full assign of the vector of
+    # held levels, at which nobody buys, and the surface gives every grid
+    # vector.
     calls = _recording_assign(monkeypatch)
-    inst = _instance([3, 5, 5, 9, 9, 9], [[1]] * 6)
-    grid = build_grid(inst)
-    assert brute_force(inst, grid) == _lexicographic_reference(inst, grid) == (27, [(2,)])
-    inst = _instance([3, 5, 5, 9, 9, 9], [[1, 2], [2, 1], [1, None], [None, 1], [2, 1], [1, 2]])
-    assert brute_force(inst, grid) == _lexicographic_reference(inst, grid)
-    for rest, indices, move, result in calls:
-        assert (rest.num_products, indices, move) == (0, (), None)
+    one = _instance([3, 5, 5, 9, 9, 9], [[1]] * 6)
+    grid = build_grid(one)
+    assert brute_force(one, grid) == _lexicographic_reference(one, grid) == (27, [(2,)])
+    two = _instance([3, 5, 5, 9, 9, 9], [[1, 2], [2, 1], [1, None], [None, 1], [2, 1], [1, 2]])
+    assert brute_force(two, grid) == _lexicographic_reference(two, grid)
+    assert [(inst, indices, move) for inst, indices, move, _ in calls] == [
+        (one, (3,), None), (two, (3, 3), None)]
+    for *_, result in calls:
         assert result.chosen == (None,) * 6 and result.revenue == 0
-    assert len(calls) == 2
 
 
 def _surface_states(seed, count):
@@ -374,13 +396,17 @@ def _surface_states(seed, count):
         yield inst, grid, helpers.random_indices(grid, inst.num_products - 2, rng)
 
 
+def _paid(grid, cur):
+    """What each walk choice costs with products 2..I-1 at ``cur`` (None for buying nothing)."""
+    return {None: 0, **{j: grid.values[m] for j, m in enumerate(cur, 2)}}
+
+
 def _surface(inst, grid):
-    """``_pair_surface``'s rows, asked by walk levels and an assignment without products 0 and 1."""
+    """``_pair_surface``'s rows, asked by the levels of products 2..I-1 and their assignment."""
     rows = rankprice.exact._pair_surface(inst, grid, rankprice.exact._pair_slots(inst, grid))
 
     def at(cur, a, floor=-1):
-        paid = {None: 0, **{j: grid.values[m] for j, m in enumerate(cur)}}
-        return rows(paid, a.chosen, a.revenue, floor)
+        return rows(_paid(grid, cur), a.chosen, a.revenue, floor)
 
     return at
 
@@ -391,8 +417,7 @@ def test_pair_surface_matches_oracle_cell_by_cell():
              (helpers.table1(), helpers.grid_of(helpers.table1()), ()),
              (_instance([4], [[1]]), BudgetGrid((2, 4, 6)), ())]
     for inst, grid, cur in cases:
-        rest = replace(inst, preferences=tuple(row[2:] for row in inst.preferences))
-        rows = _surface(inst, grid)(cur, assign_oracle(rest, grid, cur))
+        rows = _surface(inst, grid)(cur, _walk_assignment(inst, grid, cur))
         width = grid.size if inst.num_products > 1 else 1
         assert [len(row) for row in rows] == [width] * grid.size
         for m0, m1 in product(range(grid.size), range(width)):
@@ -407,8 +432,7 @@ def test_pair_surface_floor_leaves_out_only_rows_below_it():
     cases = [*_surface_states(26, 200), (helpers.table1(), helpers.grid_of(helpers.table1()), ())]
     left_out = kept = whole = 0
     for inst, grid, cur in cases:
-        rest = replace(inst, preferences=tuple(row[2:] for row in inst.preferences))
-        a = assign_oracle(rest, grid, cur)
+        a = _walk_assignment(inst, grid, cur)
         rows = _surface(inst, grid)
         full = rows(cur, a)
         width = len(full[0])
@@ -432,22 +456,18 @@ def test_pair_surface_floor_leaves_out_only_rows_below_it():
     assert left_out > 1000 and kept > 1000 and whole > 100
 
 
-def _rest_of(inst):
-    return replace(inst, preferences=tuple(row[2:] for row in inst.preferences))
-
-
 def _movers(inst, grid, cur, a):
     """(t, p, products taken) of each customer who can move into the pair, by definition.
 
     t is the top grid level within the customer's budget, p what their
-    choice in ``a`` costs at the walk levels ``cur``, and the products taken
-    are those among 0 and 1 that they want and rank above that choice.
+    choice in ``a`` costs with products 2..I-1 at ``cur``, and the products
+    taken are those among 0 and 1 that they want and rank above that choice.
     """
-    values = grid.values
+    values, paid = grid.values, _paid(grid, cur)
     for k, (budget, row) in enumerate(zip(inst.budgets, inst.preferences)):
         t = sum(value <= budget for value in values) - 1
         c = a.chosen[k]
-        score, p = (0, 0) if c is None else (row[c + 2], values[cur[c]])
+        score, p = (0, 0) if c is None else (row[c], paid[c])
         taken = [j for j, s in enumerate(row[:2]) if s is not None and s > score]
         if t >= 0 and taken:
             yield t, p, taken
@@ -482,33 +502,40 @@ def _cap_cases(seed):
         yield inst, grid
 
 
-def test_surface_cap_carried_along_the_walk_equals_the_cap_from_scratch(monkeypatch):
-    # brute_force's own Gray walk over the level lists drives the carried
-    # sums; at every walk vector they must give the cap summed customer by
-    # customer.
+def _check_walk(inst, grid, walk):
+    """The walk object's state against the oracle and the definitions, at one walk vector."""
+    cur = walk.cur[2:]
+    assert walk.cur[:2] == [grid.size] * min(inst.num_products, 2)
+    a = _walk_assignment(inst, grid, cur)
+    assert (tuple(walk.chosen), walk.revenue) == (a.chosen, a.revenue)
+    assert not {0, 1} & set(walk.chosen)
+    assert walk.sold == {c: walk.chosen.count(c) for c in [None, *range(inst.num_products)]}
+    assert walk.revenue + walk.gain == _whole_surface_cap(inst, grid, cur, a)
+
+
+def test_walk_carried_along_brute_force_matches_the_oracle(monkeypatch):
+    # brute_force's own Gray walk over the level lists drives the walk
+    # object; at every walk vector its choices, revenue, buyer counts and
+    # carried cap must be those derived from scratch.
     checked, solving = [], []
 
-    class Checked(rankprice.exact._SurfaceCap):
-        __slots__ = ("grid", "cur")
+    class Checked(rankprice.exact._Walk):
+        __slots__ = ("grid",)
 
-        def __init__(self, grid, pair, cur, chosen):
-            super().__init__(grid, pair, cur, chosen)
-            self.grid, self.cur = grid, list(cur)
-            self.check(chosen)
+        def __init__(self, inst, grid, pair, cur):
+            super().__init__(inst, grid, pair, cur)
+            self.grid = grid
+            self.check()
 
-        def move(self, i, price, changed, chosen):
-            super().move(i, price, changed, chosen)
-            self.cur[i] = self.grid.values.index(price)
-            self.check(chosen)
+        def move(self, i, m):
+            super().move(i, m)
+            self.check()
 
-        def check(self, chosen):
-            inst = solving[-1]
-            a = assign_oracle(_rest_of(inst), self.grid, self.cur)
-            assert tuple(chosen) == a.chosen
-            assert a.revenue + self.gain == _whole_surface_cap(inst, self.grid, self.cur, a)
+        def check(self):
+            _check_walk(solving[-1], self.grid, self)
             checked.append(len(self.cur))
 
-    monkeypatch.setattr(rankprice.exact, "_SurfaceCap", Checked)
+    monkeypatch.setattr(rankprice.exact, "_Walk", Checked)
     products = set()
     for inst, grid in _cap_cases(31):
         products.add(inst.num_products)
@@ -519,29 +546,25 @@ def test_surface_cap_carried_along_the_walk_equals_the_cap_from_scratch(monkeypa
     assert products == {1, 2, 3, 4, 5} and len(checked) > 2000
 
 
-def test_surface_cap_follows_moves_of_any_size():
+def test_walk_follows_moves_of_any_size():
     # A move may jump a product by several levels: every customer whose
     # choice changes still wants it with a budget between its two prices.
     rng = random.Random(32)
     moves = 0
     for inst, grid in _cap_cases(33):
-        rest = _rest_of(inst)
-        if not rest.num_products:
+        num = inst.num_products
+        if num <= 2:
             continue
-        cur = list(helpers.random_indices(grid, rest.num_products, rng))
-        a = assign(rest, grid, cur)
-        chosen = list(a.chosen)
-        pair = rankprice.exact._pair_slots(inst, grid)
-        cap = rankprice.exact._SurfaceCap(grid, pair, cur, chosen)
+        cur = [grid.size] * 2 + list(helpers.random_indices(grid, num - 2, rng))
+        walk = rankprice.exact._Walk(inst, grid, rankprice.exact._pair_slots(inst, grid), cur)
+        _check_walk(inst, grid, walk)
         for _ in range(20):
-            i, m = rng.randrange(len(cur)), rng.randrange(grid.size)
-            if m == cur[i]:
+            i, m = rng.randrange(2, num), rng.randrange(grid.size)
+            if m == walk.cur[i]:
                 continue
-            delta, changed = apply_move(rest, grid.values, cur, chosen, i, m, chosen.count(i))
-            cur[i] = m
-            cap.move(i, grid.values[m], changed, chosen)
-            a = Assignment(tuple(chosen), a.revenue + delta)
-            assert a.revenue + cap.gain == _whole_surface_cap(inst, grid, cur, a)
+            walk.move(i, m)
+            assert walk.cur[i] == m
+            _check_walk(inst, grid, walk)
             moves += 1
     assert moves > 1000
 
@@ -551,8 +574,7 @@ def test_curve_sum_bound_lies_between_every_cell_and_the_cap():
     # whole-surface cap; above it the surface builds no row.
     tight = 0
     for inst, grid, cur in _surface_states(27, 300):
-        rest = _rest_of(inst)
-        a = assign_oracle(rest, grid, cur)
+        a = _walk_assignment(inst, grid, cur)
         bound = _curve_sum_bound(inst, grid, cur, a)
         width = grid.size if inst.num_products > 1 else 1
         cells = [assign_oracle(inst, grid, (m0, m1, *cur)[:inst.num_products]).revenue
@@ -570,7 +592,7 @@ def test_curve_sum_bound_lies_between_every_cell_and_the_cap():
     ([6, 9, 9], [[1, 2], [1, None], [None, 1]], (21, [(0, 1), (1, 0)])),
     # customers 2 and 3 afford every level: where their first choice is too dear is empty
     ([4, 7, 9, 9], [[1, None], [None, 1], [2, 1], [1, 2]], (23, [(2, 1)])),
-    # customers 0, 1 and 3 want only products 0 and 1: their rows in the walk want nothing
+    # customers 0, 1 and 3 want only products 0 and 1: in the walk they buy nothing
     ([5, 8, 8, 3], [[2, 1, None], [1, 2, None], [None, None, 1], [1, None, 2]],
      (22, [(0, 2, 2)])),
     # the optima differ in both read products at one walk vector
@@ -600,7 +622,7 @@ def test_brute_force_matches_lexicographic_reference_at_five_products():
 @pytest.mark.parametrize("budgets, preferences, expected", [
     # grid size 1: one level, every vector is the all-zero one
     ([7, 7, 7], [[1, 2], [2, 1], [None, 1]], (21, [(0, 0)])),
-    # customers 0 and 1 want only product 0: empty rows once it is removed
+    # customers 0 and 1 want only product 0, which the walk holds above every budget
     ([5, 8, 8, 8], [[1, None], [1, None], [1, 2], [None, 1]], (26, [(0, 1)])),
     # product 0 sells 2 at 2 or 1 at 4: two of its levels tie at one walk vector
     ([2, 4, 4], [[1, None], [1, None], [None, 1]], (8, [(0, 1), (1, 1)])),

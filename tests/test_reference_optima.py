@@ -96,8 +96,9 @@ def test_brute_force_skips_most_pair_surfaces_at_the_paper_shape(monkeypatch):
     # Counts, not timings: a walk vector is skipped when its surface is never
     # requested (the carried cap is below the best) or comes back with every
     # row left out. The walk covers the level lists of products 2-4, of 16,
-    # 15 and 12 levels: one full assign of its first vector, then one step
-    # per further vector. The one assign after it is the argmax expansion's.
+    # 15 and 12 levels: one full assign of its first vector, products 0 and 1
+    # held at level M, then one step per further vector. The one assign after
+    # it is the argmax expansion's.
     entry = REFERENCE[0]
     inst = _instance(entry)
     grid = build_grid(inst)
@@ -127,7 +128,7 @@ def test_brute_force_skips_most_pair_surfaces_at_the_paper_shape(monkeypatch):
     monkeypatch.setattr(rankprice.exact, "apply_move", counting_step)
     optimum, optima = brute_force(inst, grid)
     assert (optimum, len(optima)) == (entry["optimum"], entry["optimal_vectors"])
-    walk = [args for args in assigns if args[0] is not inst] + steps
+    walk = [args for args in assigns if list(args[2][:2]) == [grid.size] * 2] + steps
     assert len(walk) == 16 * 15 * 12 and len(assigns) == 2
     assert len(requested) <= len(walk)
     skipped = len(walk) - len(requested) + sum(requested)

@@ -1,6 +1,8 @@
 """The runtime stays pure standard library: no module of the package imports anything else."""
 
 import ast
+import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -78,3 +80,61 @@ def test_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout == "False\n"
+
+
+_ROLE = re.compile(r":(?:func|meth|attr|class):`~?([\w.]+)")
+_PRIVATE = re.compile(r"``(_\w+(?:\.\w+)*)")
+
+
+def _resolves(scopes, target):
+    """Whether the dotted ``target`` names something in one of ``scopes`` or is a ``rankprice.*`` path."""
+    parts = target.split(".")
+    if parts[0] == "rankprice":
+        for cut in range(len(parts), 0, -1):
+            try:
+                scopes = [importlib.import_module(".".join(parts[:cut]))]
+            except ImportError:
+                continue
+            parts = parts[cut:]
+            break
+    for obj in scopes:
+        for part in parts:
+            if not hasattr(obj, part):
+                break
+            obj = getattr(obj, part)
+        else:
+            return True
+    return False
+
+
+def _docstrings(node, scopes):
+    """``(docstring, scopes)`` for ``node`` and each definition under it.
+
+    ``scopes`` are the namespaces a name in the docstring may come from,
+    innermost first: the enclosing classes, then the module.
+    """
+    if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        yield ast.get_docstring(node) or "", scopes
+    for child in ast.iter_child_nodes(node):
+        inner = scopes
+        if isinstance(child, ast.ClassDef) and hasattr(scopes[0], child.name):
+            inner = [getattr(scopes[0], child.name), *scopes]
+        yield from _docstrings(child, inner)
+
+
+def test_docstring_references_resolve():
+    # Every :func:/:meth:/:attr:/:class: target and every double-backticked
+    # private name in a docstring names something that exists, in the
+    # enclosing classes, the module or as a rankprice.* path, so a rename or
+    # a removal cannot leave a docstring pointing at nothing.
+    checked, dangling = 0, []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        name = ".".join(("rankprice", *path.relative_to(PACKAGE).with_suffix("").parts))
+        module = importlib.import_module(name.removesuffix(".__init__"))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for doc, scopes in _docstrings(tree, [module]):
+            for target in _ROLE.findall(doc) + _PRIVATE.findall(doc):
+                checked += 1
+                if not _resolves(scopes, target):
+                    dangling.append(f"{path.relative_to(PACKAGE)}: {target}")
+    assert dangling == [] and checked > 10

@@ -652,7 +652,8 @@ def test_genetic_zero_iterations(table1, table1_grid):
 def test_genetic_requires_two_parents():
     inst = helpers.table1()
     grid = build_grid(inst)
-    with pytest.raises(RankPriceError):
+    with pytest.raises(RankPriceError, match=r"got q=1; a run config that omits q gets"
+                                             r" min\(1000, l0\)$"):
         genetic_search(inst, grid, params(q=1, seed=0))
 
 

@@ -20,19 +20,29 @@ its kept and reverted trials and adds each count to the caller's
 nonzero, so a step with no kept (or no reverted) trial has no entry.
 
 A state's purchases are its assignment's ``chosen``. Each walk also holds
-the buyer count of every product for the vector it refines, counted over
-``chosen`` when the walk starts and again after each kept trial
-(:func:`_buyer_counts`). Each step names the buyer counts it acts on, and
-the walk itself skips a product whose count, read when the walk reaches it,
-is not among them: fill acts only on unsold products and both reassignments
-only on products with two buyers or more. Reassignment and conditional
-reassignment find a product's cheapest buyers by scanning
-``Instance.customers_by_budget`` up from the product's price
-(:func:`_cheapest`). Fill looks only at the customers who bought nothing
-when its walk started, sorted once by budget, and skips the walk when there
-are none; a product's level is the budget of the first of them who still
-buys nothing and wants it. Slack finds every cheapest buyer in one pass over
-the customers.
+the buyer count of every product for the vector it refines
+(:func:`_buyer_counts`). :func:`run_pipeline` counts it once per refined
+vector and hands the same list to every walk step, and a step called on its
+own counts it when its walk starts. A kept trial updates it in place, only
+for the customers the move could touch: those who want the moved product
+with a budget between its old and its new price. Slack and a fill with
+nobody idle change no purchase, so the count passes through them as it is.
+Each step names the buyer counts it acts on, and the walk itself skips a
+product whose count, read when the walk reaches it, is not among them: fill
+acts only on unsold products and both reassignments only on products with
+two buyers or more. Reassignment and conditional reassignment find a
+product's cheapest buyers by scanning ``Instance.customers_by_budget`` up
+from the product's price (:func:`_cheapest`). Fill looks only at the
+customers who bought nothing when its walk started, sorted once by budget,
+and skips the walk when there are none; a product's level is the budget
+level of the first of them who still buys nothing and wants it. Slack finds
+each sold product's lowest buyer level in one pass over the customers.
+
+Slack, fill and both reassignments price at customer budgets and read a
+budget's grid level from ``Instance.budget_levels``, which checks once per
+grid that the grid holds every budget: on a grid that misses one, each of
+them raises ``InvalidRange`` naming ``build_grid``. :func:`opt_based` tries
+grid levels only and runs on any grid.
 """
 
 from __future__ import annotations
@@ -93,6 +103,7 @@ def _walk(
     grid: BudgetGrid,
     indices: PriceIndices,
     assignment: Assignment,
+    sold: list[int] | None,
     step: str,
     products: Iterable[int],
     counts: range,
@@ -101,22 +112,26 @@ def _walk(
 ) -> tuple[PriceIndices, Assignment]:
     """Try each product in ``products`` at each of its ``levels``; keep strict improvements.
 
-    A product is tried only when its buyer count ``sold[i]``, read when the
-    walk reaches it, is in ``counts``; otherwise it is skipped without asking
-    ``levels``. ``levels(i, cur, chosen)`` gives the grid indices to try for
-    product i in the current state (price indices, purchases). It is asked
-    when the walk reaches i, so it sees every earlier kept trial. A trial
-    moves product i to grid index m: one ``assign`` call given the move
-    ``(i, m, a, sold[i])`` against the current state decides again only the
-    customers it can touch. Only a kept trial sets ``cur[i]`` and recounts
-    ``sold`` over ``chosen``. The price already held is skipped without
-    evaluation. The walk counts its kept and reverted trials in two local
-    integers and, at its end, adds each to ``stats`` under ``step`` when it
-    is nonzero.
+    ``sold`` is the buyer count of every product under ``assignment``,
+    counted here when it is None; the walk keeps it current in place, so a
+    caller can hand the same list to its next walk. A product is tried only
+    when its count ``sold[i]``, read when the walk reaches it, is in
+    ``counts``; otherwise it is skipped without asking ``levels``.
+    ``levels(i, cur, chosen)`` gives the grid indices to try for product i in
+    the current state (price indices, purchases). It is asked when the walk
+    reaches i, so it sees every earlier kept trial. A trial moves product i
+    to grid index m: one ``assign`` call given the move ``(i, m, a, sold[i])``
+    against the current state decides again only the customers it can touch.
+    Only a kept trial sets ``cur[i]`` and updates ``sold``, over those same
+    customers: the ones who want i with a budget between its old and its new
+    price. The price already held is skipped without evaluation. The walk
+    counts its kept and reverted trials in two local integers and, at its
+    end, adds each to ``stats`` under ``step`` when it is nonzero.
     """
     cur, a = list(indices), assignment
-    num_products = inst.num_products
-    sold = _buyer_counts(num_products, a.chosen)
+    if sold is None:
+        sold = _buyer_counts(inst.num_products, a.chosen)
+    values, wanting_between = grid.values, inst.wanting_between
     kept = reverted = 0
     for i in products:
         if sold[i] not in counts:
@@ -126,8 +141,16 @@ def _walk(
                 continue
             after = assign(inst, grid, cur, (i, m, a, sold[i]))
             if after.revenue > a.revenue:
+                old, new = values[cur[i]], values[m]
+                before, chosen = a.chosen, after.chosen
+                for k in wanting_between(i, min(old, new), max(old, new)):
+                    c, d = before[k], chosen[k]
+                    if c != d:
+                        if c is not None:
+                            sold[c] -= 1
+                        if d is not None:
+                            sold[d] += 1
                 cur[i], a = m, after
-                sold = _buyer_counts(num_products, a.chosen)
                 kept += 1
             else:
                 reverted += 1
@@ -166,16 +189,18 @@ def slack(
     Every current buyer can still afford the product and nobody else's
     choice is touched, so the purchase pattern is unchanged and revenue can
     only grow. Idempotent. Every sold product is raised at once, so one pass
-    over the customers finds all cheapest buyers.
+    over the customers' budget levels (``Instance.budget_levels``) finds the
+    lowest level among each product's buyers.
     """
     lowest: dict[int, int] = {}
-    for budget, i in zip(inst.budgets, assignment.chosen):
-        if i is not None and (i not in lowest or budget < lowest[i]):
-            lowest[i] = budget
+    for level, i in zip(inst.budget_levels(grid), assignment.chosen):
+        if i is not None and (i not in lowest or level < lowest[i]):
+            lowest[i] = level
     new = list(indices)
-    for i, budget in lowest.items():
-        new[i] = grid.index_of(budget)
-    revenue = sum(grid.values[new[i]] for i in assignment.chosen if i is not None)
+    for i, level in lowest.items():
+        new[i] = level
+    values = grid.values
+    revenue = sum(values[new[i]] for i in assignment.chosen if i is not None)
     return tuple(new), Assignment(chosen=assignment.chosen, revenue=revenue)
 
 
@@ -185,6 +210,7 @@ def fill(
     indices: PriceIndices,
     assignment: Assignment,
     stats: LocalSearchStats | None = None,
+    sold: list[int] | None = None,
 ) -> tuple[PriceIndices, Assignment]:
     """Drop each unsold product's price to attract unassigned customers.
 
@@ -199,23 +225,26 @@ def fill(
     the walk starts; with none, the input comes back unchanged and no walk
     runs. An unassigned customer who wants the product cannot afford its
     price, so every candidate price lies below it. ``idle`` is sorted once by
-    budget (ties in customer order), so the first customer in it who still
-    buys nothing and wants the product has the cheapest such budget.
+    budget level (ties in customer order), so the first customer in it who
+    still buys nothing and wants the product has the cheapest such budget.
+    ``sold``, when given, is the buyer count of every product under
+    ``assignment`` and is kept current in place (see :func:`_walk`).
     """
+    top = inst.budget_levels(grid)
     idle = [k for k, c in enumerate(assignment.chosen) if c is None]
     if not idle:
         return tuple(indices), assignment
-    budgets, preferences = inst.budgets, inst.preferences
-    idle.sort(key=budgets.__getitem__)
+    preferences = inst.preferences
+    idle.sort(key=top.__getitem__)
 
     def levels(i, cur, chosen):
         for k in idle:
             if chosen[k] is None and preferences[k][i] is not None:
-                return [grid.index_of(budgets[k])]
+                return [top[k]]
         return []
 
     products, unsold = range(inst.num_products), range(1)
-    return _walk(inst, grid, indices, assignment, "f", products, unsold, levels, stats)
+    return _walk(inst, grid, indices, assignment, sold, "f", products, unsold, levels, stats)
 
 
 def reassignment(
@@ -224,20 +253,23 @@ def reassignment(
     indices: PriceIndices,
     assignment: Assignment,
     stats: LocalSearchStats | None = None,
+    sold: list[int] | None = None,
 ) -> tuple[PriceIndices, Assignment]:
     """Raise a product's price from its cheapest to its second-cheapest buyer budget.
 
     Sheds the poorest buyer but charges everyone else more; kept only when
     re-evaluated revenue strictly improves. Expects slack-free prices (run
     :func:`slack` first). Products handled in ascending index order.
+    ``sold`` is as in :func:`fill`.
     """
+    top, values = inst.budget_levels(grid), grid.values
 
     def levels(i, cur, chosen):
-        _, second = _cheapest(inst, chosen, i, grid.values[cur[i]], 2)
-        return [grid.index_of(inst.budgets[second])]
+        _, second = _cheapest(inst, chosen, i, values[cur[i]], 2)
+        return [top[second]]
 
     products, shared = range(inst.num_products), range(2, inst.num_customers + 1)
-    return _walk(inst, grid, indices, assignment, "r", products, shared, levels, stats)
+    return _walk(inst, grid, indices, assignment, sold, "r", products, shared, levels, stats)
 
 
 def conditional_reassignment(
@@ -246,6 +278,7 @@ def conditional_reassignment(
     indices: PriceIndices,
     assignment: Assignment,
     stats: LocalSearchStats | None = None,
+    sold: list[int] | None = None,
 ) -> tuple[PriceIndices, Assignment]:
     """Reassignment restricted to products whose poorest buyer has a fallback.
 
@@ -254,14 +287,14 @@ def conditional_reassignment(
     budget and that buyer wants it, so the displaced customer keeps spending
     the same amount. A displaced buyer may still prefer a cheaper third
     product, so the move is guarded by re-evaluation like reassignment.
-    Expects slack-free prices.
+    Expects slack-free prices. ``sold`` is as in :func:`fill`.
     """
+    top, values = inst.budget_levels(grid), grid.values
 
     def levels(i, cur, chosen):
         m = cur[i]
-        price = grid.values[m]
-        poorest, second = _cheapest(inst, chosen, i, price, 2)
-        if inst.budgets[poorest] != price:
+        poorest, second = _cheapest(inst, chosen, i, values[m], 2)
+        if top[poorest] != m:
             return []
         # The poorest buyer affords every product at i's price and bought i,
         # the first affordable one in their ranking, so a fallback priced
@@ -269,11 +302,11 @@ def conditional_reassignment(
         ranked = inst.preference_order[poorest]
         for j in ranked[ranked.index(i) + 1:]:
             if cur[j] == m:
-                return [grid.index_of(inst.budgets[second])]
+                return [top[second]]
         return []
 
     products, shared = range(inst.num_products), range(2, inst.num_customers + 1)
-    return _walk(inst, grid, indices, assignment, "c", products, shared, levels, stats)
+    return _walk(inst, grid, indices, assignment, sold, "c", products, shared, levels, stats)
 
 
 def opt_based(
@@ -283,16 +316,18 @@ def opt_based(
     assignment: Assignment,
     products: Iterable[int],
     stats: LocalSearchStats | None = None,
+    sold: list[int] | None = None,
 ) -> tuple[PriceIndices, Assignment]:
     """Benchmark scan: try every other grid price of each of ``products``, in turn.
 
     Prices ascend and a strictly better vector is kept at once, the scan
     continuing from it. The pipeline's ``o`` step passes every product, in
-    random order.
+    random order. ``sold`` is as in :func:`fill`.
     """
     every_level = lambda *_: range(grid.size)
     every_count = range(inst.num_customers + 1)
-    return _walk(inst, grid, indices, assignment, "o", products, every_count, every_level, stats)
+    return _walk(inst, grid, indices, assignment, sold, "o", products, every_count, every_level,
+                 stats)
 
 
 def run_pipeline(
@@ -308,22 +343,25 @@ def run_pipeline(
 
     Reassignment steps need slack-free prices; when the pipeline itself has
     no slack step, slack is applied on the fly before every ``r`` and every
-    ``c`` step (so ``"rc"`` runs slack twice).
+    ``c`` step (so ``"rc"`` runs slack twice). The buyer counts are made once,
+    from ``assignment``, and the same list goes to every walk step, which
+    keeps it current; slack changes no purchase, so it needs no update.
     """
     steps = parse_pipeline(pipeline)
     needs_slack = "s" not in steps
     cur = (tuple(indices), assignment)
+    sold = _buyer_counts(inst.num_products, assignment.chosen)
     for step in steps:
         if step == "s" or (needs_slack and step in ("r", "c")):
             cur = slack(inst, grid, *cur)
         if step == "f":
-            cur = fill(inst, grid, *cur, stats=stats)
+            cur = fill(inst, grid, *cur, stats=stats, sold=sold)
         elif step == "r":
-            cur = reassignment(inst, grid, *cur, stats=stats)
+            cur = reassignment(inst, grid, *cur, stats=stats, sold=sold)
         elif step == "c":
-            cur = conditional_reassignment(inst, grid, *cur, stats=stats)
+            cur = conditional_reassignment(inst, grid, *cur, stats=stats, sold=sold)
         elif step == "o":
             order = list(range(inst.num_products))
             rng.shuffle(order)
-            cur = opt_based(inst, grid, *cur, order, stats=stats)
+            cur = opt_based(inst, grid, *cur, order, stats=stats, sold=sold)
     return cur

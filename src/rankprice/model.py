@@ -90,6 +90,29 @@ class Instance:
             self._top_levels[values] = top
             return top
 
+    @cached_property
+    def _budget_levels(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        return {}
+
+    def budget_levels(self, grid: "BudgetGrid") -> tuple[int, ...]:
+        """Per customer, the grid level of their budget: ``top_levels(grid)`` on a full grid.
+
+        The grid is checked to hold every budget on the first call for it and
+        the table kept, like ``top_levels``. A grid that misses a budget
+        raises ``InvalidRange`` naming the missing budgets and ``build_grid``.
+        """
+        values = grid.values
+        try:
+            return self._budget_levels[values]
+        except KeyError:
+            top = self.top_levels(grid)
+            off_grid = sorted({b for b, t in zip(self.budgets, top) if t < 0 or values[t] != b})
+            if off_grid:
+                raise InvalidRange(f"budgets {off_grid} are off the grid, and greedy init and steps"
+                                   " s, f, r and c price at budgets; build the grid with build_grid")
+            self._budget_levels[values] = top
+            return top
+
     def wanting_between(self, product: int, lo: int, hi: int) -> tuple[int, ...]:
         """Customers who want ``product`` with ``lo <= budget < hi``, by ascending budget."""
         budgets, customers = self.customers_by_budget[product]

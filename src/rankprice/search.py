@@ -79,7 +79,9 @@ class SearchParams:
     """Knobs shared by all searches.
 
     ``l0`` initial population size, ``q`` elite set size, ``t`` batch size
-    per iteration.
+    per iteration. The default ``q`` is not capped at ``l0``, so an ``l0``
+    below it needs a ``q`` too; a run config caps an omitted ``q`` instead
+    (``bench.params_from_dict``).
     """
 
     l0: int = 1000
@@ -96,7 +98,9 @@ class SearchParams:
         if self.l0 < 1:
             raise InvalidRange("l0 must be at least 1")
         if not 1 <= self.q <= self.l0:
-            raise InvalidRange("need 1 <= q <= l0")
+            raise InvalidRange(f"need 1 <= q <= l0, got q={self.q} and l0={self.l0}; a run config"
+                               " caps an omitted q at l0, SearchParams keeps its default"
+                               f" q={SearchParams.q}")
         if self.t < 1:
             raise InvalidRange("t must be at least 1")
         if self.init not in (RANDOM, GREEDY):
@@ -317,10 +321,8 @@ class _Run:
         self.params = params
         self.rng = random.Random(params.seed)
         self.pipeline = parse_pipeline(pipeline or "")
-        off_grid = sorted(set(inst.budgets) - set(grid.values))
-        if off_grid and (params.init == GREEDY or set(self.pipeline) & set("sfrc")):
-            raise InvalidRange(f"budgets {off_grid} are off the grid, and greedy init and steps"
-                                 " s, f, r and c price at budgets; build the grid with build_grid")
+        if params.init == GREEDY or set(self.pipeline) & set("sfrc"):
+            inst.budget_levels(grid)
         self.clock: Callable[[], float] = clock if clock is not None else time.perf_counter
         self.t0 = self.clock()
         self.population: list[tuple[PriceIndices, int]] = []

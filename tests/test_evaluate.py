@@ -1,12 +1,15 @@
 import random
+import re
 from bisect import bisect_right
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
 from rankprice import (
     BudgetGrid,
+    InvalidRange,
     assign,
     assign_oracle,
     assign_prices,
@@ -310,6 +313,35 @@ def test_each_grid_of_an_instance_gets_its_own_table(table1, table1_grid):
     assert full == (0, 5, 1, 2, 5, 4, 3, 3)
     assert table1.top_levels(table1_grid) is full
     assert table1.top_levels(BudgetGrid(table1_grid.values)) is full
+
+
+def test_budget_levels_are_the_level_table_of_a_grid_holding_every_budget():
+    rng = random.Random(20261023)
+    rejected = 0
+    for _ in range(300):
+        inst = helpers.random_instance(rng.randrange(10**6), max_customers=10, budget=(5, 30))
+        for grid in _grids(inst, rng):
+            missing = sorted(set(inst.budgets) - set(grid.values))
+            if missing:
+                rejected += 1
+                with pytest.raises(InvalidRange, match=re.escape(f"budgets {missing} are off")):
+                    inst.budget_levels(grid)
+                continue
+            levels = inst.budget_levels(grid)
+            assert levels == grid.indices_of(inst.budgets)
+            assert levels is inst.top_levels(grid) and inst.budget_levels(grid) is levels
+    assert rejected
+
+
+def test_budget_levels_name_every_missing_budget_and_build_grid(table1, table1_grid):
+    # table1's budgets: 18, 66, 27, 34, 66, 50, 42, 42. A grid above the
+    # poorest budget, one with a value that is no budget, and a coarse one.
+    for values, missing in (((27, 34, 42, 50, 66), [18]), ((18, 30, 34, 42, 50, 66), [27]),
+                            ((30, 50), [18, 27, 34, 42, 66])):
+        with pytest.raises(InvalidRange, match=re.escape(f"budgets {missing} are off the grid")
+                           + ".*build_grid"):
+            table1.budget_levels(BudgetGrid(values))
+    assert table1.budget_levels(BudgetGrid(table1_grid.values)) == (0, 5, 1, 2, 5, 4, 3, 3)
 
 
 def test_assign_equals_oracle_on_hand_built_grids():

@@ -212,7 +212,7 @@ def _levels_tried(op, inst, grid, indices, a, monkeypatch):
     """
     walks = []
 
-    def walk(inst, grid, indices, assignment, step, products, counts, levels, stats):
+    def walk(inst, grid, indices, assignment, sold, step, products, counts, levels, stats):
         walks.append((counts, levels))
 
     with monkeypatch.context() as patch:
@@ -301,6 +301,12 @@ def test_walk_state_matches_a_recount(monkeypatch):
     ops = (fill, reassignment, conditional_reassignment,
            lambda inst, *state: opt_based(
                inst, *state, helpers.shuffled_products(inst.num_products, rng)))
+    # Pipelines hand one buyer count from step to step: a count gone stale
+    # across a step boundary shows in the next step's first trial.
+    ops += tuple(
+        lambda inst, grid, *state, p=p: run_pipeline(inst, grid, p, *state, rng)
+        for p in ("sfrc", "rc", "fo", "ffrrcc", "sfrco")
+    )
     for _ in range(300):
         inst = helpers.random_instance(rng.randrange(10**6), max_products=5, max_customers=12,
                                        budget=(5, 12))
@@ -409,7 +415,7 @@ def test_fill_level_matches_a_literal_reading_partway_through_its_walk(monkeypat
     real_walk = module._walk
     seen = Counter()
 
-    def walk(inst, grid, indices, assignment, step, products, counts, levels, stats):
+    def walk(inst, grid, indices, assignment, sold, step, products, counts, levels, stats):
         idle = {k for k, c in enumerate(assignment.chosen) if c is None}
 
         def checked(i, cur, chosen):
@@ -421,8 +427,8 @@ def test_fill_level_matches_a_literal_reading_partway_through_its_walk(monkeypat
             seen["tied at the minimum"] += pool.count(min(pool, default=None)) > 1
             return tried
 
-        return real_walk(inst, grid, indices, assignment, step, products, counts, checked,
-                         stats)
+        return real_walk(inst, grid, indices, assignment, sold, step, products, counts,
+                         checked, stats)
 
     monkeypatch.setattr(module, "_walk", walk)
     rng = random.Random(2357)

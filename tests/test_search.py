@@ -16,18 +16,24 @@ from rankprice import (
     RankPriceError,
     SearchParams,
     StopRule,
+    assign,
     brute_force,
     build_grid,
+    conditional_reassignment,
     crossover,
+    fill,
     generate_instance,
     genetic_search,
     greedy_init,
     mutate,
     naive_search,
     neighborhood,
+    opt_based,
     random_price,
+    reassignment,
     run_pipeline,
     select_elites,
+    slack,
     validate_instance,
     vns_search,
 )
@@ -89,6 +95,15 @@ def test_stop_rule_rejects_out_of_range_limit(kind, limit, message):
 def test_search_params_reject_out_of_range_values(name, value, message):
     with pytest.raises(RankPriceError, match=message):
         params(**{name: value})  # l0 is 10
+
+
+def test_search_params_name_q_and_l0_and_the_run_config_cap():
+    # The default q is 100; a run config would cap an omitted q at l0.
+    for kwargs, got in (({"l0": 50}, "q=100 and l0=50"), ({"l0": 5, "q": 0}, "q=0 and l0=5")):
+        with pytest.raises(InvalidRange, match=f"need 1 <= q <= l0, got {got}; a run config caps"
+                                                " an omitted q at l0"):
+            SearchParams(**kwargs)
+    assert SearchParams(l0=50, q=50).q == 50
 
 
 # ---------------------------------------------------------------- sampling
@@ -441,6 +456,32 @@ def test_grid_missing_a_budget_runs_without_budget_steps(search, pipeline):
     assert set(res.best_prices) <= set(HAND_GRID.values)
 
 
+@pytest.mark.parametrize("step", [slack, fill, reassignment, conditional_reassignment])
+def test_budget_steps_called_directly_reject_a_grid_missing_a_budget(step):
+    # On every state, not only where the step would price at a missing budget.
+    rng = random.Random(418)
+    seen = Counter()
+    for _ in range(100):
+        indices = random_price(HAND_GRID, HAND_GRID_INST.num_products, rng)
+        a = assign(HAND_GRID_INST, HAND_GRID, indices)
+        seen["nobody idle"] += None not in a.chosen
+        with pytest.raises(InvalidRange, match="off the grid.*build_grid"):
+            step(HAND_GRID_INST, HAND_GRID, indices, a)
+    assert seen["nobody idle"] > 0
+
+
+def test_opt_based_and_pipeline_o_run_on_a_grid_missing_a_budget():
+    rng = random.Random(419)
+    for _ in range(20):
+        indices = random_price(HAND_GRID, HAND_GRID_INST.num_products, rng)
+        a = assign(HAND_GRID_INST, HAND_GRID, indices)
+        order = list(range(HAND_GRID_INST.num_products))
+        for out, out_a in (opt_based(HAND_GRID_INST, HAND_GRID, indices, a, order),
+                           run_pipeline(HAND_GRID_INST, HAND_GRID, "o", indices, a, rng)):
+            assert out_a.revenue >= a.revenue
+            assert out_a == assign(HAND_GRID_INST, HAND_GRID, out)
+
+
 # --------------------------------------------------------------------- vns
 
 
@@ -449,8 +490,6 @@ def test_vns_replays_worked_episode(table1, table1_grid):
     # reproduce the initial sample the run will draw and check its elites
     rng = random.Random(seed)
     initial = [random_price(table1_grid, 2, rng) for _ in range(10)]
-    from rankprice import assign
-
     pop = [(vec, assign(table1, table1_grid, vec).revenue) for vec in initial]
     elites = select_elites(pop, 3)
     elite_prices = {table1_grid.prices_of(pop[slot][0]) for slot in elites}
@@ -791,8 +830,6 @@ def test_best_value_matches_population_max(table1, table1_grid):
 
 
 def test_pipeline_results_replace_population_members(table1, table1_grid):
-    from rankprice import assign, slack
-
     p = params(l0=10, seed=21, stop=StopRule.point_budget(100))
     res = vns_search(table1, table1_grid, p, pipeline="s")
     pop = res.population

@@ -132,6 +132,8 @@ class ExperimentConfig:
     out_dir: str | None
 
     def __post_init__(self):
+        if not isinstance(self.params, SearchParams):
+            raise InvalidRange(f"params must be a SearchParams, got {self.params!r}")
         for name in ("runs", "base_seed"):
             if type(getattr(self, name)) is not int:
                 raise InvalidRange(f"{name} must be an integer, got {getattr(self, name)!r}")

@@ -17,7 +17,7 @@ from .errors import InvalidRange, RankPriceError
 from .evaluate import assign_prices
 from .exact import DEFAULT_ENUMERATION_CAP, brute_force, export_single_level
 from .model import build_grid, load_instance, read_json, save_instance, write_text
-from .search import GREEDY, RANDOM
+from .search import GENETIC_Q, GREEDY, RANDOM, SearchParams
 
 
 def _add_solve_parser(sub):
@@ -30,7 +30,8 @@ def _add_solve_parser(sub):
                         "c=conditional reassignment o=optimization-based")
     p.add_argument("--l0", type=int)
     p.add_argument("--q", type=int,
-                   help="elite set size (default min(100, l0), or min(1000, l0) for genetic)")
+                   help=f"elite set size (default min({SearchParams.q}, l0),"
+                        f" or min({GENETIC_Q}, l0) for genetic)")
     p.add_argument("--t", type=int)
     stop = p.add_mutually_exclusive_group()
     stop.add_argument("--max-points", type=int)

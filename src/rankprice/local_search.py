@@ -38,11 +38,11 @@ and skips the walk when there are none; a product's level is the budget
 level of the first of them who still buys nothing and wants it. Slack finds
 each sold product's lowest buyer level in one pass over the customers.
 
-Slack, fill and both reassignments price at customer budgets and read a
-budget's grid level from ``Instance.budget_levels``, which checks once per
-grid that the grid holds every budget: on a grid that misses one, each of
-them raises ``InvalidRange`` naming ``build_grid``. :func:`opt_based` tries
-grid levels only and runs on any grid.
+Slack, fill and both reassignments price a product at a customer's budget:
+the top grid level the customer affords, read from ``Instance.top_levels``.
+On ``build_grid``'s grid that is the budget itself; on any other grid it is
+the highest grid value at or below it, so every step runs on any grid. Fill
+leaves out idle customers who afford no grid level at all.
 """
 
 from __future__ import annotations
@@ -189,11 +189,11 @@ def slack(
     Every current buyer can still afford the product and nobody else's
     choice is touched, so the purchase pattern is unchanged and revenue can
     only grow. Idempotent. Every sold product is raised at once, so one pass
-    over the customers' budget levels (``Instance.budget_levels``) finds the
+    over the customers' budget levels (``Instance.top_levels``) finds the
     lowest level among each product's buyers.
     """
     lowest: dict[int, int] = {}
-    for level, i in zip(inst.budget_levels(grid), assignment.chosen):
+    for level, i in zip(inst.top_levels(grid), assignment.chosen):
         if i is not None and (i not in lowest or level < lowest[i]):
             lowest[i] = level
     new = list(indices)
@@ -222,16 +222,17 @@ def fill(
 
     A price cut never leaves a customer without a purchase, so the
     unassigned customers are always among ``idle``, those unassigned when
-    the walk starts; with none, the input comes back unchanged and no walk
-    runs. An unassigned customer who wants the product cannot afford its
-    price, so every candidate price lies below it. ``idle`` is sorted once by
-    budget level (ties in customer order), so the first customer in it who
-    still buys nothing and wants the product has the cheapest such budget.
+    the walk starts who afford some grid level; with none, the input comes
+    back unchanged and no walk runs. An unassigned customer who wants the
+    product cannot afford its price, so every candidate price lies below it.
+    ``idle`` is sorted once by budget level (ties in customer order), so the
+    first customer in it who still buys nothing and wants the product has the
+    cheapest such budget.
     ``sold``, when given, is the buyer count of every product under
     ``assignment`` and is kept current in place (see :func:`_walk`).
     """
-    top = inst.budget_levels(grid)
-    idle = [k for k, c in enumerate(assignment.chosen) if c is None]
+    top = inst.top_levels(grid)
+    idle = [k for k, c in enumerate(assignment.chosen) if c is None and top[k] >= 0]
     if not idle:
         return tuple(indices), assignment
     preferences = inst.preferences
@@ -262,7 +263,7 @@ def reassignment(
     :func:`slack` first). Products handled in ascending index order.
     ``sold`` is as in :func:`fill`.
     """
-    top, values = inst.budget_levels(grid), grid.values
+    top, values = inst.top_levels(grid), grid.values
 
     def levels(i, cur, chosen):
         _, second = _cheapest(inst, chosen, i, values[cur[i]], 2)
@@ -289,7 +290,7 @@ def conditional_reassignment(
     product, so the move is guarded by re-evaluation like reassignment.
     Expects slack-free prices. ``sold`` is as in :func:`fill`.
     """
-    top, values = inst.budget_levels(grid), grid.values
+    top, values = inst.top_levels(grid), grid.values
 
     def levels(i, cur, chosen):
         m = cur[i]

@@ -79,7 +79,9 @@ class Instance:
         """Per customer, the top grid level within their budget, -1 if none is.
 
         Customer k affords level m exactly when ``m <= top_levels(grid)[k]``.
-        The table is built on the first call for a grid and kept, keyed by
+        On ``build_grid``'s grid it is the level of the customer's own budget,
+        the price greedy init and steps s, f, r and c charge them. The table
+        is built on the first call for a grid and kept, keyed by
         ``grid.values``, so every grid of the instance gets its own.
         """
         values = grid.values
@@ -88,29 +90,6 @@ class Instance:
         except KeyError:
             top = tuple(bisect_right(values, b) - 1 for b in self.budgets)
             self._top_levels[values] = top
-            return top
-
-    @cached_property
-    def _budget_levels(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        return {}
-
-    def budget_levels(self, grid: "BudgetGrid") -> tuple[int, ...]:
-        """Per customer, the grid level of their budget: ``top_levels(grid)`` on a full grid.
-
-        The grid is checked to hold every budget on the first call for it and
-        the table kept, like ``top_levels``. A grid that misses a budget
-        raises ``InvalidRange`` naming the missing budgets and ``build_grid``.
-        """
-        values = grid.values
-        try:
-            return self._budget_levels[values]
-        except KeyError:
-            top = self.top_levels(grid)
-            off_grid = sorted({b for b, t in zip(self.budgets, top) if t < 0 or values[t] != b})
-            if off_grid:
-                raise InvalidRange(f"budgets {off_grid} are off the grid, and greedy init and steps"
-                                   " s, f, r and c price at budgets; build the grid with build_grid")
-            self._budget_levels[values] = top
             return top
 
     def wanting_between(self, product: int, lo: int, hi: int) -> tuple[int, ...]:
@@ -159,7 +138,7 @@ class BudgetGrid:
         try:
             return self._index[value]
         except KeyError:
-            raise InvalidRange(f"{value} is not a budget of this instance") from None
+            raise InvalidRange(f"{value} is not a value of this grid") from None
 
     def prices_of(self, indices: Sequence[int]) -> tuple[int, ...]:
         return tuple(map(self.values.__getitem__, indices))

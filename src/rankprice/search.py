@@ -95,6 +95,8 @@ class SearchParams:
         for name in ("l0", "q", "t", "seed"):
             if type(getattr(self, name)) is not int:
                 raise InvalidRange(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.stop, StopRule):
+            raise InvalidRange(f"stop must be a StopRule, got {self.stop!r}")
         if self.l0 < 1:
             raise InvalidRange("l0 must be at least 1")
         if not 1 <= self.q <= self.l0:
@@ -201,18 +203,21 @@ def greedy_init(inst: Instance, grid: BudgetGrid) -> PriceIndices:
     """Deterministic starting vector built from the richest customers down.
 
     Customers are visited by decreasing budget (ties by index); each claims
-    their most preferred unclaimed product and prices it at their own budget.
-    The visit ends once every product is claimed. Products nobody claimed end
-    up at the top of the grid, where they sell to nobody but leave room to be
-    priced down later.
+    their most preferred unclaimed product and prices it at the top grid
+    level they afford (``Instance.top_levels``), their own budget on
+    ``build_grid``'s grid. The visit ends once every product is claimed, or
+    at the first customer who affords no grid level, since every later one
+    affords none either. Products nobody claimed end up at the top of the
+    grid, where they sell to nobody but leave room to be priced down later.
     """
+    top = inst.top_levels(grid)
     claimed: dict[int, int] = {}
     for k in sorted(range(inst.num_customers), key=lambda k: (-inst.budgets[k], k)):
-        if len(claimed) == inst.num_products:
+        if len(claimed) == inst.num_products or top[k] < 0:
             break
         for i in inst.preference_order[k]:
             if i not in claimed:
-                claimed[i] = grid.index_of(inst.budgets[k])
+                claimed[i] = top[k]
                 break
     return tuple(claimed.get(i, grid.size - 1) for i in range(inst.num_products))
 
@@ -304,10 +309,6 @@ class _Run:
     of vectors evaluated so far; :meth:`close_batch` is the only place the
     incumbent and the trace change.
 
-    Steps s, f, r and c and the greedy start price products at customer
-    budgets, so a run that uses any of them rejects a grid, such as one built
-    by hand, that misses a budget of the instance, before any evaluation.
-
     ``elites`` are the slots :meth:`next_elites` last selected and ``ranked``
     the population length it ranked. A slot's revenue is final once the batch
     that appended it has been refined, which happens before the next
@@ -321,8 +322,6 @@ class _Run:
         self.params = params
         self.rng = random.Random(params.seed)
         self.pipeline = parse_pipeline(pipeline or "")
-        if params.init == GREEDY or set(self.pipeline) & set("sfrc"):
-            inst.budget_levels(grid)
         self.clock: Callable[[], float] = clock if clock is not None else time.perf_counter
         self.t0 = self.clock()
         self.population: list[tuple[PriceIndices, int]] = []

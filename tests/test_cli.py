@@ -273,7 +273,8 @@ def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     save_instance(generate_instance(3, 6, (5, 12), 0.8, seed=1), "inst.json")
     exec(compile(block, "README.md", "exec"), {})
-    assert len(capsys.readouterr().out.splitlines()) == 2
+    best, optimum = (int(line.split()[0]) for line in capsys.readouterr().out.splitlines())
+    assert best == optimum
 
 
 def test_readme_bench_config_loads():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from bisect import bisect_right
 from collections import Counter
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import helpers
 import rankprice.local_search
 from rankprice import (
+    BudgetGrid,
     LocalSearchStats,
     RankPriceError,
     assign,
@@ -226,15 +228,22 @@ def _levels_tried(op, inst, grid, indices, a, monkeypatch):
             for i in range(inst.num_products)]
 
 
+def _level(grid, budget):
+    """The top grid level within ``budget``: its own level on a grid that holds it."""
+    return bisect_right(grid.values, budget) - 1
+
+
 def _literal_levels(inst, grid, indices, a, i):
-    """``(f, r, c)`` levels for product i, read off ``a.chosen`` without the budget index."""
-    price = grid.values[indices[i]]
+    """``(f, r, c)`` levels for product i, read off ``a.chosen`` without the budget index.
+
+    Fill's pool leaves out customers who afford no grid level at all.
+    """
     buyers = sorted((inst.budgets[k], k) for k, c in enumerate(a.chosen) if c == i)
-    pool = [inst.budgets[k] for k, c in enumerate(a.chosen)
-            if c is None and inst.preferences[k][i] is not None]
-    f = [grid.index_of(min(pool))] if pool and not buyers else []
-    r = [grid.index_of(buyers[1][0])] if len(buyers) > 1 else []
-    fallback = r and buyers[0][0] == price and any(
+    pool = [inst.budgets[k] for k, c in enumerate(a.chosen) if c is None
+            and inst.preferences[k][i] is not None and _level(grid, inst.budgets[k]) >= 0]
+    f = [_level(grid, min(pool))] if pool and not buyers else []
+    r = [_level(grid, buyers[1][0])] if len(buyers) > 1 else []
+    fallback = r and _level(grid, buyers[0][0]) == indices[i] and any(
         j != i and indices[j] == indices[i] and inst.preferences[buyers[0][1]][j] is not None
         for j in range(inst.num_products)
     )
@@ -275,6 +284,36 @@ def test_scan_bounds_match_a_literal_reading_of_chosen(monkeypatch):
     assert at_price > states
     assert fallback["fires"] > 0 and fallback["blocks"] > 0
     assert idle["none"] > 0 and idle["tries"] > 0
+
+
+def test_step_levels_on_hand_grids_match_a_literal_reading(monkeypatch):
+    # On a grid missing budgets the steps price at the top grid value a
+    # customer affords, and fill passes over idle customers who afford none.
+    rng = random.Random(2718)
+    seen = Counter()
+    for _ in range(300):
+        inst = helpers.random_instance(rng.randrange(10**6), max_products=5, max_customers=12,
+                                       budget=(5, 30))
+        grid = BudgetGrid(tuple(sorted(rng.sample(range(1, 41), rng.randint(1, 8)))))
+        indices = helpers.random_indices(grid, inst.num_products, rng)
+        raw = (indices, assign(inst, grid, indices))
+        for indices, a in (raw, slack(inst, grid, *raw)):
+            tried = [_levels_tried(op, inst, grid, indices, a, monkeypatch)
+                     for op in (fill, reassignment, conditional_reassignment)]
+            slacked = slack(inst, grid, indices, a)[0]
+            for i in range(inst.num_products):
+                f, r, c = _literal_levels(inst, grid, indices, a, i)
+                assert tuple(step[i] for step in tried) == (f, r, c)
+                budgets = [inst.budgets[k] for k, j in enumerate(a.chosen) if j == i]
+                assert slacked[i] == (_level(grid, min(budgets)) if budgets else indices[i])
+                unsold_and_wanted_off_grid = not budgets and any(
+                    c is None and inst.preferences[k][i] is not None
+                    and _level(grid, inst.budgets[k]) < 0 for k, c in enumerate(a.chosen))
+                seen["fill passes over the unaffordable"] += unsold_and_wanted_off_grid
+                seen["fill tries"] += bool(f)
+                seen["c fires"] += bool(c)
+    assert seen["fill passes over the unaffordable"] > 0
+    assert seen["fill tries"] > 0 and seen["c fires"] > 0
 
 
 def test_walk_state_matches_a_recount(monkeypatch):

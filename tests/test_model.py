@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 import helpers
 from rankprice import (
     BudgetGrid,
+    ExperimentConfig,
     InstanceReadError,
     InvalidInstance,
     InvalidRange,
-    RankPriceError,
     RunSummary,
     SearchParams,
     StopRule,
@@ -143,7 +143,11 @@ def _first_row(row):
                  "reference must be positive, got 0", id="summarize-reference"),
     pytest.param(lambda: evolution_stats([]), "no traces to aggregate", id="evolution-empty"),
     pytest.param(lambda: build_grid(helpers.table1()).index_of(19),
-                 "19 is not a budget of this instance", id="off-grid-value"),
+                 "19 is not a value of this grid", id="off-grid-value"),
+    pytest.param(lambda: SearchParams(stop=5), "stop must be a StopRule, got 5",
+                 id="search-params-stop"),
+    pytest.param(lambda: ExperimentConfig("inst.json", "vns", "random", "", 5, 1, 0, None),
+                 "params must be a SearchParams, got 5", id="experiment-config-params"),
 ])
 def test_error_messages_are_pinned(call, message):
     with pytest.raises(Exception) as err:
@@ -161,14 +165,19 @@ def test_table1_grid(table1_grid):
 
 def test_grid_index_of_rejects_off_grid_value(table1_grid):
     assert table1_grid.index_of(27) == 1
-    with pytest.raises(InvalidRange, match="19 is not a budget"):
+    with pytest.raises(InvalidRange, match="19 is not a value of this grid"):
         table1_grid.index_of(19)
 
 
-def test_greedy_init_on_a_grid_missing_a_budget_raises_typed_error(table1):
-    # The richest customers' budget, 66, is not on this grid.
-    with pytest.raises(RankPriceError, match="66 is not a budget"):
-        greedy_init(table1, BudgetGrid((18, 27, 34, 42, 50)))
+def test_greedy_init_on_a_grid_missing_a_budget_prices_at_the_top_value_afforded(table1):
+    # The richest customer's budget, 66, is not on this grid: the product
+    # they claim is priced at 50, the top value they afford.
+    grid = BudgetGrid((18, 27, 34, 42, 50))
+    start = greedy_init(table1, grid)
+    claimed = table1.preference_order[1][0]
+    assert grid.values[start[claimed]] == 50
+    # Both products go to the two 66-budget customers, at 66 on build_grid's grid.
+    assert start == (4, 4) and greedy_init(table1, build_grid(table1)) == (5, 5)
 
 
 @pytest.mark.parametrize("call", [

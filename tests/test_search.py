@@ -17,6 +17,7 @@ from rankprice import (
     SearchParams,
     StopRule,
     assign,
+    assign_oracle,
     brute_force,
     build_grid,
     conditional_reassignment,
@@ -436,15 +437,19 @@ HAND_GRID = BudgetGrid((4, 10, 20, 40))
 
 @pytest.mark.parametrize("search", [naive_search, vns_search, genetic_search])
 @pytest.mark.parametrize("pipeline, init", [("s", "random"), ("f", "random"), ("r", "random"),
-                                            ("c", "random"), ("", "greedy")])
-def test_grid_missing_a_budget_is_rejected_up_front(search, pipeline, init, monkeypatch):
-    # Steps s f r c and the greedy start price at customer budgets, which
-    # this grid misses; unchecked, a run failed partway with a bare ValueError.
+                                            ("c", "random"), ("", "greedy"), ("sfrco", "greedy"),
+                                            ("rc", "greedy")])
+def test_budget_steps_and_greedy_run_on_a_grid_missing_a_budget(search, pipeline, init):
+    # Steps s f r c and the greedy start price at the top grid value a
+    # customer affords, which on this grid is not always their budget.
     assert not set(HAND_GRID_INST.budgets) <= set(HAND_GRID.values)
-    monkeypatch.setattr(rankprice.search, "assign", None)  # any evaluation would fail
     p = params(l0=10, q=4, t=5, stop=StopRule.point_budget(40), init=init)
-    with pytest.raises(RankPriceError, match="build_grid"):
-        search(HAND_GRID_INST, HAND_GRID, p, pipeline=pipeline)
+    res = search(HAND_GRID_INST, HAND_GRID, p, pipeline=pipeline)
+    assert res.evaluations == 40
+    assert set(res.best_prices) <= set(HAND_GRID.values)
+    assert res.best_value == assign_oracle(HAND_GRID_INST, HAND_GRID, res.best_indices).revenue
+    for v, value in res.population:
+        assert value == assign(HAND_GRID_INST, HAND_GRID, v).revenue
 
 
 @pytest.mark.parametrize("pipeline", ["", "o"])
@@ -456,18 +461,28 @@ def test_grid_missing_a_budget_runs_without_budget_steps(search, pipeline):
     assert set(res.best_prices) <= set(HAND_GRID.values)
 
 
+def _step_outcome(step, inst, grid, indices, a):
+    """Run ``step`` on one state and check what every budget step promises on any grid."""
+    out, out_a = step(inst, grid, indices, a)
+    assert len(out) == inst.num_products and all(0 <= m < grid.size for m in out)
+    assert out_a == assign_oracle(inst, grid, out)
+    assert out_a.revenue >= a.revenue
+    if step is slack:
+        assert out_a.chosen == a.chosen
+    return out, out_a
+
+
 @pytest.mark.parametrize("step", [slack, fill, reassignment, conditional_reassignment])
-def test_budget_steps_called_directly_reject_a_grid_missing_a_budget(step):
-    # On every state, not only where the step would price at a missing budget.
+def test_budget_steps_called_directly_run_on_a_grid_missing_a_budget(step):
     rng = random.Random(418)
     seen = Counter()
     for _ in range(100):
         indices = random_price(HAND_GRID, HAND_GRID_INST.num_products, rng)
         a = assign(HAND_GRID_INST, HAND_GRID, indices)
         seen["nobody idle"] += None not in a.chosen
-        with pytest.raises(InvalidRange, match="off the grid.*build_grid"):
-            step(HAND_GRID_INST, HAND_GRID, indices, a)
-    assert seen["nobody idle"] > 0
+        out, _ = _step_outcome(step, HAND_GRID_INST, HAND_GRID, indices, a)
+        seen["moved"] += out != indices
+    assert seen["nobody idle"] > 0 and seen["moved"] > 0
 
 
 def test_opt_based_and_pipeline_o_run_on_a_grid_missing_a_budget():
@@ -480,6 +495,33 @@ def test_opt_based_and_pipeline_o_run_on_a_grid_missing_a_budget():
                            run_pipeline(HAND_GRID_INST, HAND_GRID, "o", indices, a, rng)):
             assert out_a.revenue >= a.revenue
             assert out_a == assign(HAND_GRID_INST, HAND_GRID, out)
+
+
+def test_every_step_greedy_and_vns_hold_on_random_hand_grids():
+    # Random grids of 1-8 values in 1..40, some above the poorest budgets,
+    # so some customers afford no grid value at all.
+    rng = random.Random(20261022)
+    seen = Counter()
+    runs = list(product(["random", "greedy"], ["sfrc", "rc", "o", ""]))
+    for n in range(400):
+        inst = helpers.random_instance(rng.randrange(10**6), max_products=6, max_customers=12,
+                                       budget=(5, 30))
+        grid = BudgetGrid(tuple(sorted(rng.sample(range(1, 41), rng.randint(1, 8)))))
+        seen["off grid"] += not set(inst.budgets) <= set(grid.values)
+        seen["unaffordable"] += -1 in inst.top_levels(grid)
+        for step in (slack, fill, reassignment, conditional_reassignment):
+            indices = random_price(grid, inst.num_products, rng)
+            state = (indices, assign(inst, grid, indices))
+            _step_outcome(step, inst, grid, *state)
+            _step_outcome(step, inst, grid, *_step_outcome(slack, inst, grid, *state))
+        start = greedy_init(inst, grid)
+        assert len(start) == inst.num_products and all(0 <= m < grid.size for m in start)
+        init, pipeline = runs[n % len(runs)]
+        p = params(l0=4, q=2, t=3, stop=StopRule.point_budget(13), init=init,
+                   seed=rng.randrange(100))
+        res = vns_search(inst, grid, p, pipeline=pipeline)
+        assert res.best_value == assign_oracle(inst, grid, res.best_indices).revenue
+    assert seen["off grid"] > 300 and seen["unaffordable"] > 80
 
 
 # --------------------------------------------------------------------- vns
